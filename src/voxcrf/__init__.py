@@ -28,7 +28,16 @@ from .errors import (
     VoxcrfError,
 )
 from .filtering import FilterPlan, apply_filter, plan_filter
-from .fusion import VoxelMap, bayes_update, extract_map, integrate_cloud, merge_maps, voxel_index
+from .fusion import (
+    ExtractedMap,
+    VoxelMap,
+    bayes_update,
+    extract_map,
+    integrate_cloud,
+    merge_maps,
+    voxel_index,
+    voxel_keys,
+)
 from .metrics import (
     ConfusionMatrix,
     EvalFrame,

@@ -1,15 +1,31 @@
 """Global sparse voxel map with per-voxel label distributions, fused across
 posed semantic point clouds by a recursive Bayesian update.
 
-Each voxel stores its posterior in log space, renormalized after every
-update, so long observation sequences cannot underflow; likelihoods are
-floored so one confident wrong observation can never zero a label forever.
-New voxels start from the uniform prior.
+A ``VoxelMap`` holds M voxels as parallel arrays sorted by key:
+
+- ``keys`` (M,) int64: packed voxel indices.  A point's voxel index
+  (i, j, k) is ``floor(point / resolution)`` per axis.  Each axis must lie
+  in ``[-INDEX_LIMIT, INDEX_LIMIT)`` = ``[-2**20, 2**20)``; the offset
+  indices pack 21 bits apiece into one non-negative int64, so key order is
+  the lexicographic order of (i, j, k).  ``integrate_cloud`` rejects a
+  point outside that range rather than alias it onto another voxel.
+- ``log_posteriors`` (M, L): normalized log posterior per voxel.
+- ``observations`` (M,) int64: points fused into each voxel.
+- ``color_sums`` (M, 3) float64: accumulated RGB.
+
+``integrate_cloud`` groups a cloud's points by voxel with a stable sort, so
+one voxel's log-likelihoods sum in point order, then merges the groups into
+the map by ``searchsorted``: existing voxels add the group sum, unseen ones
+start from the uniform prior (a constant the normalization absorbs).  Only
+the rows it touched are renormalized, so long observation sequences cannot
+underflow.  Likelihoods are floored so one confident wrong observation can
+never zero a label forever.  Readers take the argmax over labels, with ties
+going to the smallest label id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,17 +33,47 @@ from .errors import InputError
 from .projection import SemanticPointCloud
 
 LIKELIHOOD_FLOOR = 1e-8
+INDEX_BITS = 21
+INDEX_LIMIT = 1 << (INDEX_BITS - 1)
+_INDEX_MASK = (1 << INDEX_BITS) - 1
+
+
+def _pack(idx: np.ndarray) -> np.ndarray:
+    """Keys of (N, 3) integer-valued float indices; -1 (no voxel) for rows
+    that are non-finite or outside the packable range."""
+    ok = np.all((idx >= -INDEX_LIMIT) & (idx < INDEX_LIMIT), axis=1)
+    shifted = np.where(ok[:, None], idx, 0.0).astype(np.int64) + INDEX_LIMIT
+    keys = (shifted[:, 0] << 2 * INDEX_BITS) | (shifted[:, 1] << INDEX_BITS) | shifted[:, 2]
+    keys[~ok] = -1
+    return keys
+
+
+def voxel_keys(points: np.ndarray, resolution: float) -> np.ndarray:
+    """Packed int64 voxel keys of (N, 3) points by floor division; -1 where a
+    point is non-finite or its index is outside the packable range."""
+    if resolution <= 0:
+        raise InputError(f"resolution must be positive, got {resolution}")
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    return _pack(np.floor(points / resolution))
+
+
+def unpack_keys(keys: np.ndarray) -> np.ndarray:
+    """(M, 3) int64 voxel indices of packed keys."""
+    keys = np.asarray(keys, dtype=np.int64)
+    idx = np.stack(
+        [keys >> 2 * INDEX_BITS, (keys >> INDEX_BITS) & _INDEX_MASK, keys & _INDEX_MASK],
+        axis=-1,
+    )
+    return idx - INDEX_LIMIT
 
 
 def voxel_index(point: np.ndarray, resolution: float) -> tuple[int, int, int]:
     """Integer voxel index by floor division, deterministic at boundaries."""
-    if resolution <= 0:
-        raise InputError(f"resolution must be positive, got {resolution}")
-    p = np.asarray(point, dtype=np.float64)
-    if not np.all(np.isfinite(p)):
-        raise InputError("non-finite point")
-    idx = np.floor(p / resolution).astype(np.int64)
-    return (int(idx[0]), int(idx[1]), int(idx[2]))
+    key = voxel_keys(np.asarray(point, dtype=np.float64).reshape(1, 3), resolution)
+    if key[0] < 0:
+        raise InputError(f"point {point} is non-finite or outside the packable voxel range")
+    i, j, k = unpack_keys(key)[0]
+    return (int(i), int(j), int(k))
 
 
 def bayes_update(prior: np.ndarray, likelihood: np.ndarray) -> np.ndarray:
@@ -44,76 +90,143 @@ def bayes_update(prior: np.ndarray, likelihood: np.ndarray) -> np.ndarray:
     return post / post.sum()
 
 
-def _normalize_log(log_dist: np.ndarray) -> np.ndarray:
-    log_dist = log_dist - log_dist.max()
-    log_dist -= np.log(np.exp(log_dist).sum())
+def _normalize_rows(log_dist: np.ndarray) -> np.ndarray:
+    log_dist = log_dist - log_dist.max(axis=1, keepdims=True)
+    log_dist -= np.log(np.exp(log_dist).sum(axis=1, keepdims=True))
     return log_dist
 
 
-@dataclass
-class VoxelCell:
-    log_dist: np.ndarray  # (L,) normalized log posterior
-    observations: int
-    color_sum: np.ndarray  # (3,) float64 accumulated RGB
-
-    @property
-    def distribution(self) -> np.ndarray:
-        return np.exp(self.log_dist)
-
-    @property
-    def mean_color(self) -> np.ndarray:
-        return self.color_sum / max(self.observations, 1)
+def _readonly(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
-@dataclass
 class VoxelMap:
-    """Sparse mapping from integer voxel index to fused label evidence."""
+    """Sparse voxel map: key-sorted arrays of fused label evidence (see the
+    module docstring for the layout)."""
 
-    resolution: float = 0.01
-    labels: int = 2
-    cells: dict[tuple[int, int, int], VoxelCell] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.resolution <= 0:
-            raise InputError(f"resolution must be positive, got {self.resolution}")
-        if self.labels < 2:
-            raise InputError(f"label count must be >= 2, got {self.labels}")
+    def __init__(self, resolution: float = 0.01, labels: int = 2):
+        if resolution <= 0:
+            raise InputError(f"resolution must be positive, got {resolution}")
+        if labels < 2:
+            raise InputError(f"label count must be >= 2, got {labels}")
+        self.resolution = resolution
+        self.labels = labels
+        self._keys = np.zeros(0, dtype=np.int64)
+        self._log_post = np.zeros((0, labels))
+        self._observations = np.zeros(0, dtype=np.int64)
+        self._color_sums = np.zeros((0, 3))
+        self._created = 0
+        self._updated = 0
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return self._keys.size
+
+    @property
+    def keys(self) -> np.ndarray:
+        return _readonly(self._keys)
+
+    @property
+    def indices(self) -> np.ndarray:
+        """(M, 3) voxel indices in key order."""
+        return unpack_keys(self._keys)
+
+    @property
+    def log_posteriors(self) -> np.ndarray:
+        return _readonly(self._log_post)
+
+    @property
+    def observations(self) -> np.ndarray:
+        return _readonly(self._observations)
+
+    @property
+    def color_sums(self) -> np.ndarray:
+        return _readonly(self._color_sums)
+
+    @property
+    def created(self) -> int:
+        """Voxels inserted so far."""
+        return self._created
+
+    @property
+    def updated(self) -> int:
+        """Updates of voxels that already existed, one per voxel per
+        integrated cloud."""
+        return self._updated
+
+    def _locate(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Insertion position of each key and whether the voxel exists there."""
+        pos = np.searchsorted(self._keys, keys)
+        if not self._keys.size:
+            return pos, np.zeros(keys.shape, dtype=bool)
+        return pos, self._keys[np.minimum(pos, self._keys.size - 1)] == keys
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """Row of each packed key in the map, -1 where the voxel is absent."""
+        pos, hit = self._locate(np.asarray(keys, dtype=np.int64))
+        return np.where(hit, pos, -1)
+
+    def hard_labels(self) -> np.ndarray:
+        """(M,) argmax label per voxel, ties to the smallest label id."""
+        return np.argmax(self._log_post, axis=1)
 
     def distribution(self, index: tuple[int, int, int]) -> np.ndarray | None:
-        cell = self.cells.get(index)
-        return None if cell is None else cell.distribution
+        row = self.find(_pack(np.asarray(index, dtype=np.float64).reshape(1, 3)))[0]
+        return None if row < 0 else np.exp(self._log_post[row])
+
+    def _absorb(self, keys, log_sums, counts, color_sums) -> None:
+        """Merge per-voxel evidence with unique sorted ``keys`` into the map."""
+        pos, hit = self._locate(keys)
+        new = ~hit
+        rows = pos[hit]
+        self._log_post[rows] += log_sums[hit]
+        self._observations[rows] += counts[hit]
+        self._color_sums[rows] += color_sums[hit]
+        at = pos[new]
+        self._keys = np.insert(self._keys, at, keys[new])
+        self._log_post = np.insert(self._log_post, at, log_sums[new], axis=0)
+        self._observations = np.insert(self._observations, at, counts[new])
+        self._color_sums = np.insert(self._color_sums, at, color_sums[new], axis=0)
+        # each key's row after the insertions: its position among the old
+        # keys plus the new keys sorted before it
+        touched = pos + np.cumsum(new) - new
+        self._log_post[touched] = _normalize_rows(self._log_post[touched])
+        self._created += int(new.sum())
+        self._updated += int(hit.sum())
 
 
 def integrate_cloud(vmap: VoxelMap, cloud: SemanticPointCloud) -> VoxelMap:
     """Fuse a world-frame cloud into the map (in place) and return the map.
 
-    Every point updates its voxel; points of one cloud falling in a shared
-    voxel fuse sequentially in point order.  New voxels initialize to the
-    uniform prior before their first update.
+    Every point updates its voxel; points of one cloud sharing a voxel sum
+    their log-likelihoods in point order.  New voxels start from the uniform
+    prior.  A point whose voxel index is outside the packable range raises
+    ``InputError``.
     """
     if len(cloud) == 0:
         return vmap
     if cloud.labels != vmap.labels:
         raise InputError(f"cloud has {cloud.labels} labels, map has {vmap.labels}")
-    idx = np.floor(cloud.points / vmap.resolution).astype(np.int64)
-    log_lik = np.log(np.maximum(cloud.label_dists, LIKELIHOOD_FLOOR))
-    colors = cloud.colors.astype(np.float64)
-    cells = vmap.cells
-    for i in range(len(cloud)):
-        key = (int(idx[i, 0]), int(idx[i, 1]), int(idx[i, 2]))
-        cell = cells.get(key)
-        if cell is None:
-            # uniform prior contributes a constant absorbed by normalization
-            cells[key] = VoxelCell(
-                _normalize_log(log_lik[i].copy()), 1, colors[i].copy()
-            )
-        else:
-            cell.log_dist = _normalize_log(cell.log_dist + log_lik[i])
-            cell.observations += 1
-            cell.color_sum += colors[i]
+    keys = voxel_keys(cloud.points, vmap.resolution)
+    outside = np.flatnonzero(keys < 0)
+    if outside.size:
+        raise InputError(
+            f"point {cloud.points[outside[0]]} has a voxel index outside "
+            f"[-{INDEX_LIMIT}, {INDEX_LIMIT}) at resolution {vmap.resolution}"
+        )
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    log_lik = cloud.label_dists[order]
+    np.maximum(log_lik, LIKELIHOOD_FLOOR, out=log_lik)
+    np.log(log_lik, out=log_lik)
+    vmap._absorb(
+        keys[starts],
+        np.add.reduceat(log_lik, starts, axis=0),
+        np.diff(np.r_[starts, keys.size]),
+        np.add.reduceat(cloud.colors[order].astype(np.float64), starts, axis=0),
+    )
     return vmap
 
 
@@ -122,43 +235,46 @@ def merge_maps(a: VoxelMap, b: VoxelMap) -> VoxelMap:
 
     Voxel-wise the accumulated likelihood products multiply (one uniform
     prior divided out, a constant the normalization absorbs), so merging is
-    order-invariant and equals sequential integration of all frames.
+    order-invariant and equals sequential integration of all frames, the
+    ``created`` and ``updated`` counters included.
     """
     if a.resolution != b.resolution or a.labels != b.labels:
         raise InputError("maps disagree on resolution or label count")
     out = VoxelMap(a.resolution, a.labels)
-    for key, cell in a.cells.items():
-        out.cells[key] = VoxelCell(cell.log_dist.copy(), cell.observations, cell.color_sum.copy())
-    for key, cell in b.cells.items():
-        mine = out.cells.get(key)
-        if mine is None:
-            out.cells[key] = VoxelCell(
-                cell.log_dist.copy(), cell.observations, cell.color_sum.copy()
-            )
-        else:
-            mine.log_dist = _normalize_log(mine.log_dist + cell.log_dist)
-            mine.observations += cell.observations
-            mine.color_sum += cell.color_sum
+    for part in (a, b):
+        out._absorb(part._keys, part._log_post, part._observations, part._color_sums)
+    # integrating b's frames after a's would also hit each shared voxel once
+    out._updated += a.updated + b.updated
     return out
+
+
+@dataclass(frozen=True)
+class ExtractedMap:
+    """Labeled voxel centers, one row per extracted voxel, in key order."""
+
+    centers: np.ndarray  # (K, 3) float64, meters
+    labels: np.ndarray  # (K,) int64 argmax label
+    confidences: np.ndarray  # (K,) float64 posterior of that label
+    colors: np.ndarray  # (K, 3) uint8 mean color, rounded
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
 
 
 def extract_map(
     vmap: VoxelMap, min_observations: int = 1, min_confidence: float = 0.0
-) -> list[tuple[np.ndarray, int, float, np.ndarray]]:
-    """Rows (voxel center, argmax label, confidence, mean color) for voxels
-    meeting both thresholds; argmax ties break to the smallest label id."""
+) -> ExtractedMap:
+    """Voxels meeting both thresholds, with their argmax label (ties to the
+    smallest label id), its confidence and the rounded mean color."""
     if min_observations < 0 or min_confidence < 0:
         raise InputError("thresholds must be >= 0")
-    rows = []
-    for key in sorted(vmap.cells):
-        cell = vmap.cells[key]
-        if cell.observations < min_observations:
-            continue
-        dist = cell.distribution
-        label = int(np.argmax(dist))
-        conf = float(dist[label])
-        if conf < min_confidence:
-            continue
-        center = (np.asarray(key, dtype=np.float64) + 0.5) * vmap.resolution
-        rows.append((center, label, conf, cell.mean_color))
-    return rows
+    labels = vmap.hard_labels()
+    conf = np.exp(vmap._log_post[np.arange(len(vmap)), labels])
+    keep = (vmap._observations >= min_observations) & (conf >= min_confidence)
+    mean = vmap._color_sums[keep] / np.maximum(vmap._observations[keep], 1)[:, None]
+    return ExtractedMap(
+        (unpack_keys(vmap._keys[keep]) + 0.5) * vmap.resolution,
+        labels[keep],
+        conf[keep],
+        np.clip(np.rint(mean), 0, 255).astype(np.uint8),
+    )

@@ -22,7 +22,7 @@ import numpy as np
 
 from .crf import IGNORE_LABEL, LabelImage
 from .errors import InputError
-from .fusion import VoxelMap
+from .fusion import VoxelMap, voxel_keys
 from .projection import CameraIntrinsics, Pose, back_project
 
 
@@ -117,34 +117,32 @@ def evaluate_fused_map(vmap: VoxelMap, frames: list[EvalFrame]) -> FusedEvalResu
 
     Every valid-depth, non-IGNORE truth pixel is back-projected into the
     world; the voxel's argmax label is the prediction.  Pixels whose voxel
-    is absent from the map land in a MISSING bucket tallied as coverage,
-    outside the L x L matrix.
+    is absent from the map, or whose voxel index is outside the packable
+    range, land in a MISSING bucket tallied as coverage, outside the L x L
+    matrix.
     """
-    cm = ConfusionMatrix(vmap.labels)
+    n = vmap.labels
+    cm = ConfusionMatrix(n)
     hits = 0
     missing = 0
-    res = vmap.resolution
+    predicted = vmap.hard_labels()
     for frame in frames:
         points, valid = back_project(frame.depth, frame.intrinsics)
         truth = frame.truth.data.reshape(frame.depth.shape)
         keep = valid & (truth != IGNORE_LABEL)
         if not np.any(keep):
             continue
-        if np.any((truth[keep] < 0) | (truth[keep] >= vmap.labels)):
+        truth_kept = truth[keep]
+        if np.any((truth_kept < 0) | (truth_kept >= n)):
             raise InputError("truth label out of range for the map")
         r = frame.pose.matrix[:3, :3]
         t = frame.pose.matrix[:3, 3]
-        world = points[keep] @ r.T + t
-        idx = np.floor(world / res).astype(np.int64)
-        truth_kept = truth[keep]
-        for i in range(idx.shape[0]):
-            cell = vmap.cells.get((int(idx[i, 0]), int(idx[i, 1]), int(idx[i, 2])))
-            if cell is None:
-                missing += 1
-            else:
-                pred = int(np.argmax(cell.log_dist))
-                cm.counts[truth_kept[i], pred] += 1
-                hits += 1
+        rows = vmap.find(voxel_keys(points[keep] @ r.T + t, vmap.resolution))
+        found = rows >= 0
+        hits += int(found.sum())
+        missing += int(found.size - found.sum())
+        pairs = truth_kept[found] * n + predicted[rows[found]]
+        cm.counts += np.bincount(pairs, minlength=n * n).reshape(n, n)
     return FusedEvalResult(cm, hits, missing)
 
 

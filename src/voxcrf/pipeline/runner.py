@@ -140,26 +140,22 @@ def run_pipeline(
             outputs["metrics_per_class"] = str(out / "metrics_per_class.csv")
 
     t0 = time.perf_counter()
-    rows = extract_map(vmap, config.min_observations, config.min_confidence)
+    extracted = extract_map(vmap, config.min_observations, config.min_confidence)
     global_ply = out / "global_map.ply"
-    if rows:
-        centers = np.array([r[0] for r in rows])
-        hard = np.array([r[1] for r in rows])
-        conf = np.array([r[2] for r in rows])
-        colors = np.clip(np.rint(np.array([r[3] for r in rows])), 0, 255).astype(np.uint8)
-    else:
-        centers = np.zeros((0, 3))
-        hard = np.zeros(0, dtype=np.int64)
-        conf = np.zeros(0)
-        colors = np.zeros((0, 3), dtype=np.uint8)
-    write_ply(global_ply, centers, hard_labels=hard, confidences=conf, colors=colors)
+    write_ply(
+        global_ply,
+        extracted.centers,
+        hard_labels=extracted.labels,
+        confidences=extracted.confidences,
+        colors=extracted.colors,
+    )
     outputs["global_ply"] = str(global_ply)
     timings["export"] = time.perf_counter() - t0
 
     summary_lines = [
         f"frames={len(records)}",
         f"voxels={len(vmap)}",
-        f"extracted={len(rows)}",
+        f"extracted={len(extracted)}",
     ]
     summary_lines += [f"time_{k.replace('+', '_')}={v:.3f}s" for k, v in timings.items()]
     if coverage is not None:

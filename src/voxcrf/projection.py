@@ -79,6 +79,8 @@ class SemanticPointCloud:
                 f"parallel arrays disagree: {n} points, {self.colors.shape[0]} colors, "
                 f"{self.label_dists.shape[0]} distributions"
             )
+        if not np.all(np.isfinite(self.points)):
+            raise InputError("point coordinates must be finite")
 
     def __len__(self) -> int:
         return self.points.shape[0]

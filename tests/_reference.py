@@ -73,3 +73,73 @@ def reference_energy(
                 k_sum += w * np.exp(-0.5 * float(np.sum((f[i] - f[j]) ** 2)))
             total += mu[labeling[i], labeling[j]] * k_sum
     return total
+
+
+# ---------------------------------------------------------------------------
+# Voxel fusion: the per-point dict map the array-backed VoxelMap replaced
+# ---------------------------------------------------------------------------
+
+REFERENCE_LIKELIHOOD_FLOOR = 1e-8
+
+
+def _reference_normalize_log(log_dist: np.ndarray) -> np.ndarray:
+    log_dist = log_dist - log_dist.max()
+    log_dist -= np.log(np.exp(log_dist).sum())
+    return log_dist
+
+
+class ReferenceVoxelMap:
+    """dict[(i, j, k)] -> [normalized log posterior, observations, color sum],
+    updated one point at a time."""
+
+    def __init__(self, resolution: float, labels: int):
+        self.resolution = resolution
+        self.labels = labels
+        self.cells: dict[tuple[int, int, int], list] = {}
+
+    def integrate(self, points: np.ndarray, dists: np.ndarray, colors: np.ndarray) -> None:
+        idx = np.floor(points / self.resolution).astype(np.int64)
+        log_lik = np.log(np.maximum(dists, REFERENCE_LIKELIHOOD_FLOOR))
+        colors = colors.astype(np.float64)
+        for i in range(points.shape[0]):
+            key = (int(idx[i, 0]), int(idx[i, 1]), int(idx[i, 2]))
+            cell = self.cells.get(key)
+            if cell is None:
+                # uniform prior contributes a constant absorbed by normalization
+                self.cells[key] = [_reference_normalize_log(log_lik[i].copy()), 1, colors[i].copy()]
+            else:
+                cell[0] = _reference_normalize_log(cell[0] + log_lik[i])
+                cell[1] += 1
+                cell[2] = cell[2] + colors[i]
+
+    def extract(self, min_observations: int, min_confidence: float) -> list[tuple]:
+        """Rows (center, label, confidence, uint8 mean color) in sorted key
+        order; argmax ties go to the smallest label id."""
+        rows = []
+        for key in sorted(self.cells):
+            log_dist, obs, color_sum = self.cells[key]
+            if obs < min_observations:
+                continue
+            dist = np.exp(log_dist)
+            label = int(np.argmax(dist))
+            if dist[label] < min_confidence:
+                continue
+            center = (np.asarray(key, dtype=np.float64) + 0.5) * self.resolution
+            color = np.clip(np.rint(color_sum / obs), 0, 255).astype(np.uint8)
+            rows.append((center, label, float(dist[label]), color))
+        return rows
+
+    def evaluate(self, world: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, int, int]:
+        """(confusion counts, hits, missing) of world points with truth labels,
+        one dict lookup per point."""
+        counts = np.zeros((self.labels, self.labels), dtype=np.int64)
+        hits = missing = 0
+        idx = np.floor(world / self.resolution).astype(np.int64)
+        for i in range(world.shape[0]):
+            cell = self.cells.get((int(idx[i, 0]), int(idx[i, 1]), int(idx[i, 2])))
+            if cell is None:
+                missing += 1
+            else:
+                counts[truth[i], int(np.argmax(cell[0]))] += 1
+                hits += 1
+        return counts, hits, missing

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from voxcrf.crf import IGNORE_LABEL, LabelDistributionImage, LabelImage
 from voxcrf.errors import InputError
 from voxcrf.fusion import (
+    INDEX_LIMIT,
     VoxelMap,
     bayes_update,
     extract_map,
@@ -11,7 +13,17 @@ from voxcrf.fusion import (
     merge_maps,
     voxel_index,
 )
-from voxcrf.projection import SemanticPointCloud
+from voxcrf.metrics import EvalFrame, evaluate_fused_map
+from voxcrf.projection import (
+    CameraIntrinsics,
+    Pose,
+    SemanticPointCloud,
+    back_project,
+    make_semantic_cloud,
+    transform_cloud,
+)
+
+from _reference import ReferenceVoxelMap
 
 
 def cloud_at(points, dists, colors=None):
@@ -66,7 +78,7 @@ def test_integrate_first_observation_is_likelihood():
     vmap = VoxelMap(0.01, 2)
     integrate_cloud(vmap, cloud_at([[0.005, 0.005, 0.005]], [[0.7, 0.3]]))
     assert vmap.distribution((0, 0, 0)) == pytest.approx([0.7, 0.3])
-    assert vmap.cells[(0, 0, 0)].observations == 1
+    assert vmap.observations.tolist() == [1]
 
 
 def test_integrate_same_distribution_twice():
@@ -75,7 +87,7 @@ def test_integrate_same_distribution_twice():
     integrate_cloud(vmap, cloud_at(pt, [[0.6, 0.4]]))
     integrate_cloud(vmap, cloud_at(pt, [[0.6, 0.4]]))
     assert vmap.distribution((0, 0, 0)) == pytest.approx([9 / 13, 4 / 13])
-    assert vmap.cells[(0, 0, 0)].observations == 2
+    assert vmap.observations.tolist() == [2]
 
 
 def test_integrate_label_count_mismatch():
@@ -89,7 +101,7 @@ def test_integrate_mean_color():
     pt = [[0.0, 0.0, 0.0]]
     integrate_cloud(vmap, cloud_at(pt, [[0.5, 0.5]], np.array([[10, 20, 30]], dtype=np.uint8)))
     integrate_cloud(vmap, cloud_at(pt, [[0.5, 0.5]], np.array([[30, 40, 50]], dtype=np.uint8)))
-    assert vmap.cells[(0, 0, 0)].mean_color == pytest.approx([20, 30, 40])
+    assert vmap.color_sums[0] / vmap.observations[0] == pytest.approx([20, 30, 40])
 
 
 @settings(max_examples=20, deadline=None)
@@ -141,14 +153,15 @@ def test_merge_equals_sequential(seed):
         integrate_cloud(b, cloud_at(points[i : i + 1], liks[i : i + 1]))
     merged = merge_maps(a, b)
 
-    assert set(merged.cells) == set(seq.cells)
-    for key in seq.cells:
-        assert np.abs(merged.distribution(key) - seq.distribution(key)).max() < 1e-9
-        assert merged.cells[key].observations == seq.cells[key].observations
+    assert np.array_equal(merged.keys, seq.keys)
+    assert np.abs(np.exp(merged.log_posteriors) - np.exp(seq.log_posteriors)).max() < 1e-9
+    assert np.array_equal(merged.observations, seq.observations)
 
 
 def test_extract_empty_map():
-    assert extract_map(VoxelMap(0.01, 2)) == []
+    rows = extract_map(VoxelMap(0.01, 2))
+    assert len(rows) == 0
+    assert rows.centers.shape == (0, 3) and rows.colors.shape == (0, 3)
 
 
 def test_extract_threshold_and_center():
@@ -156,30 +169,29 @@ def test_extract_threshold_and_center():
     integrate_cloud(vmap, cloud_at([[0.011, 0.022, 0.033]], [[0.9, 0.1]]))
     rows = extract_map(vmap, min_observations=1, min_confidence=0.5)
     assert len(rows) == 1
-    center, label, conf, _ = rows[0]
-    assert label == 0
-    assert conf == pytest.approx(0.9)
-    assert center == pytest.approx([0.015, 0.025, 0.035])
+    assert rows.labels.tolist() == [0]
+    assert rows.confidences[0] == pytest.approx(0.9)
+    assert rows.centers[0] == pytest.approx([0.015, 0.025, 0.035])
 
 
 def test_extract_confidence_exclusion():
     vmap = VoxelMap(0.01, 2)
     integrate_cloud(vmap, cloud_at([[0.0, 0.0, 0.0]], [[0.52, 0.48]]))
-    assert extract_map(vmap, min_confidence=0.6) == []
+    assert len(extract_map(vmap, min_confidence=0.6)) == 0
     assert len(extract_map(vmap, min_confidence=0.5)) == 1
 
 
 def test_extract_min_observations():
     vmap = VoxelMap(0.01, 2)
     integrate_cloud(vmap, cloud_at([[0.0, 0.0, 0.0]], [[0.9, 0.1]]))
-    assert extract_map(vmap, min_observations=2) == []
+    assert len(extract_map(vmap, min_observations=2)) == 0
 
 
 def test_extract_tie_breaks_to_smallest_label():
     vmap = VoxelMap(0.01, 2)
     integrate_cloud(vmap, cloud_at([[0.0, 0.0, 0.0]], [[0.5, 0.5]]))
     rows = extract_map(vmap)
-    assert rows[0][1] == 0
+    assert rows.labels.tolist() == [0]
 
 
 def test_stored_distributions_normalized_after_long_runs(rng):
@@ -189,4 +201,159 @@ def test_stored_distributions_normalized_after_long_runs(rng):
         integrate_cloud(vmap, cloud_at(pt, rng.dirichlet(np.ones(4), size=1)))
     dist = vmap.distribution((0, 0, 0))
     assert dist.sum() == pytest.approx(1.0, abs=1e-6)
-    assert np.all(np.isfinite(vmap.cells[(0, 0, 0)].log_dist))
+    assert np.all(np.isfinite(vmap.log_posteriors))
+
+
+def test_packable_range_boundary():
+    lim = INDEX_LIMIT
+    assert voxel_index(np.array([lim - 0.5, -lim, 0.0]), 1.0) == (lim - 1, -lim, 0)
+    outside = [[lim, 0.0, 0.0], [0.0, -lim - 0.5, 0.0], [0.0, 0.0, 1e17 / 0.01]]
+    for point in outside:
+        with pytest.raises(InputError):
+            voxel_index(np.array(point), 1.0)
+
+    vmap = VoxelMap(1.0, 2)
+    edges = [[lim - 0.5, -lim, -lim], [-lim, lim - 0.5, lim - 0.5]]
+    integrate_cloud(vmap, cloud_at(edges, [[0.7, 0.3], [0.4, 0.6]]))
+    assert vmap.indices.tolist() == [[-lim, lim - 1, lim - 1], [lim - 1, -lim, -lim]]
+    for point in outside:
+        with pytest.raises(InputError):
+            integrate_cloud(vmap, cloud_at([[0.0, 0.0, 0.0], point], [[0.5, 0.5]] * 2))
+    assert len(vmap) == 2  # a rejected cloud leaves the map unchanged
+    with pytest.raises(InputError):  # the formerly aliased x = 1e17 at 1 cm
+        integrate_cloud(VoxelMap(0.01, 2), cloud_at([[1e17, 0.0, 0.0]], [[0.5, 0.5]]))
+
+    # evaluation: a 6x8 frame at 0.5 m depth straddling x = lim; the left four
+    # columns fall in the mapped voxel (lim - 1, -lim, -lim), the right four
+    # outside the packable range, where they count as missing
+    pose = np.eye(4)
+    pose[:3, 3] = [lim, -lim + 0.5, -lim]
+    depth = np.full((6, 8), 500, dtype=np.uint16)
+    truth = LabelImage(6, 8, np.zeros(48, dtype=np.int64))
+    result = evaluate_fused_map(vmap, [EvalFrame(truth, depth, INTR_SMALL, Pose(pose))])
+    assert (result.hits, result.missing) == (24, 24)
+    assert result.cm.counts.tolist() == [[24, 0], [0, 0]]
+
+
+def test_created_and_updated_counters():
+    first = [[0.5, 0.5, 0.5], [0.6, 0.5, 0.5], [1.5, 0.5, 0.5], [2.5, 0.5, 0.5]]
+    second = [[1.5, 0.5, 0.5], [2.5, 0.5, 0.5], [2.6, 0.5, 0.5], [3.5, 0.5, 0.5], [-0.5, 0, 0]]
+    a = integrate_cloud(VoxelMap(1.0, 2), cloud_at(first, [[0.6, 0.4]] * 4))
+    assert (a.created, a.updated) == (3, 0)  # two points share voxel (0, 0, 0)
+    b = integrate_cloud(VoxelMap(1.0, 2), cloud_at(second, [[0.3, 0.7]] * 5))
+    seq = integrate_cloud(VoxelMap(1.0, 2), cloud_at(first, [[0.6, 0.4]] * 4))
+    integrate_cloud(seq, cloud_at(second, [[0.3, 0.7]] * 5))
+    assert (seq.created, seq.updated) == (5, 2)  # voxels (1, 0, 0) and (2, 0, 0) overlap
+    merged = merge_maps(a, b)
+    assert (merged.created, merged.updated) == (5, 2)
+    with pytest.raises(AttributeError):
+        seq.created = 0
+    with pytest.raises(ValueError):
+        seq.observations[0] = 7
+
+
+INTR_SMALL = CameraIntrinsics(fx=6.0, fy=6.0, cx=3.5, cy=2.5)
+
+
+def random_pose(r):
+    q, upper = np.linalg.qr(r.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(upper))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    m = np.eye(4)
+    m[:3, :3] = q
+    m[:3, 3] = r.uniform(-0.3, 0.3, size=3)
+    return Pose(m)
+
+
+def random_frame(r, labels):
+    """(world cloud, eval frame) from a 6x8 random depth image and pose."""
+    depth = r.integers(300, 900, size=(6, 8)).astype(np.uint16)
+    depth[r.random((6, 8)) < 0.15] = 0
+    truth = r.integers(0, labels, size=48)
+    truth[r.random(48) < 0.1] = IGNORE_LABEL
+    alpha = r.choice([0.05, 1.0])  # sharp distributions reach the likelihood floor
+    q = LabelDistributionImage(6, 8, labels, r.dirichlet(np.full(labels, alpha), size=48))
+    points, valid = back_project(depth, INTR_SMALL)
+    pose = random_pose(r)
+    rgb = r.integers(0, 256, size=(6, 8, 3))
+    cloud = transform_cloud(make_semantic_cloud(points, valid, q, rgb), pose)
+    return cloud, EvalFrame(LabelImage(6, 8, truth), depth, INTR_SMALL, pose)
+
+
+def reference_eval_points(frame):
+    """World points and truth labels of the kept pixels, computed with the
+    same expressions as ``evaluate_fused_map`` so voxel boundaries agree."""
+    points, valid = back_project(frame.depth, frame.intrinsics)
+    truth = frame.truth.data.reshape(frame.depth.shape)
+    keep = valid & (truth != IGNORE_LABEL)
+    r = frame.pose.matrix[:3, :3]
+    return points[keep] @ r.T + frame.pose.matrix[:3, 3], truth[keep]
+
+
+def assert_map_equals_reference(vmap, ref):
+    keys = sorted(ref.cells)
+    assert vmap.indices.tolist() == [list(k) for k in keys]
+    assert vmap.observations.tolist() == [ref.cells[k][1] for k in keys]
+    assert np.array_equal(vmap.color_sums, np.array([ref.cells[k][2] for k in keys]))
+    ref_dist = np.exp(np.array([ref.cells[k][0] for k in keys]))
+    assert np.abs(np.exp(vmap.log_posteriors) - ref_dist).max() <= 1e-12
+    assert np.array_equal(vmap.hard_labels(), np.argmax(ref_dist, axis=1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_array_map_matches_per_point_reference(seed):
+    r = np.random.default_rng(seed)
+    labels = int(r.integers(2, 6))
+    res = float(r.choice([0.05, 0.1, 0.25]))
+    min_obs = int(r.integers(0, 4))
+    min_conf = float(r.uniform(0.0, 0.9))
+
+    # a dense cluster around the origin: many points per voxel, negative coordinates
+    cluster = SemanticPointCloud(
+        r.uniform(-2 * res, 2 * res, size=(120, 3)),
+        r.integers(0, 256, size=(120, 3)),
+        r.dirichlet(np.ones(labels), size=120),
+    )
+    clouds = [cluster]
+    eval_frames = []
+    for _ in range(int(r.integers(2, 5))):
+        cloud, frame = random_frame(r, labels)
+        clouds.append(cloud)
+        eval_frames.append(frame)
+    eval_frames.append(random_frame(r, labels)[1])  # not fused: mixes hits and misses
+
+    vmap = VoxelMap(res, labels)
+    ref = ReferenceVoxelMap(res, labels)
+    halves = (VoxelMap(res, labels), VoxelMap(res, labels))
+    for i, cloud in enumerate(clouds):
+        integrate_cloud(vmap, cloud)
+        integrate_cloud(halves[2 * i >= len(clouds)], cloud)
+        ref.integrate(cloud.points, cloud.label_dists, cloud.colors)
+    assert_map_equals_reference(vmap, ref)
+
+    merged = merge_maps(*halves)
+    assert_map_equals_reference(merged, ref)
+    assert (merged.created, merged.updated) == (vmap.created, vmap.updated)
+
+    rows = extract_map(vmap, min_obs, min_conf)
+    ref_rows = ref.extract(min_obs, min_conf)
+    assert len(rows) == len(ref_rows)
+    if ref_rows:
+        centers, ref_labels, confs, colors = (np.array(c) for c in zip(*ref_rows))
+        assert np.array_equal(rows.centers, centers)
+        assert np.array_equal(rows.labels, ref_labels)
+        assert np.array_equal(rows.colors, colors)
+        assert np.abs(rows.confidences - confs).max() <= 1e-12
+
+    result = evaluate_fused_map(vmap, eval_frames)
+    counts = np.zeros((labels, labels), dtype=np.int64)
+    hits = missing = 0
+    for frame in eval_frames:
+        c, h, m = ref.evaluate(*reference_eval_points(frame))
+        counts += c
+        hits += h
+        missing += m
+    assert np.array_equal(result.cm.counts, counts)
+    assert (result.hits, result.missing) == (hits, missing)

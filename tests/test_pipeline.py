@@ -212,11 +212,10 @@ def test_run_pipeline_single_frame_equals_voxelized_frame(tmp_path):
     integrate_cloud(expected, out.cloud)
 
     result = run_pipeline(manifest, out_dir=tmp_path / "out")
-    assert set(result.vmap.cells) == set(expected.cells)
-    for key in expected.cells:
-        assert np.abs(
-            result.vmap.distribution(key) - expected.distribution(key)
-        ).max() < 1e-12
+    assert np.array_equal(result.vmap.keys, expected.keys)
+    assert np.abs(
+        np.exp(result.vmap.log_posteriors) - np.exp(expected.log_posteriors)
+    ).max() < 1e-12
 
 
 def test_run_pipeline_duplicate_frames_fuse_twice(tmp_path):
@@ -234,13 +233,12 @@ def test_run_pipeline_duplicate_frames_fuse_twice(tmp_path):
     twice = run_pipeline(manifest, out_dir=tmp_path / "o2")
     from voxcrf.fusion import bayes_update
 
-    for key in once.vmap.cells:
-        # fusing the same evidence twice = one more bayes update per point;
-        # spot-check voxels observed exactly once per pass
-        if once.vmap.cells[key].observations == 1:
-            d1 = once.vmap.distribution(key)
-            d2 = twice.vmap.distribution(key)
-            assert np.abs(bayes_update(d1, d1) - d2).max() < 1e-9
+    # fusing the same evidence twice = one more bayes update per point;
+    # spot-check voxels observed exactly once per pass
+    for key in map(tuple, once.vmap.indices[once.vmap.observations == 1]):
+        d1 = once.vmap.distribution(key)
+        d2 = twice.vmap.distribution(key)
+        assert np.abs(bayes_update(d1, d1) - d2).max() < 1e-9
 
 
 def test_run_pipeline_emits_valid_artifacts(scene, tmp_path):
@@ -273,11 +271,8 @@ def test_run_pipeline_frame_order_invariance(tmp_path):
 
     a = run_pipeline(manifest, out_dir=tmp_path / "oa")
     b = run_pipeline(reordered, out_dir=tmp_path / "ob")
-    assert set(a.vmap.cells) == set(b.vmap.cells)
-    worst = max(
-        float(np.abs(a.vmap.distribution(k) - b.vmap.distribution(k)).max())
-        for k in a.vmap.cells
-    )
+    assert np.array_equal(a.vmap.keys, b.vmap.keys)
+    worst = float(np.abs(np.exp(a.vmap.log_posteriors) - np.exp(b.vmap.log_posteriors)).max())
     assert worst <= 1e-9
 
 

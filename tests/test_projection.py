@@ -132,6 +132,14 @@ def test_cloud_dimension_mismatch(rng):
         make_semantic_cloud(points, valid, q_image(2, 3, 2, rng), np.zeros((2, 2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cloud_rejects_non_finite_points(bad):
+    points = np.zeros((3, 3))
+    points[1, 2] = bad
+    with pytest.raises(InputError, match="finite"):
+        SemanticPointCloud(points, np.zeros((3, 3)), np.full((3, 2), 0.5))
+
+
 def make_cloud(rng, n=20, labels=3):
     return SemanticPointCloud(
         rng.normal(size=(n, 3)),
