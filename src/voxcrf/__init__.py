@@ -27,7 +27,7 @@ from .errors import (
     SizeLimitError,
     VoxcrfError,
 )
-from .filtering import FilterPlan, apply_filter, plan_filter
+from .filtering import FilterPlan, plan_filter
 from .fusion import (
     ExtractedMap,
     VoxelMap,

@@ -13,6 +13,7 @@ other stages are dense (N, L) array operations.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -185,10 +186,11 @@ class LabelImage:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax."""
+    """Row-wise stable softmax; ``logits`` is not written."""
     z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def _softmax_vjp(q: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -275,10 +277,45 @@ def _step(
     return q_new
 
 
+def reuse_plan(
+    features: np.ndarray, backend: str = "exact", plans: Sequence[FilterPlan] = ()
+) -> FilterPlan:
+    """The first of ``plans`` built on equal features with the same backend,
+    else a new plan from :func:`plan_filter`."""
+    for plan in plans:
+        if plan.backend == backend and np.array_equal(plan.features, features):
+            return plan
+    return plan_filter(features, backend)
+
+
 def _build_plans(
-    features: FeatureField, backend: str, dtype=np.float64
+    features: FeatureField,
+    backend: str,
+    dtype=np.float64,
+    plans: Sequence[FilterPlan | None] | None = None,
 ) -> tuple[FilterPlan, ...]:
-    return tuple(plan_filter(f, backend, dtype) for f in features.per_kernel())
+    """One plan per kernel: the prebuilt entry of ``plans`` where one is
+    given, else a new plan.  Prebuilt plans are checked before any build."""
+    kernels = features.per_kernel()
+    given = (None,) * len(kernels) if plans is None else tuple(plans)
+    if len(given) != len(kernels):
+        raise InputError(f"expected {len(kernels)} plans (or None), got {len(given)}")
+    for m, (f, plan) in enumerate(zip(kernels, given)):
+        if plan is None:
+            continue
+        if (plan.n, plan.dim) != f.shape:
+            raise InputError(
+                f"plan for kernel {m} is ({plan.n}, {plan.dim}), features are {f.shape}"
+            )
+        if plan.backend != backend or plan.dtype != np.dtype(dtype):
+            raise InputError(
+                f"plan for kernel {m} is {plan.backend}/{plan.dtype}, "
+                f"inference asks for {backend}/{np.dtype(dtype)}"
+            )
+    return tuple(
+        plan_filter(f, backend, dtype) if plan is None else plan
+        for f, plan in zip(kernels, given)
+    )
 
 
 def _check_dims(u: UnaryField, features: FeatureField) -> None:
@@ -315,17 +352,20 @@ def mean_field_infer(
     backend: str = "exact",
     cache_gradients: bool = False,
     dtype=np.float64,
+    plans: Sequence[FilterPlan | None] | None = None,
 ) -> tuple[LabelDistributionImage, MeanFieldTrace | None]:
     """Run T mean-field iterations from Q0 = softmax(U).
 
     With ``cache_gradients`` the returned trace retains every intermediate
     needed by :func:`mean_field_backward`.  Inference runs in double
     precision by default; ``dtype=np.float32`` opts into the faster
-    single-precision mode.
+    single-precision mode.  ``plans`` may hold a prebuilt plan per kernel
+    (bilateral, spatial), None where one is to be built; a prebuilt plan
+    whose shape, backend or dtype does not match raises ``InputError``.
     """
     _check_dims(u, features)
     mu = params.compatibility_for(u.labels)
-    plans = _build_plans(features, backend, dtype)
+    plans = _build_plans(features, backend, dtype, plans)
     q = softmax(u.data.astype(dtype))
     _check_finite(q, "initialization", 0)
     trace = None
@@ -507,17 +547,25 @@ def train_crf_params(
     w = base.kernel_weights.copy()
     mu = base.compatibility_for(labels).copy()
 
+    # Spatial features depend only on the image size, so images of one size
+    # share one spatial plan for the whole run.  Bilateral plans are rebuilt
+    # per inference: caching them per image would hold an exact-backend
+    # N x N kernel for every image at once.
+    spatial_plans: list[FilterPlan] = []
     prepared = []
     for rgb, probs, truth in dataset:
         u = unary_from_probabilities(probs)
         feats = build_features(rgb, base)
-        prepared.append((u, feats, truth.data))
+        spatial = reuse_plan(feats.spatial, backend, plans=spatial_plans)
+        if spatial not in spatial_plans:
+            spatial_plans.append(spatial)
+        prepared.append((u, feats, truth.data, spatial))
 
     def dataset_loss(w_cur: np.ndarray, mu_cur: np.ndarray) -> float:
         p = replace(base, kernel_weights=w_cur, compatibility=mu_cur)
         total = 0.0
-        for u, feats, truth in prepared:
-            qf, _ = mean_field_infer(u, feats, p, backend)
+        for u, feats, truth, spatial in prepared:
+            qf, _ = mean_field_infer(u, feats, p, backend, plans=(None, spatial))
             loss, _ = _cross_entropy_and_grad(qf.data, truth)
             total += loss
         return total / len(prepared)
@@ -529,9 +577,11 @@ def train_crf_params(
     for _ in range(int(epochs)):
         rng.shuffle(order)
         for i in order:
-            u, feats, truth = prepared[i]
+            u, feats, truth, spatial = prepared[i]
             p = replace(base, kernel_weights=w, compatibility=mu)
-            qf, trace = mean_field_infer(u, feats, p, backend, cache_gradients=True)
+            qf, trace = mean_field_infer(
+                u, feats, p, backend, cache_gradients=True, plans=(None, spatial)
+            )
             _, grad = _cross_entropy_and_grad(qf.data, truth)
             if grad is None:
                 continue

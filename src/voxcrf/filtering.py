@@ -84,6 +84,9 @@ class FilterPlan:
         self.features = feats
         self.n, self.dim = feats.shape
         self.backend = backend
+        self._lattice = None
+        self._starved = np.zeros(0, dtype=np.int64)
+        self._fallback = None
 
         if self.n == 1:
             # no neighbors: zero messages, normalizer defined as 1
@@ -135,8 +138,6 @@ class FilterPlan:
         self._lattice = lat
         self._lat_d = lat.diagonal
         raw = lat.filter(np.ones(self.n)) - self._lat_d
-        self._starved = np.zeros(0, dtype=np.int64)
-        self._fallback = None
 
         threshold = (
             STARVED_THRESHOLD_HIGH_DIM if self.dim >= 3 else STARVED_THRESHOLD_LOW_DIM
@@ -175,6 +176,22 @@ class FilterPlan:
         return out
 
     # -- public API -----------------------------------------------------------
+
+    @property
+    def vertices(self) -> int:
+        """Lattice vertex count; 0 when no lattice was built (exact backend,
+        single point)."""
+        return 0 if self._lattice is None else self._lattice.num_vertices
+
+    @property
+    def starved(self) -> int:
+        """Points whose messages come from exact fallback rows."""
+        return len(self._starved)
+
+    @property
+    def fallback_nnz(self) -> int:
+        """Stored kernel entries of the exact fallback rows."""
+        return 0 if self._fallback is None else self._fallback.nnz
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Normalized self-excluded Gaussian messages for (N, C) values."""
@@ -230,7 +247,3 @@ def plan_filter(
     """
     return FilterPlan(features, backend, dtype)
 
-
-def apply_filter(plan: FilterPlan, values: np.ndarray) -> np.ndarray:
-    """Normalized self-excluded Gaussian messages for (N, C) values."""
-    return plan.apply(values)

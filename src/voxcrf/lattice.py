@@ -17,6 +17,15 @@ self-exclusion inside such ratios the lattice also exposes its own diagonal
 response, computed in closed form from the blur restricted to each point's
 enclosing simplex (exact wherever the leak matters, i.e. sparse regions).
 
+The build works on (N, d+1) arrays only.  The d+1 vertex keys of a point are
+never materialized: their first d coordinates (which identify a vertex, as
+all coordinates sum to 0) are packed into one mixed-radix int64 code per
+(point, vertex) straight from the point's remainder-0 corner and ranks, and
+the distinct codes are decoded back into vertex rows.  When the coordinate
+ranges are too wide to pack, whole rows are sorted as structured records
+instead, giving the same vertex order.  The diagonal applies the restricted
+blur to each point's barycentric vector in place, one axis at a time.
+
 Vectorized numpy throughout; the splat/slice operators are kept as one
 sparse matrix so a built lattice can filter any number of value channels.
 """
@@ -29,8 +38,16 @@ from scipy import sparse
 from .errors import InputError
 
 # Lattice coordinates are encoded into a single int64 when the per-axis
-# ranges allow it (fast unique + neighbor lookup); otherwise a dict fallback.
+# ranges allow it (fast unique + neighbor lookup); otherwise rows are sorted
+# and searched as structured records.
 _CODE_LIMIT = 2**62
+
+
+def _records(rows: np.ndarray) -> np.ndarray:
+    """(R, d) int64 rows as R structured records that sort lexicographically."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    fields = [(f"f{i}", np.int64) for i in range(rows.shape[1])]
+    return rows.view(np.dtype(fields)).reshape(-1)
 
 
 def _embed(features: np.ndarray) -> np.ndarray:
@@ -90,29 +107,30 @@ class PermutohedralLattice:
         rem0[high] -= dp1
         self._rank = rank
 
-        # Barycentric coordinates inside the enclosing simplex.
+        # Barycentric coordinates inside the enclosing simplex.  Each row's
+        # column indices d - rank and d + 1 - rank are permutations, so no
+        # index repeats within one fancy update.
         y = (elevated - rem0) / dp1
         bary = np.zeros((self.n, dp1 + 1))
-        rows = np.repeat(np.arange(self.n), dp1)
-        np.add.at(bary, (rows, (d - rank).ravel()), y.ravel())
-        np.add.at(bary, (rows, (dp1 - rank).ravel()), -y.ravel())
+        point = np.arange(self.n)[:, None]
+        bary[point, d - rank] += y
+        bary[point, dp1 - rank] -= y
         bary[:, 0] += 1.0 + bary[:, dp1]
         self._bary = bary[:, :dp1]
 
-        # Keys of the d+1 enclosing vertices: canonical simplex offsets.
+        # Vertex k of a point's simplex is rem0 + canon[k][rank]; the first d
+        # coordinates identify it (all coordinates sum to 0).
         canon = np.empty((dp1, dp1), dtype=np.int64)
         for k in range(dp1):
             canon[k, : dp1 - k] = k
             canon[k, dp1 - k :] = k - dp1
-        rem0i = np.rint(rem0).astype(np.int64)
-        keys = (rem0i[None, :, :] + canon[:, rank]).transpose(1, 0, 2)  # (N, dp1, dp1)
-        flat = np.ascontiguousarray(keys.reshape(-1, dp1))
-
-        vertices, vertex_idx = self._unique_rows(flat)
+        rem0i = np.rint(rem0[:, :d]).astype(np.int64)
+        vertices, vertex_idx = self._hash_vertices(rem0i, rank[:, :d], canon)
         m = vertices.shape[0]
         self.num_vertices = m
 
         # Splat matrix; its transpose is the slice (same barycentric weights).
+        rows = np.repeat(np.arange(self.n), dp1)
         self._splat = sparse.csr_matrix(
             (self._bary.ravel(), (vertex_idx, rows)), shape=(m, self.n)
         )
@@ -120,51 +138,65 @@ class PermutohedralLattice:
 
         # Blur neighbor tables: along axis a, n1 = key + 1 - (d+1) e_a,
         # n2 = key - 1 + (d+1) e_a; -1 marks a vertex outside the lattice.
+        # Only the first d coordinates are kept, so axis d shifts all of them.
         self._n1 = np.empty((dp1, m), dtype=np.int64)
         self._n2 = np.empty((dp1, m), dtype=np.int64)
-        ones = np.ones(dp1, dtype=np.int64)
         for a in range(dp1):
-            e_a = np.zeros(dp1, dtype=np.int64)
-            e_a[a] = dp1
-            self._n1[a] = self._lookup_rows(vertices + ones - e_a)
-            self._n2[a] = self._lookup_rows(vertices - ones + e_a)
+            e_a = np.zeros(d, dtype=np.int64)
+            if a < d:
+                e_a[a] = dp1
+            self._n1[a] = self._lookup_rows(vertices + 1 - e_a)
+            self._n2[a] = self._lookup_rows(vertices - 1 + e_a)
 
         self._alpha = 1.0 / (1.0 + 2.0 ** (-d))
         self._diag = self._diagonal_response()
 
     # -- vertex hashing ---------------------------------------------------
 
-    def _unique_rows(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        kmin = flat.min(axis=0)
-        ranges = flat.max(axis=0) - kmin + 1
-        d = self.dim
-        # coordinates sum to 0, so the first d identify a vertex
-        if float(np.prod(ranges[:d].astype(np.float64))) < _CODE_LIMIT:
+    def _hash_vertices(
+        self, rem0: np.ndarray, rank: np.ndarray, canon: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct simplex vertices (m, d) in lexicographic order, and the
+        vertex index of every (point, k) pair in point-major order.
+
+        ``rem0`` and ``rank`` hold the first d coordinates and ranks per
+        point, ``canon`` the (d+1, d+1) canonical offsets indexed by (k, rank).
+        """
+        n, d = rem0.shape
+        # canon[k][r] spans [-r, d - r] over k, which bounds every key.
+        low = rem0 - rank
+        self._kmin = low.min(axis=0)
+        self._ranges = low.max(axis=0) + d - self._kmin + 1
+        if float(np.prod(self._ranges.astype(np.float64))) < _CODE_LIMIT:
+            # Mixed-radix codes, most significant digit first: code order
+            # is lexicographic row order.
             radix = np.ones(d, dtype=np.int64)
             for i in range(d - 2, -1, -1):
-                radix[i] = radix[i + 1] * ranges[i + 1]
-            self._kmin, self._ranges, self._radix = kmin, ranges, radix
-            self._table = None
-            codes = (flat[:, :d] - kmin[:d]) @ radix
-            self._codes, first, inverse = np.unique(
-                codes, return_index=True, return_inverse=True
-            )
-            return flat[first], inverse
-        # fallback for extreme coordinate ranges: hash rows in a dict
-        vertices, inverse = np.unique(flat, axis=0, return_inverse=True)
+                radix[i] = radix[i + 1] * self._ranges[i + 1]
+            self._radix = radix
+            base = (rem0 - self._kmin) @ radix
+            codes = np.empty((n, d + 1), dtype=np.int64)
+            for k in range(d + 1):
+                codes[:, k] = base + canon[k][rank] @ radix
+            self._codes, inverse = np.unique(codes.ravel(), return_inverse=True)
+            vertices = self._kmin + (self._codes[:, None] // radix) % self._ranges
+            return vertices, inverse.ravel()
+        # Extreme coordinate ranges: sort whole rows as structured records.
         self._codes = None
-        self._table = {tuple(row): i for i, row in enumerate(vertices)}
-        return vertices, inverse.ravel()
+        keys = rem0[:, None, :] + canon[:, rank].transpose(1, 0, 2)
+        self._rows, inverse = np.unique(_records(keys.reshape(-1, d)), return_inverse=True)
+        return self._rows.view(np.int64).reshape(-1, d), inverse.ravel()
 
     def _lookup_rows(self, rows: np.ndarray) -> np.ndarray:
-        if self._table is not None:
-            return np.array(
-                [self._table.get(tuple(r), -1) for r in rows], dtype=np.int64
-            )
-        d = self.dim
-        shifted = rows[:, :d] - self._kmin[:d]
-        valid = np.all((shifted >= 0) & (shifted < self._ranges[:d]), axis=1)
-        codes = np.clip(shifted, 0, self._ranges[:d] - 1) @ self._radix
+        """Vertex index of each (first-d) key row, -1 where it is absent."""
+        if self._codes is None:
+            query = _records(rows)
+            pos = np.searchsorted(self._rows, query)
+            pos[pos >= len(self._rows)] = 0
+            return np.where(self._rows[pos] == query, pos, -1)
+        shifted = rows - self._kmin
+        valid = np.all((shifted >= 0) & (shifted < self._ranges), axis=1)
+        codes = np.clip(shifted, 0, self._ranges - 1) @ self._radix
         pos = np.searchsorted(self._codes, codes)
         pos[pos >= len(self._codes)] = 0
         found = valid & (self._codes[pos] == codes)
@@ -178,26 +210,25 @@ class PermutohedralLattice:
 
         The d+1 simplex vertices form a cycle under the blur: vertices of
         remainder k and k+1 (mod d+1) are neighbors exactly along the axis
-        whose rank is d - k, so the restricted blur is a product of
-        per-axis (I + 0.5 swap) updates on a (d+1)x(d+1) matrix per point.
-        Mass returning through vertices outside the simplex is ignored;
-        that contribution is negligible exactly where the diagonal matters
-        (sparse regions).
+        whose rank is d - k, so the restricted blur G is a product of
+        per-axis (I + 0.5 swap) updates.  The response is the quadratic form
+        alpha * b . (G b) of the barycentric vector b; G b is formed by
+        applying the updates to an (N, d+1) copy of b in place, one axis at
+        a time (two gathers and two scatters each).  Mass returning through
+        vertices outside the simplex is ignored; that contribution is
+        negligible exactly where the diagonal matters (sparse regions).
         """
-        n, d = self.n, self.dim
-        dp1 = d + 1
-        green = np.zeros((n, dp1, dp1))
-        green[:, np.arange(dp1), np.arange(dp1)] = 1.0
-        idx = np.arange(n)
-        for a in range(dp1):
-            k = d - self._rank[:, a]
-            kn = (k + 1) % dp1
-            new = green.copy()
-            new[idx, k] += 0.5 * green[idx, kn]
-            new[idx, kn] += 0.5 * green[idx, k]
-            green = new
+        d = self.dim
         b = self._bary
-        return self._alpha * np.einsum("nk,nkl,nl->n", b, green, b)
+        gb = b.copy()
+        point = np.arange(self.n)
+        for a in range(d + 1):
+            k = d - self._rank[:, a]
+            kn = (k + 1) % (d + 1)
+            vk, vkn = gb[point, k], gb[point, kn]
+            gb[point, k] = vk + 0.5 * vkn
+            gb[point, kn] = vkn + 0.5 * vk
+        return self._alpha * np.einsum("nk,nk->n", b, gb)
 
     @property
     def diagonal(self) -> np.ndarray:

@@ -212,20 +212,15 @@ def write_ply(
         for typ, name in PLY_PROPERTIES:
             f.write(f"property {typ} {name}\n")
         f.write("end_header\n")
-        for i in range(n):
-            f.write(
-                "%.9g %.9g %.9g %d %d %d %d %.9g\n"
-                % (
-                    points[i, 0],
-                    points[i, 1],
-                    points[i, 2],
-                    int(colors[i, 0]),
-                    int(colors[i, 1]),
-                    int(colors[i, 2]),
-                    int(hard_labels[i]),
-                    confidences[i],
-                )
-            )
+        # one Python list per column, then every row formatted in one join
+        columns = [
+            *points.T.tolist(),
+            *colors.astype(np.int64).T.tolist(),
+            hard_labels.astype(np.int64).tolist(),
+            confidences.tolist(),
+        ]
+        row = "%.9g %.9g %.9g %d %d %d %d %.9g\n"
+        f.write("".join([row % values for values in zip(*columns)]))
 
 
 def read_ply(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

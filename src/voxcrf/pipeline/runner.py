@@ -13,9 +13,11 @@ from ..crf import (
     LabelDistributionImage,
     build_features,
     mean_field_infer,
+    reuse_plan,
     unary_from_probabilities,
 )
 from ..errors import InputError, VoxcrfError
+from ..filtering import FilterPlan
 from ..fusion import VoxelMap, extract_map, integrate_cloud
 from ..metrics import (
     ConfusionMatrix,
@@ -39,6 +41,7 @@ class FrameOutput:
     cloud: SemanticPointCloud  # world frame
     depth: np.ndarray
     rgb: np.ndarray
+    spatial_plan: FilterPlan  # reusable by the next frame of the same size
 
 
 @dataclass
@@ -51,9 +54,14 @@ class PipelineResult:
     outputs: dict[str, str] = field(default_factory=dict)
 
 
-def run_frame(record: FrameRecord, config: PipelineConfig) -> FrameOutput:
+def run_frame(
+    record: FrameRecord, config: PipelineConfig, spatial_plan: FilterPlan | None = None
+) -> FrameOutput:
     """Load one frame, refine its unaries with the CRF, back-project and
-    transform the semantic cloud into the world frame."""
+    transform the semantic cloud into the world frame.
+
+    ``spatial_plan`` (from an earlier frame) is used when it was built on
+    this frame's spatial features; otherwise a new one is built."""
     try:
         rgb = read_ppm(record.rgb_path)
         depth = read_pgm16(record.depth_path)
@@ -68,11 +76,15 @@ def run_frame(record: FrameRecord, config: PipelineConfig) -> FrameOutput:
         rgb = resample_rgb(rgb, h, w)
         unary = unary_from_probabilities(probs)
         features = build_features(rgb, config.crf)
-        q, _ = mean_field_infer(unary, features, config.crf, config.backend)
+        held = () if spatial_plan is None else (spatial_plan,)
+        spatial_plan = reuse_plan(features.spatial, config.backend, plans=held)
+        q, _ = mean_field_infer(
+            unary, features, config.crf, config.backend, plans=(None, spatial_plan)
+        )
         points, valid = back_project(depth, config.intrinsics)
         cloud = make_semantic_cloud(points, valid, q, rgb, record.frame_id)
         cloud = transform_cloud(cloud, record.pose)
-        return FrameOutput(record, q, cloud, depth, rgb)
+        return FrameOutput(record, q, cloud, depth, rgb, spatial_plan)
     except VoxcrfError as e:
         raise type(e)(f"frame {record.frame_id}: {e}") from e
     except OSError as e:
@@ -86,7 +98,10 @@ def run_pipeline(
     per_frame_ply: bool = False,
 ) -> PipelineResult:
     """Process every manifest frame in order, fuse into a global voxel map,
-    and emit PLY / metrics / summary artifacts to ``out_dir``."""
+    and emit PLY / metrics / summary artifacts to ``out_dir``.
+
+    The spatial filter plan depends only on the frame size and θγ, so it is
+    kept from frame to frame and rebuilt only when the size changes."""
     from .manifest import apply_overrides
 
     records, config = load_manifest(manifest_path)
@@ -102,10 +117,12 @@ def run_pipeline(
     timings = {"load+crf+project": 0.0, "integrate": 0.0, "evaluate": 0.0, "export": 0.0}
     eval_frames: list[EvalFrame] = []
     outputs: dict[str, str] = {}
+    spatial_plan = None
 
     for record in records:
         t0 = time.perf_counter()
-        frame = run_frame(record, config)
+        frame = run_frame(record, config, spatial_plan)
+        spatial_plan = frame.spatial_plan
         t1 = time.perf_counter()
         integrate_cloud(vmap, frame.cloud)
         t2 = time.perf_counter()

@@ -6,6 +6,7 @@ production modules.
 """
 
 import numpy as np
+from scipy import sparse
 
 
 def reference_kernel(features: np.ndarray) -> np.ndarray:
@@ -143,3 +144,170 @@ class ReferenceVoxelMap:
                 counts[truth[i], int(np.argmax(cell[0]))] += 1
                 hits += 1
         return counts, hits, missing
+
+
+# ---------------------------------------------------------------------------
+# Permutohedral lattice: the key-materializing build the lean one replaced
+# ---------------------------------------------------------------------------
+
+
+class ReferenceLattice:
+    """Permutohedral lattice built by materializing every point's (d+1, d+1)
+    vertex keys and (d+1, d+1) restricted-blur matrix; vertices hashed by
+    packed int64 codes, or by a dict of key tuples when the ranges are too
+    wide to pack.  Exposes the same tables as the production lattice."""
+
+    CODE_LIMIT = 2**62
+
+    def __init__(self, features: np.ndarray):
+        feats = np.asarray(features, dtype=np.float64)
+        n, d = feats.shape
+        dp1 = d + 1
+        self.n, self.dim = n, d
+
+        inv_std = np.sqrt(2.0 / 3.0) * dp1
+        axes = np.arange(1, dp1, dtype=np.float64)
+        cf = feats * (inv_std / np.sqrt(axes * (axes + 1.0)))
+        # elevated[0] = sum(cf); elevated[i] = sum(cf[i:]) - i * cf[i-1] (i >= 1)
+        emb = np.zeros((dp1, d))
+        emb[0, :] = 1.0
+        for i in range(1, dp1):
+            emb[i, i:] = 1.0
+            emb[i, i - 1] = -float(i)
+        elevated = cf @ emb.T
+
+        v = elevated / dp1
+        up = np.ceil(v) * dp1
+        down = np.floor(v) * dp1
+        rem0 = np.where(up - elevated < elevated - down, up, down)
+        sums = np.rint(rem0.sum(axis=1) / dp1).astype(np.int64)
+        diff = elevated - rem0
+        order = np.argsort(-diff, axis=1, kind="stable")
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, np.broadcast_to(np.arange(dp1), rank.shape), axis=1)
+        rank = rank + sums[:, None]
+        low, high = rank < 0, rank > d
+        rank[low] += dp1
+        rank[high] -= dp1
+        rem0[low] += dp1
+        rem0[high] -= dp1
+        self.rank = rank
+
+        y = (elevated - rem0) / dp1
+        bary = np.zeros((n, dp1 + 1))
+        rows = np.repeat(np.arange(n), dp1)
+        np.add.at(bary, (rows, (d - rank).ravel()), y.ravel())
+        np.add.at(bary, (rows, (dp1 - rank).ravel()), -y.ravel())
+        bary[:, 0] += 1.0 + bary[:, dp1]
+        self.bary = bary[:, :dp1]
+
+        canon = np.empty((dp1, dp1), dtype=np.int64)
+        for k in range(dp1):
+            canon[k, : dp1 - k] = k
+            canon[k, dp1 - k :] = k - dp1
+        rem0i = np.rint(rem0).astype(np.int64)
+        keys = (rem0i[None, :, :] + canon[:, rank]).transpose(1, 0, 2)
+        flat = np.ascontiguousarray(keys.reshape(-1, dp1))
+        vertices, vertex_idx = self._unique_rows(flat)
+        m = vertices.shape[0]
+        self.num_vertices = m
+        self.splat = sparse.csr_matrix((self.bary.ravel(), (vertex_idx, rows)), shape=(m, n))
+        self.slice = self.splat.T.tocsr()
+
+        self.n1 = np.empty((dp1, m), dtype=np.int64)
+        self.n2 = np.empty((dp1, m), dtype=np.int64)
+        ones = np.ones(dp1, dtype=np.int64)
+        for a in range(dp1):
+            e_a = np.zeros(dp1, dtype=np.int64)
+            e_a[a] = dp1
+            self.n1[a] = self._lookup_rows(vertices + ones - e_a)
+            self.n2[a] = self._lookup_rows(vertices - ones + e_a)
+
+        self.alpha = 1.0 / (1.0 + 2.0 ** (-d))
+        green = np.zeros((n, dp1, dp1))
+        green[:, np.arange(dp1), np.arange(dp1)] = 1.0
+        idx = np.arange(n)
+        for a in range(dp1):
+            k = d - rank[:, a]
+            kn = (k + 1) % dp1
+            new = green.copy()
+            new[idx, k] += 0.5 * green[idx, kn]
+            new[idx, kn] += 0.5 * green[idx, k]
+            green = new
+        self.diagonal = self.alpha * np.einsum("nk,nkl,nl->n", self.bary, green, self.bary)
+
+    def _unique_rows(self, flat):
+        d = self.dim
+        kmin = flat.min(axis=0)
+        ranges = flat.max(axis=0) - kmin + 1
+        if float(np.prod(ranges[:d].astype(np.float64))) < self.CODE_LIMIT:
+            radix = np.ones(d, dtype=np.int64)
+            for i in range(d - 2, -1, -1):
+                radix[i] = radix[i + 1] * ranges[i + 1]
+            self._kmin, self._ranges, self._radix = kmin, ranges, radix
+            self._table = None
+            codes = (flat[:, :d] - kmin[:d]) @ radix
+            self._codes, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+            return flat[first], inverse.ravel()
+        vertices, inverse = np.unique(flat, axis=0, return_inverse=True)
+        self._table = {tuple(row): i for i, row in enumerate(vertices)}
+        return vertices, inverse.ravel()
+
+    def _lookup_rows(self, rows):
+        if self._table is not None:
+            return np.array([self._table.get(tuple(r), -1) for r in rows], dtype=np.int64)
+        d = self.dim
+        shifted = rows[:, :d] - self._kmin[:d]
+        valid = np.all((shifted >= 0) & (shifted < self._ranges[:d]), axis=1)
+        codes = np.clip(shifted, 0, self._ranges[:d] - 1) @ self._radix
+        pos = np.searchsorted(self._codes, codes)
+        pos[pos >= len(self._codes)] = 0
+        found = valid & (self._codes[pos] == codes)
+        return np.where(found, pos, -1)
+
+    def filter(self, values: np.ndarray, reverse: bool = False) -> np.ndarray:
+        lat = self.splat @ values
+        axes = range(self.dim, -1, -1) if reverse else range(self.dim + 1)
+        for a in axes:
+            n1, n2 = self.n1[a], self.n2[a]
+            v1 = lat[np.maximum(n1, 0)]
+            v1[n1 < 0] = 0.0
+            v2 = lat[np.maximum(n2, 0)]
+            v2[n2 < 0] = 0.0
+            lat = lat + 0.5 * (v1 + v2)
+        return self.alpha * (self.slice @ lat)
+
+
+# ---------------------------------------------------------------------------
+# ASCII PLY: the row-at-a-time writer the column-wise one replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_write_ply(path, points, colors, hard_labels, confidences) -> None:
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    colors = np.asarray(colors).reshape(-1, 3)
+    hard_labels = np.asarray(hard_labels).reshape(-1)
+    confidences = np.asarray(confidences, dtype=np.float64).reshape(-1)
+    n = points.shape[0]
+    with open(path, "w") as f:
+        f.write("ply\nformat ascii 1.0\n")
+        f.write(f"element vertex {n}\n")
+        for typ, name in [("float", "x"), ("float", "y"), ("float", "z"), ("uchar", "red"),
+                          ("uchar", "green"), ("uchar", "blue"), ("uchar", "label"),
+                          ("float", "confidence")]:
+            f.write(f"property {typ} {name}\n")
+        f.write("end_header\n")
+        for i in range(n):
+            f.write(
+                "%.9g %.9g %.9g %d %d %d %d %.9g\n"
+                % (
+                    points[i, 0],
+                    points[i, 1],
+                    points[i, 2],
+                    int(colors[i, 0]),
+                    int(colors[i, 1]),
+                    int(colors[i, 2]),
+                    int(hard_labels[i]),
+                    confidences[i],
+                )
+            )

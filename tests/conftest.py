@@ -33,3 +33,27 @@ def random_flat_rgb(rng, height, width, num_materials=5, jitter=10.0):
         -jitter, jitter, size=(height, width, 3)
     )
     return np.clip(rgb, 0, 255), labels
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """Feature shapes of every plan built through ``voxcrf.crf.plan_filter``,
+    the one place inference and training build plans."""
+    import voxcrf.crf as crf
+
+    built = []
+    original = crf.plan_filter
+
+    def counting(features, *args, **kwargs):
+        built.append(np.shape(features))
+        return original(features, *args, **kwargs)
+
+    monkeypatch.setattr(crf, "plan_filter", counting)
+    return built
+
+
+def build_fresh_plan(features, backend="exact", plans=()):
+    """Stand-in for ``reuse_plan`` that ignores the held plans."""
+    import voxcrf.crf as crf
+
+    return crf.plan_filter(features, backend)

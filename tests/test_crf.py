@@ -21,6 +21,7 @@ from voxcrf.crf import (
     unary_from_probabilities,
 )
 from voxcrf.errors import ConfigError, InputError, SizeLimitError
+from voxcrf.filtering import plan_filter
 
 from _reference import reference_energy, reference_mean_field
 
@@ -220,6 +221,42 @@ def test_infer_matches_straight_line_reference(rng):
             u.data, list(feats.per_kernel()), params.kernel_weights, potts_matrix(L), 5
         )
         assert np.abs(q.data - ref).max() < 1e-12
+
+
+def test_softmax_leaves_input_and_matches_out_of_place_form(rng):
+    logits = rng.normal(scale=30.0, size=(50, 7))
+    before = logits.copy()
+    q = softmax(logits)
+    assert np.array_equal(logits, before)
+    e = np.exp(before - before.max(axis=1, keepdims=True))
+    assert np.array_equal(q, e / e.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("backend", ["exact", "lattice"])
+def test_prebuilt_plans_match_fresh_plans(rng, backend):
+    u, feats, params = random_instance(rng, 6, 7, 3)
+    fresh, _ = mean_field_infer(u, feats, params, backend)
+    bilateral = plan_filter(feats.bilateral, backend)
+    spatial = plan_filter(feats.spatial, backend)
+    for plans in ((bilateral, spatial), (None, spatial), (bilateral, None), (None, None)):
+        q, _ = mean_field_infer(u, feats, params, backend, plans=plans)
+        assert np.array_equal(q.data, fresh.data)
+
+
+def test_prebuilt_plan_mismatch_raises(rng, plan_builds):
+    u, feats, params = random_instance(rng, 4, 5, 3)
+    other_size = build_features(rng.uniform(0, 255, (5, 5, 3)), params)
+    bad_plans = [
+        (None, plan_filter(other_size.spatial, "exact")),  # wrong n
+        (plan_filter(feats.spatial, "exact"), None),  # wrong dim
+        (None, plan_filter(feats.spatial, "lattice")),  # wrong backend
+        (None, plan_filter(feats.spatial, "exact", dtype=np.float32)),  # wrong dtype
+        (plan_filter(feats.bilateral, "exact"),),  # wrong count
+    ]
+    for plans in bad_plans:
+        with pytest.raises(InputError):
+            mean_field_infer(u, feats, params, "exact", plans=plans)
+    assert plan_builds == []  # checked before anything is built
 
 
 def test_normalization_after_every_step(rng):
@@ -519,6 +556,32 @@ def test_train_deterministic_given_seed(rng):
     b = train_crf_params(dataset, learning_rate=0.05, epochs=3, seed=7)
     assert np.array_equal(a.kernel_weights, b.kernel_weights)
     assert np.array_equal(a.compatibility, b.compatibility)
+
+
+def test_train_builds_each_spatial_plan_once(rng, plan_builds):
+    dataset = make_training_set(rng, n_images=3)
+    train_crf_params(dataset, learning_rate=0.05, epochs=1, seed=0)
+    # 3 loss inferences, 3 steps, 3 loss inferences: 9 bilateral plans
+    assert [s for s in plan_builds if s[1] == 5] == [(36, 5)] * 9
+    assert [s for s in plan_builds if s[1] == 2] == [(36, 2)]
+
+    del plan_builds[:]
+    mixed = make_training_set(rng, n_images=2) + make_training_set(rng, 1, h=5, w=7)
+    train_crf_params(mixed[::-1] + mixed[:1], learning_rate=0.05, epochs=1, seed=0)
+    assert sorted(s for s in plan_builds if s[1] == 2) == [(35, 2), (36, 2)]
+
+
+@pytest.mark.parametrize("backend", ["exact", "lattice"])
+def test_train_shared_plans_bit_equal_to_fresh_plans(rng, monkeypatch, backend):
+    import voxcrf.crf as crf
+    from conftest import build_fresh_plan
+
+    dataset = make_training_set(rng, n_images=3)
+    shared = train_crf_params(dataset, learning_rate=0.05, epochs=2, seed=1, backend=backend)
+    monkeypatch.setattr(crf, "reuse_plan", build_fresh_plan)
+    fresh = train_crf_params(dataset, learning_rate=0.05, epochs=2, seed=1, backend=backend)
+    assert np.array_equal(shared.kernel_weights, fresh.kernel_weights)
+    assert np.array_equal(shared.compatibility, fresh.compatibility)
 
 
 def test_train_config_errors(rng):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voxcrf.errors import InputError
-from voxcrf.filtering import apply_filter, plan_filter
+from voxcrf.filtering import plan_filter
 
 from _reference import reference_messages
 
@@ -147,13 +147,6 @@ def test_input_validation(backend):
         plan_filter(np.zeros((4, 2)), "magic")
 
 
-def test_apply_filter_free_function(rng):
-    feats = rng.uniform(0, 3, (10, 2))
-    vals = rng.normal(size=(10, 2))
-    plan = plan_filter(feats, "exact")
-    assert np.array_equal(apply_filter(plan, vals), plan.apply(vals))
-
-
 def _best_time(fn, repeats=3):
     import time
 
@@ -205,3 +198,22 @@ def test_single_precision_plan(rng):
     assert np.abs(out32 - out64).max() < 1e-4
     with pytest.raises(InputError):
         plan_filter(feats, "exact", dtype=np.int32)
+
+
+def test_plan_counters(rng):
+    sparse_feats = rng.uniform(0, 5, (40, 3))  # little neighbor mass: starved
+    plan = plan_filter(sparse_feats, "lattice")
+    assert plan.vertices == plan._lattice.num_vertices > 0
+    assert plan.starved == len(plan._starved) > 0
+    assert plan.fallback_nnz == plan._fallback.nnz > 0
+
+    yy, xx = np.mgrid[0:20, 0:20].astype(np.float64)
+    grid = plan_filter(np.column_stack([xx.ravel(), yy.ravel()]) / 3.0, "lattice")
+    assert grid.vertices > 0
+    assert (grid.starved, grid.fallback_nnz) == (0, 0)
+
+    for plan in (plan_filter(sparse_feats, "exact"), plan_filter(sparse_feats[:1], "lattice")):
+        assert (plan.vertices, plan.starved, plan.fallback_nnz) == (0, 0, 0)
+    for name in ("vertices", "starved", "fallback_nnz"):
+        with pytest.raises(AttributeError):
+            setattr(grid, name, 1)

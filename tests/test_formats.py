@@ -18,6 +18,8 @@ from voxcrf.pipeline.formats import (
     write_ppm,
 )
 
+from _reference import reference_write_ply
+
 
 def test_pgm16_round_trip(tmp_path, rng):
     img = rng.integers(0, 65536, size=(7, 5)).astype(np.uint16)
@@ -126,6 +128,18 @@ def test_ply_round_trip(tmp_path, rng):
     assert np.array_equal(c2, colors)
     assert np.array_equal(l2, labels)
     assert np.abs(f2 - conf).max() < 1e-6
+
+
+@pytest.mark.parametrize("n", [0, 1, 257])
+def test_ply_writer_matches_row_reference_bytes(tmp_path, rng, n):
+    points = rng.normal(scale=rng.uniform(1e-3, 1e3), size=(n, 3))
+    points[: n // 3] = np.round(points[: n // 3], 2)
+    conf = rng.uniform(0, 1, n)
+    labels = rng.integers(0, 256, n)
+    for colors in (rng.integers(0, 256, (n, 3)).astype(np.uint8), rng.uniform(0, 255.9, (n, 3))):
+        write_ply(tmp_path / "a.ply", points, colors, labels, conf)
+        reference_write_ply(tmp_path / "b.ply", points, colors, labels, conf)
+        assert (tmp_path / "a.ply").read_bytes() == (tmp_path / "b.ply").read_bytes()
 
 
 def test_ply_strict_reader_rejects_surprises(tmp_path):

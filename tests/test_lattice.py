@@ -1,0 +1,84 @@
+"""The lean permutohedral lattice build against the key-materializing one."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import voxcrf.lattice as lattice_mod
+from voxcrf.lattice import PermutohedralLattice
+
+from _reference import ReferenceLattice
+
+
+def random_features(rng, n, d, kind):
+    if kind == "spread":
+        return rng.normal(size=(n, d)) * rng.uniform(0.1, 8.0)
+    if kind == "negative":
+        return rng.uniform(-40.0, -5.0, (n, d))
+    if kind == "clustered":
+        centers = rng.uniform(-20.0, 20.0, (3, d))
+        return centers[rng.integers(0, 3, n)] + rng.normal(scale=0.05, size=(n, d))
+    # duplicates: few distinct points, each repeated
+    distinct = rng.uniform(-5.0, 5.0, (max(1, n // 4), d))
+    return distinct[rng.integers(0, len(distinct), n)]
+
+
+def assert_same_lattice(lat, ref, rng):
+    assert lat.num_vertices == ref.num_vertices
+    assert (lat._splat != ref.splat).nnz == 0
+    assert (lat._slice != ref.slice).nnz == 0
+    assert np.array_equal(lat._n1, ref.n1)
+    assert np.array_equal(lat._n2, ref.n2)
+    assert np.abs(lat.diagonal - ref.diagonal).max() <= 1e-12
+    vals = rng.normal(size=(lat.n, 3))
+    assert np.array_equal(lat.filter(vals), ref.filter(vals))
+    assert np.array_equal(lat.filter(vals, reverse=True), ref.filter(vals, reverse=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.sampled_from([1, 2, 7, 60, 400]),
+    st.sampled_from(["spread", "negative", "clustered", "duplicates"]),
+)
+def test_lattice_matches_key_materializing_reference(seed, d, n, kind):
+    rng = np.random.default_rng(seed)
+    feats = random_features(rng, n, d, kind)
+    assert_same_lattice(PermutohedralLattice(feats), ReferenceLattice(feats), rng)
+
+
+def test_lattice_matches_reference_on_image_features(rng):
+    from conftest import random_flat_rgb
+
+    rgb, _ = random_flat_rgb(rng, 24, 32)
+    yy, xx = np.mgrid[0:24, 0:32].astype(np.float64)
+    bilateral = np.column_stack([xx.ravel() / 6.0, yy.ravel() / 6.0, rgb.reshape(-1, 3) / 11.0])
+    spatial = np.column_stack([xx.ravel() / 3.0, yy.ravel() / 3.0])
+    for feats in (bilateral, spatial):
+        assert_same_lattice(PermutohedralLattice(feats), ReferenceLattice(feats), rng)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_forced_row_fallback_matches_packed_codes(monkeypatch, rng, d):
+    feats = random_features(rng, 300, d, "clustered")
+    packed = PermutohedralLattice(feats)
+    assert packed._codes is not None
+    monkeypatch.setattr(lattice_mod, "_CODE_LIMIT", 0)
+    rows = PermutohedralLattice(feats)
+    assert rows._codes is None
+    assert rows.num_vertices == packed.num_vertices
+    assert (rows._splat != packed._splat).nnz == 0
+    assert np.array_equal(rows._n1, packed._n1)
+    assert np.array_equal(rows._n2, packed._n2)
+    assert np.array_equal(rows.diagonal, packed.diagonal)
+    vals = rng.normal(size=(300, 2))
+    assert np.array_equal(rows.filter(vals), packed.filter(vals))
+    assert np.array_equal(rows.filter(vals, reverse=True), packed.filter(vals, reverse=True))
+
+
+def test_extreme_coordinate_range_takes_row_fallback(rng):
+    feats = np.vstack([rng.normal(size=(40, 2)), rng.normal(size=(40, 2)) + [1e13, -3e12]])
+    lat = PermutohedralLattice(feats)
+    assert lat._codes is None
+    assert_same_lattice(lat, ReferenceLattice(feats), rng)

@@ -276,6 +276,43 @@ def test_run_pipeline_frame_order_invariance(tmp_path):
     assert worst <= 1e-9
 
 
+def test_run_pipeline_builds_spatial_plan_once(tmp_path, plan_builds):
+    manifest = generate_synthetic(small_spec(frame_count=3), tmp_path / "s")
+    run_pipeline(manifest, overrides={"backend": "lattice"}, out_dir=tmp_path / "out")
+    assert [s for s in plan_builds if s[1] == 5] == [(48 * 36, 5)] * 3
+    assert [s for s in plan_builds if s[1] == 2] == [(48 * 36, 2)]
+
+
+def test_run_pipeline_one_spatial_plan_per_depth_size(tmp_path, plan_builds):
+    manifest = generate_synthetic(small_spec(frame_count=2), tmp_path / "s")
+    other = generate_synthetic(small_spec(frame_count=2, width=32, height=24), tmp_path / "s" / "b")
+    frames = [
+        "b" + line.replace(" rgb/", " b/rgb/").replace(" depth/", " b/depth/")
+        .replace(" unary/", " b/unary/").replace(" truth/", " b/truth/")
+        for line in other.read_text().splitlines()
+        if line.startswith("frame")
+    ]
+    manifest.write_text(manifest.read_text() + "\n".join(frames) + "\n")
+    result = run_pipeline(manifest, out_dir=tmp_path / "out")
+    assert result.frame_count == 4
+    assert [s for s in plan_builds if s[1] == 2] == [(48 * 36, 2), (32 * 24, 2)]
+
+
+@pytest.mark.parametrize("backend", ["exact", "lattice"])
+def test_run_pipeline_reused_plan_bit_equal_to_fresh_plans(tmp_path, monkeypatch, backend):
+    import voxcrf.pipeline.runner as runner
+    from conftest import build_fresh_plan
+
+    manifest = generate_synthetic(small_spec(frame_count=3, noise=0.3), tmp_path / "s")
+    ov = {"backend": backend}
+    shared = run_pipeline(manifest, overrides=ov, out_dir=tmp_path / "o1")
+    monkeypatch.setattr(runner, "reuse_plan", build_fresh_plan)
+    fresh = run_pipeline(manifest, overrides=ov, out_dir=tmp_path / "o2")
+    assert np.array_equal(shared.vmap.keys, fresh.vmap.keys)
+    assert np.array_equal(shared.vmap.log_posteriors, fresh.vmap.log_posteriors)
+    assert shared.metrics == fresh.metrics
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
