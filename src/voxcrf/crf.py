@@ -14,7 +14,7 @@ other stages are dense (N, L) array operations.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -155,6 +155,13 @@ class CrfParams:
             )
         return self.compatibility
 
+    def to_dict(self) -> dict:
+        """The fields as JSON-ready values (arrays as nested lists, Potts
+        ``compatibility`` as None); ``pipeline.manifest.apply_overrides``
+        reads the mapping back."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
+
 
 @dataclass
 class LabelImage:
@@ -289,10 +296,7 @@ def reuse_plan(
 
 
 def _build_plans(
-    features: FeatureField,
-    backend: str,
-    dtype=np.float64,
-    plans: Sequence[FilterPlan | None] | None = None,
+    features: FeatureField, backend: str, plans: Sequence[FilterPlan | None] | None = None
 ) -> tuple[FilterPlan, ...]:
     """One plan per kernel: the prebuilt entry of ``plans`` where one is
     given, else a new plan.  Prebuilt plans are checked before any build."""
@@ -307,14 +311,12 @@ def _build_plans(
             raise InputError(
                 f"plan for kernel {m} is ({plan.n}, {plan.dim}), features are {f.shape}"
             )
-        if plan.backend != backend or plan.dtype != np.dtype(dtype):
+        if plan.backend != backend:
             raise InputError(
-                f"plan for kernel {m} is {plan.backend}/{plan.dtype}, "
-                f"inference asks for {backend}/{np.dtype(dtype)}"
+                f"plan for kernel {m} is {plan.backend}, inference asks for {backend}"
             )
     return tuple(
-        plan_filter(f, backend, dtype) if plan is None else plan
-        for f, plan in zip(kernels, given)
+        plan_filter(f, backend) if plan is None else plan for f, plan in zip(kernels, given)
     )
 
 
@@ -331,7 +333,6 @@ def mean_field_step(
     features: FeatureField,
     params: CrfParams,
     backend: str = "exact",
-    dtype=np.float64,
 ) -> LabelDistributionImage:
     """One five-stage mean-field iteration from marginals q."""
     if (q.height, q.width, q.labels) != (u.height, u.width, u.labels):
@@ -340,9 +341,9 @@ def mean_field_step(
         )
     _check_dims(u, features)
     mu = params.compatibility_for(u.labels)
-    plans = _build_plans(features, backend, dtype)
-    out = _step(q.data.astype(dtype), u.data.astype(dtype), plans, params.kernel_weights, mu)
-    return LabelDistributionImage(u.height, u.width, u.labels, out.astype(np.float64))
+    plans = _build_plans(features, backend)
+    out = _step(q.data, u.data, plans, params.kernel_weights, mu)
+    return LabelDistributionImage(u.height, u.width, u.labels, out)
 
 
 def mean_field_infer(
@@ -351,31 +352,27 @@ def mean_field_infer(
     params: CrfParams,
     backend: str = "exact",
     cache_gradients: bool = False,
-    dtype=np.float64,
     plans: Sequence[FilterPlan | None] | None = None,
 ) -> tuple[LabelDistributionImage, MeanFieldTrace | None]:
     """Run T mean-field iterations from Q0 = softmax(U).
 
     With ``cache_gradients`` the returned trace retains every intermediate
-    needed by :func:`mean_field_backward`.  Inference runs in double
-    precision by default; ``dtype=np.float32`` opts into the faster
-    single-precision mode.  ``plans`` may hold a prebuilt plan per kernel
-    (bilateral, spatial), None where one is to be built; a prebuilt plan
-    whose shape, backend or dtype does not match raises ``InputError``.
+    needed by :func:`mean_field_backward`.  ``plans`` may hold a prebuilt
+    plan per kernel (bilateral, spatial), None where one is to be built; a
+    prebuilt plan whose shape or backend does not match raises
+    ``InputError``.
     """
     _check_dims(u, features)
     mu = params.compatibility_for(u.labels)
-    plans = _build_plans(features, backend, dtype, plans)
-    q = softmax(u.data.astype(dtype))
+    plans = _build_plans(features, backend, plans)
+    q = softmax(u.data)
     _check_finite(q, "initialization", 0)
     trace = None
     if cache_gradients:
         trace = MeanFieldTrace(plans, params.kernel_weights.copy(), mu.copy(), [q], [], [])
-    u_data = u.data.astype(dtype)
     for t in range(params.iterations):
-        q = _step(q, u_data, plans, params.kernel_weights, mu, t, trace)
-    q_img = LabelDistributionImage(u.height, u.width, u.labels, q.astype(np.float64))
-    return q_img, trace
+        q = _step(q, u.data, plans, params.kernel_weights, mu, t, trace)
+    return LabelDistributionImage(u.height, u.width, u.labels, q), trace
 
 
 def mean_field_backward(

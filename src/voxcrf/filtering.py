@@ -47,8 +47,8 @@ FALLBACK_NNZ_LIMIT = 1 << 24
 _KERNEL_CACHE_LIMIT = 4096  # exact backend keeps the dense kernel up to this N
 
 
-def _as_matrix(values: np.ndarray, n: int, dtype=np.float64) -> tuple[np.ndarray, bool]:
-    vals = np.asarray(values, dtype=dtype)
+def _as_matrix(values: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
+    vals = np.asarray(values, dtype=np.float64)
     squeeze = vals.ndim == 1
     if squeeze:
         vals = vals[:, None]
@@ -70,7 +70,7 @@ class FilterPlan:
     scratch, so one plan may serve concurrent calls.
     """
 
-    def __init__(self, features: np.ndarray, backend: str = "exact", dtype=np.float64):
+    def __init__(self, features: np.ndarray, backend: str = "exact"):
         feats = np.ascontiguousarray(features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise InputError(f"features must be (N, d), got {feats.shape}")
@@ -78,9 +78,6 @@ class FilterPlan:
             raise InputError("non-finite feature value")
         if backend not in ("exact", "lattice"):
             raise InputError(f"unknown backend {backend!r}")
-        if np.dtype(dtype) not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise InputError(f"dtype must be float64 or float32, got {dtype}")
-        self.dtype = np.dtype(dtype)
         self.features = feats
         self.n, self.dim = feats.shape
         self.backend = backend
@@ -103,12 +100,12 @@ class FilterPlan:
 
     def _init_exact(self) -> None:
         if self.n <= _KERNEL_CACHE_LIMIT:
-            k = np.empty((self.n, self.n), dtype=self.dtype)
+            k = np.empty((self.n, self.n))
             for s, e in self._chunks():
                 k[s:e] = _kernel_rows(self.features, np.arange(s, e))
             np.fill_diagonal(k, 0.0)
             self._kernel = k
-            raw = np.sum(k, axis=1, dtype=np.float64)
+            raw = k.sum(axis=1)
         else:
             self._kernel = None
             raw = np.empty(self.n)
@@ -195,7 +192,7 @@ class FilterPlan:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Normalized self-excluded Gaussian messages for (N, C) values."""
-        vals, squeeze = _as_matrix(values, self.n, self.dtype)
+        vals, squeeze = _as_matrix(values, self.n)
         if self.n == 1:
             out = np.zeros_like(vals)
         elif self.backend == "exact":
@@ -206,7 +203,7 @@ class FilterPlan:
 
     def apply_raw(self, values: np.ndarray) -> np.ndarray:
         """Unnormalized messages sum_{j != i} k(f_i, f_j) v_j."""
-        vals, squeeze = _as_matrix(values, self.n, self.dtype)
+        vals, squeeze = _as_matrix(values, self.n)
         if self.n == 1:
             out = np.zeros_like(vals)
         elif self.backend == "exact":
@@ -237,13 +234,7 @@ class FilterPlan:
         return out[:, 0] if squeeze else out
 
 
-def plan_filter(
-    features: np.ndarray, backend: str = "exact", dtype=np.float64
-) -> FilterPlan:
-    """Build a reusable filtering plan for θ-scaled feature vectors.
-
-    ``dtype=np.float32`` opts into single-precision filtering (halves the
-    exact backend's kernel memory and speeds its matmuls).
-    """
-    return FilterPlan(features, backend, dtype)
+def plan_filter(features: np.ndarray, backend: str = "exact") -> FilterPlan:
+    """Build a reusable filtering plan for θ-scaled feature vectors."""
+    return FilterPlan(features, backend)
 

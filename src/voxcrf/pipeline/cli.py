@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -144,24 +143,15 @@ def _cmd_train_crf(args: argparse.Namespace) -> int:
         probs = load_unary(record.unary_path)
         truth = read_label_image(record.truth_path)
         dataset.append((rgb, probs, truth))
-    base = replace(config.crf, compatibility=None)
     params = train_crf_params(
         dataset,
         learning_rate=args.lr,
         epochs=args.epochs,
         seed=args.seed,
-        params=base,
+        params=config.crf,
         backend=args.backend or "exact",
     )
-    payload = {
-        "kernel_weights": params.kernel_weights.tolist(),
-        "compatibility": params.compatibility_for(config.labels).tolist(),
-        "theta_alpha": params.theta_alpha,
-        "theta_beta": params.theta_beta,
-        "theta_gamma": params.theta_gamma,
-        "iterations": params.iterations,
-    }
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(args.out).write_text(json.dumps(params.to_dict(), indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0
 

@@ -1,17 +1,26 @@
-"""Plain-text run manifests: a key=value config header followed by one line
-per frame:
+"""Plain-text run manifests and the one config schema.
+
+A manifest is a key=value config header followed by one line per frame:
 
     frame_id rgb depth unary [truth] p00 p01 ... p33
 
 with 16 row-major floats of the camera-to-world pose.  Paths are resolved
 relative to the manifest's directory.  Whitespace-separated, ``#`` starts a
 comment.
+
+``_KEYS`` maps every config key to the dataclass field it sets and the
+coercion of its value; defaults live in the dataclasses only.  The header
+takes scalar values of every key; :func:`apply_overrides` (``--config``)
+takes every key but the intrinsics, including the ``CrfParams.to_dict()``
+mapping that ``voxcrf train-crf`` writes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+import numbers
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,25 +31,6 @@ from ..projection import CameraIntrinsics, Pose
 from .labels import label_names, label_palette
 
 _POSE_FLOATS = 16
-
-_CONFIG_KEYS = {
-    "fx",
-    "fy",
-    "cx",
-    "cy",
-    "depth_scale",
-    "labels",
-    "backend",
-    "iterations",
-    "w_bilateral",
-    "w_spatial",
-    "theta_alpha",
-    "theta_beta",
-    "theta_gamma",
-    "voxel_resolution",
-    "min_observations",
-    "min_confidence",
-}
 
 
 @dataclass
@@ -72,6 +62,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.labels < 2:
             raise ConfigError(f"label count must be >= 2, got {self.labels}")
+        self.crf.compatibility_for(self.labels)  # a given μ must be labels x labels
         if self.backend not in ("exact", "lattice"):
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.voxel_resolution <= 0:
@@ -89,50 +80,68 @@ class PipelineConfig:
             )
 
 
-def _apply_config_pair(cfg: dict, key: str, value: str, where: str) -> None:
-    if key not in _CONFIG_KEYS:
-        raise FormatError(f"{where}: unknown config key {key!r}")
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if not _real(value).is_integer():
+        raise ValueError("expected an integer")
+    return int(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("expected a string")
+    return value
+
+
+def _array(value) -> np.ndarray:
+    cells = np.asarray(value, dtype=object)
+    if cells.ndim == 0:
+        raise ValueError("expected a list")
+    return np.array([_real(v) for v in cells.ravel()]).reshape(cells.shape)
+
+
+def _matrix_or_potts(value) -> np.ndarray | None:
+    return None if value is None else _array(value)
+
+
+# key -> (owning dataclass, field, coercion).  An int field is an index into
+# CrfParams.kernel_weights; defaults live in the dataclasses only.
+_KEYS = {
+    "fx": (CameraIntrinsics, "fx", _real),
+    "fy": (CameraIntrinsics, "fy", _real),
+    "cx": (CameraIntrinsics, "cx", _real),
+    "cy": (CameraIntrinsics, "cy", _real),
+    "depth_scale": (CameraIntrinsics, "depth_scale", _real),
+    "kernel_weights": (CrfParams, "kernel_weights", _array),
+    "w_bilateral": (CrfParams, 0, _real),
+    "w_spatial": (CrfParams, 1, _real),
+    "compatibility": (CrfParams, "compatibility", _matrix_or_potts),
+    "theta_alpha": (CrfParams, "theta_alpha", _real),
+    "theta_beta": (CrfParams, "theta_beta", _real),
+    "theta_gamma": (CrfParams, "theta_gamma", _real),
+    "iterations": (CrfParams, "iterations", _integer),
+    "labels": (PipelineConfig, "labels", _integer),
+    "backend": (PipelineConfig, "backend", _text),
+    "voxel_resolution": (PipelineConfig, "voxel_resolution", _real),
+    "min_observations": (PipelineConfig, "min_observations", _integer),
+    "min_confidence": (PipelineConfig, "min_confidence", _real),
+}
+_INTRINSICS = [k for k, (owner, _, _) in _KEYS.items() if owner is CameraIntrinsics]
+
+
+def _coerce(key: str, value):
+    """The value of ``key`` through its coercion; ConfigError names the key."""
+    if key not in _KEYS:
+        raise ConfigError(f"unknown config key {key!r}")
     try:
-        if key in ("labels", "iterations", "min_observations"):
-            cfg[key] = int(value)
-        elif key == "backend":
-            cfg[key] = value
-        else:
-            cfg[key] = float(value)
-    except ValueError as e:
-        raise FormatError(f"{where}: bad value for {key}: {value!r}") from e
-
-
-def config_from_mapping(cfg: dict) -> PipelineConfig:
-    """Build a PipelineConfig from flat manifest/JSON keys."""
-    missing = [k for k in ("fx", "fy", "cx", "cy") if k not in cfg]
-    if missing:
-        raise ConfigError(f"config is missing intrinsics keys: {', '.join(missing)}")
-    intr = CameraIntrinsics(
-        fx=cfg["fx"],
-        fy=cfg["fy"],
-        cx=cfg["cx"],
-        cy=cfg["cy"],
-        depth_scale=cfg.get("depth_scale", 0.001),
-    )
-    crf = CrfParams(
-        kernel_weights=np.array(
-            [cfg.get("w_bilateral", 5.0), cfg.get("w_spatial", 3.0)]
-        ),
-        theta_alpha=cfg.get("theta_alpha", 61.0),
-        theta_beta=cfg.get("theta_beta", 11.0),
-        theta_gamma=cfg.get("theta_gamma", 3.0),
-        iterations=cfg.get("iterations", 5),
-    )
-    return PipelineConfig(
-        intrinsics=intr,
-        labels=cfg.get("labels", 23),
-        crf=crf,
-        backend=cfg.get("backend", "lattice"),
-        voxel_resolution=cfg.get("voxel_resolution", 0.01),
-        min_observations=cfg.get("min_observations", 1),
-        min_confidence=cfg.get("min_confidence", 0.0),
-    )
+        return _KEYS[key][2](value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"bad value for {key}: {e}, got {value!r:.80}") from e
 
 
 def load_manifest(path: str | Path) -> tuple[list[FrameRecord], PipelineConfig]:
@@ -143,7 +152,7 @@ def load_manifest(path: str | Path) -> tuple[list[FrameRecord], PipelineConfig]:
     """
     path = Path(path)
     base = path.parent
-    cfg: dict = {}
+    header: dict = {}
     records: list[FrameRecord] = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -151,8 +160,15 @@ def load_manifest(path: str | Path) -> tuple[list[FrameRecord], PipelineConfig]:
             continue
         where = f"{path}:{lineno}"
         if "=" in line and len(line.split()) == 1:
-            key, value = line.split("=", 1)
-            _apply_config_pair(cfg, key.strip(), value.strip(), where)
+            key, text = (part.strip() for part in line.split("=", 1))
+            try:
+                value = float(text)
+            except ValueError:
+                value = text  # not a number, such as the backend name
+            try:
+                header[key] = _coerce(key, value)
+            except ConfigError as e:
+                raise FormatError(f"{where}: {e}") from e
             continue
         tokens = line.split()
         if len(tokens) == 4 + _POSE_FLOATS:
@@ -195,41 +211,47 @@ def load_manifest(path: str | Path) -> tuple[list[FrameRecord], PipelineConfig]:
                 resolved.get("truth"),
             )
         )
-    return records, config_from_mapping(cfg)
+    missing = [
+        f.name for f in fields(CameraIntrinsics) if f.default is MISSING and f.name not in header
+    ]
+    if missing:
+        raise ConfigError(f"config is missing intrinsics keys: {', '.join(missing)}")
+    intrinsics = CameraIntrinsics(**{k: header.pop(k) for k in _INTRINSICS if k in header})
+    return records, apply_overrides(PipelineConfig(intrinsics), header)
 
 
 def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
-    """Return a config with CLI/JSON overrides applied; unknown keys error."""
-    cfg = dict(overrides)
-    crf = config.crf
-    crf_updates = {}
-    if "iterations" in cfg:
-        crf_updates["iterations"] = int(cfg.pop("iterations"))
-    if "w_bilateral" in cfg or "w_spatial" in cfg:
-        w = crf.kernel_weights.copy()
-        w[0] = cfg.pop("w_bilateral", w[0])
-        w[1] = cfg.pop("w_spatial", w[1])
-        crf_updates["kernel_weights"] = w
-    for key in ("theta_alpha", "theta_beta", "theta_gamma"):
-        if key in cfg:
-            crf_updates[key] = float(cfg.pop(key))
-    if crf_updates:
-        crf = replace(crf, **crf_updates)
-    known = {"backend", "voxel_resolution", "min_observations", "min_confidence", "labels"}
-    bad = set(cfg) - known
+    """Return ``config`` with the keys of ``overrides`` applied.
+
+    Every value goes through its key's coercion, so a value that does not
+    exactly fit its field (a string for a number, 2.7 for an integer, null)
+    raises ``ConfigError`` naming the key, as do unknown and manifest-only
+    (intrinsics) keys, ``kernel_weights`` given together with
+    ``w_bilateral`` / ``w_spatial``, and a ``compatibility`` that is not
+    labels x labels.
+    """
+    bad = sorted(k for k in overrides if k not in _KEYS or k in _INTRINSICS)
     if bad:
-        raise ConfigError(f"unknown override keys: {sorted(bad)}")
-    return replace(
-        config,
-        crf=crf,
-        backend=cfg.get("backend", config.backend),
-        voxel_resolution=float(cfg.get("voxel_resolution", config.voxel_resolution)),
-        min_observations=int(cfg.get("min_observations", config.min_observations)),
-        min_confidence=float(cfg.get("min_confidence", config.min_confidence)),
-        labels=int(cfg.get("labels", config.labels)),
-        label_names=None if "labels" in cfg else config.label_names,
-        label_colors=None if "labels" in cfg else config.label_colors,
-    )
+        raise ConfigError(f"unknown override keys (intrinsics are manifest-only): {bad}")
+    crf_updates, config_updates, weights = {}, {}, {}
+    for key, value in overrides.items():
+        owner, name, _ = _KEYS[key]
+        value = _coerce(key, value)
+        if owner is PipelineConfig:
+            config_updates[name] = value
+        elif isinstance(name, int):
+            weights[name] = value
+        else:
+            crf_updates[name] = value
+    if weights:
+        if "kernel_weights" in crf_updates:
+            raise ConfigError("give kernel_weights or w_bilateral/w_spatial, not both")
+        crf_updates["kernel_weights"] = config.crf.kernel_weights.copy()
+        for index, value in weights.items():
+            crf_updates["kernel_weights"][index] = value
+    if "labels" in config_updates:
+        config_updates.update(label_names=None, label_colors=None)
+    return replace(config, crf=replace(config.crf, **crf_updates), **config_updates)
 
 
 def load_config_overrides(path: str | Path) -> dict:

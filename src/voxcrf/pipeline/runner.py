@@ -30,7 +30,7 @@ from ..metrics import (
 )
 from ..projection import SemanticPointCloud, back_project, make_semantic_cloud, transform_cloud
 from .formats import load_unary, read_label_image, read_pgm16, read_ppm, write_ply
-from .manifest import FrameRecord, PipelineConfig, load_manifest
+from .manifest import FrameRecord, PipelineConfig, apply_overrides, load_manifest
 from .resample import resample_probabilities, resample_rgb
 
 
@@ -102,8 +102,6 @@ def run_pipeline(
 
     The spatial filter plan depends only on the frame size and θγ, so it is
     kept from frame to frame and rebuilt only when the size changes."""
-    from .manifest import apply_overrides
-
     records, config = load_manifest(manifest_path)
     if overrides:
         config = apply_overrides(config, overrides)

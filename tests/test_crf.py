@@ -250,7 +250,6 @@ def test_prebuilt_plan_mismatch_raises(rng, plan_builds):
         (None, plan_filter(other_size.spatial, "exact")),  # wrong n
         (plan_filter(feats.spatial, "exact"), None),  # wrong dim
         (None, plan_filter(feats.spatial, "lattice")),  # wrong backend
-        (None, plan_filter(feats.spatial, "exact", dtype=np.float32)),  # wrong dtype
         (plan_filter(feats.bilateral, "exact"),),  # wrong count
     ]
     for plans in bad_plans:
@@ -618,11 +617,3 @@ def test_map_sanity_statistic_on_tiny_instances():
     within = float(np.mean(np.array(ratios) <= 1.05))
     assert mean_excess <= 0.05, f"mean relative excess {mean_excess:.4f}"
     assert within >= 0.9, f"only {within:.0%} of instances within 5% of optimal"
-
-
-def test_single_precision_opt_in(rng):
-    u, feats, params = random_instance(rng, 8, 8, 3)
-    q64, _ = mean_field_infer(u, feats, params, "exact")
-    q32, _ = mean_field_infer(u, feats, params, "exact", dtype=np.float32)
-    q32.validate()
-    assert np.abs(q32.data - q64.data).max() < 1e-3

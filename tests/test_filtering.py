@@ -188,18 +188,6 @@ def test_complexity_scaling(rng):
     assert ratio_lattice < ratio_exact, "lattice must scale better than exact"
 
 
-def test_single_precision_plan(rng):
-    feats = rng.uniform(0, 5, (50, 3))
-    vals = rng.normal(size=(50, 2))
-    out64 = plan_filter(feats, "exact").apply(vals)
-    plan32 = plan_filter(feats, "exact", dtype=np.float32)
-    assert plan32._kernel.dtype == np.float32  # the N^2 store is halved
-    out32 = plan32.apply(vals)
-    assert np.abs(out32 - out64).max() < 1e-4
-    with pytest.raises(InputError):
-        plan_filter(feats, "exact", dtype=np.int32)
-
-
 def test_plan_counters(rng):
     sparse_feats = rng.uniform(0, 5, (40, 3))  # little neighbor mass: starved
     plan = plan_filter(sparse_feats, "lattice")

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
-from voxcrf.crf import map_labeling
+from voxcrf.crf import CrfParams, map_labeling
 from voxcrf.errors import ConfigError, FormatError, InputError
+from voxcrf.pipeline import cli, runner
 from voxcrf.pipeline.cli import main as cli_main
 from voxcrf.pipeline.formats import load_unary, read_label_image, read_ply
 from voxcrf.pipeline.labels import MATERIAL_NAMES, label_names, label_palette
@@ -110,6 +113,79 @@ def test_apply_overrides(scene):
     assert updated.voxel_resolution == 0.02
     with pytest.raises(ConfigError):
         apply_overrides(config, {"bogus": 1})
+
+
+_BAD_VALUES = [
+    ("voxel_resolution", "abc"),
+    ("voxel_resolution", None),
+    ("min_confidence", float("nan")),
+    ("iterations", None),
+    ("iterations", 2.7),
+    ("iterations", True),
+    pytest.param("iterations", 10**400, id="iterations-overflow"),
+    ("min_observations", 1.9),
+    ("labels", "4"),
+    ("backend", 1),
+    ("theta_alpha", [61.0]),
+    ("w_spatial", "3"),
+    ("kernel_weights", 5.0),
+    ("kernel_weights", [5.0, "3"]),
+    ("compatibility", [[0.0, 1.0], [1.0]]),
+]
+
+
+@pytest.mark.parametrize("key, value", _BAD_VALUES)
+def test_config_bad_value_names_the_key(scene, tmp_path, capsys, key, value):
+    _, config = load_manifest(scene)
+    with pytest.raises(ConfigError, match=key):
+        apply_overrides(config, {key: value})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({key: value}))
+    rc = cli_main(["fuse", "--manifest", str(scene), "--config", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "line", ["iterations=2.7", "voxel_resolution=abc", "kernel_weights=3", "depth_scale=nan"]
+)
+def test_manifest_bad_value_names_the_line(tmp_path, line):
+    path = tmp_path / "m.txt"
+    path.write_text(f"fx=10\nfy=10\ncx=1\ncy=1\n{line}\n")
+    with pytest.raises(FormatError, match=r"m\.txt:5: bad value for " + line.split("=")[0]):
+        load_manifest(path)
+
+
+def test_apply_overrides_reads_crf_params_dict(scene):
+    _, config = load_manifest(scene)
+    mu = np.arange(16.0).reshape(4, 4)
+    params = CrfParams(np.array([0.5, 2.0]), mu, 30.0, 7.0, 2.0, 3)
+    assert apply_overrides(config, params.to_dict()).crf.to_dict() == params.to_dict()
+    potts = apply_overrides(config, CrfParams().to_dict()).crf
+    assert potts.compatibility is None
+    exact = apply_overrides(config, {"iterations": 2.0, "min_observations": np.int64(3)})
+    assert (exact.crf.iterations, exact.min_observations) == (2, 3)
+    alias = apply_overrides(config, {"w_spatial": 1.5})
+    assert alias.crf.kernel_weights.tolist() == [config.crf.kernel_weights[0], 1.5]
+
+
+def test_config_cross_field_conflicts(scene, monkeypatch):
+    _, config = load_manifest(scene)
+    with pytest.raises(ConfigError, match="compatibility"):
+        apply_overrides(config, {"compatibility": np.eye(3).tolist()})
+    with_mu = apply_overrides(config, {"compatibility": np.eye(4).tolist()})
+    with pytest.raises(ConfigError, match="compatibility"):
+        apply_overrides(with_mu, {"labels": 3})
+    with pytest.raises(ConfigError, match="kernel_weights"):
+        apply_overrides(config, {"kernel_weights": [1.0, 1.0], "w_bilateral": 2.0})
+
+    def no_frames(*args):
+        raise AssertionError("a frame was loaded")
+
+    monkeypatch.setattr(runner, "run_frame", no_frames)
+    with pytest.raises(ConfigError, match="^compatibility"):
+        run_pipeline(scene, overrides={"compatibility": np.eye(3).tolist()})
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +473,44 @@ def test_cli_train_crf(tmp_path, scene, capsys):
         ]
     )
     assert rc == 0
-    import json
-
     payload = json.loads((tmp_path / "params.json").read_text())
     assert len(payload["kernel_weights"]) == 2
     assert len(payload["compatibility"]) == 4
+
+
+def test_cli_train_crf_output_feeds_fuse_config(tmp_path, monkeypatch):
+    scene_dir, params_path = tmp_path / "scene", tmp_path / "params.json"
+    args = ["--frames", "2", "--width", "32", "--height", "24", "--noise", "0.25"]
+    assert cli_main(["synth", "--out", str(scene_dir), *args]) == 0
+    manifest = str(scene_dir / "manifest.txt")
+    rc = cli_main(["train-crf", "--manifest", manifest, "--epochs", "1", "--out", str(params_path)])
+    assert rc == 0
+    trained = json.loads(params_path.read_text())
+    assert trained["kernel_weights"] != CrfParams().kernel_weights.tolist()
+
+    used, results = [], []
+    run_frame_original, run_pipeline_original = runner.run_frame, cli.run_pipeline
+
+    def recording_run_frame(record, config, *args):
+        used.append(config)
+        return run_frame_original(record, config, *args)
+
+    def recording_run_pipeline(*args, **kwargs):
+        results.append(run_pipeline_original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(runner, "run_frame", recording_run_frame)
+    monkeypatch.setattr(cli, "run_pipeline", recording_run_pipeline)
+    fuse = ["fuse", "--manifest", manifest, "--config", str(params_path)]
+    assert cli_main([*fuse, "--out", str(tmp_path / "cli")]) == 0
+    assert len(used) == 2
+    for config in used:
+        assert config.crf.kernel_weights.tolist() == trained["kernel_weights"]
+        assert config.crf.compatibility.tolist() == trained["compatibility"]
+
+    direct = run_pipeline(manifest, overrides=trained, out_dir=tmp_path / "api")
+    assert np.array_equal(results[0].vmap.keys, direct.vmap.keys)
+    assert np.array_equal(results[0].vmap.log_posteriors, direct.vmap.log_posteriors)
 
 
 def test_cli_bench_runs(capsys):
