@@ -32,6 +32,17 @@ ENERGY_PIXEL_LIMIT = 4096  # crf_energy materializes N x N kernels
 # ---------------------------------------------------------------------------
 
 
+def _grid_data(height: int, width: int, labels: int, data) -> np.ndarray:
+    """``data`` as a contiguous (height * width, labels) float64 array;
+    ``InputError`` on non-positive dimensions or a shape mismatch."""
+    if height <= 0 or width <= 0 or labels <= 0:
+        raise InputError(f"dimensions must be positive, got {height}x{width}x{labels}")
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    if data.shape != (height * width, labels):
+        raise InputError(f"data shape {data.shape} != ({height * width}, {labels})")
+    return data
+
+
 @dataclass
 class LabelDistributionImage:
     """Per-pixel probability vectors over L labels, pixels in row-major order."""
@@ -42,15 +53,7 @@ class LabelDistributionImage:
     data: np.ndarray  # (height * width, labels) float64
 
     def __post_init__(self):
-        if self.height <= 0 or self.width <= 0 or self.labels <= 0:
-            raise InputError(
-                f"dimensions must be positive, got {self.height}x{self.width}x{self.labels}"
-            )
-        self.data = np.ascontiguousarray(self.data, dtype=np.float64)
-        if self.data.shape != (self.height * self.width, self.labels):
-            raise InputError(
-                f"data shape {self.data.shape} != ({self.height * self.width}, {self.labels})"
-            )
+        self.data = _grid_data(self.height, self.width, self.labels, self.data)
 
     def validate(self) -> "LabelDistributionImage":
         if np.any(self.data < 0):
@@ -71,15 +74,7 @@ class UnaryField:
     data: np.ndarray  # (height * width, labels) float64
 
     def __post_init__(self):
-        if self.height <= 0 or self.width <= 0 or self.labels <= 0:
-            raise InputError(
-                f"dimensions must be positive, got {self.height}x{self.width}x{self.labels}"
-            )
-        self.data = np.ascontiguousarray(self.data, dtype=np.float64)
-        if self.data.shape != (self.height * self.width, self.labels):
-            raise InputError(
-                f"data shape {self.data.shape} != ({self.height * self.width}, {self.labels})"
-            )
+        self.data = _grid_data(self.height, self.width, self.labels, self.data)
         if not np.all(np.isfinite(self.data)):
             raise InputError("non-finite unary potential")
 
@@ -380,9 +375,9 @@ def mean_field_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reverse-mode gradients (dU, dw, dμ) for a cached inference.
 
-    The message-passing transpose reuses each plan's symmetric kernel with
-    its normalizers held constant; gradients for the shared parameters
-    accumulate across iterations.
+    The message-passing transpose is each plan's ``apply_transpose``, the
+    exact adjoint of ``apply`` with its normalizers held constant; gradients
+    for the shared parameters accumulate across iterations.
     """
     if not trace.q_states or not trace.messages:
         raise InputError("trace was not recorded with cache_gradients=True")

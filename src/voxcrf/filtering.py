@@ -11,18 +11,22 @@ point.  Two backends share the contract: ``exact`` evaluates the literal
 double sum in O(N^2) (the oracle), ``lattice`` approximates it with a
 permutohedral lattice in near-linear time.
 
-The lattice realizes the self-exclusion with its own diagonal response and
-computes messages as a ratio of lattice outputs, which cancels the smoothly
+Each plan is one linear operator: with N the unnormalized (numerator)
+message matrix and D = diag(d), ``apply = D^-1 N`` and ``apply_transpose =
+N^T D^-1``, its exact adjoint (d depends only on the features, so it is a
+constant with respect to the values).  ``exact`` has N = K - I, symmetric;
+``lattice`` has N = P_ns (L - D_L) + P_s F, with L the lattice filter
+(``reverse=True`` gives L^T), D_L its own diagonal response, P_s / P_ns the
+starved / other rows and F exact kernel rows stored for the starved points
+only (sparse, |starved| x N).
+
+Lattice messages are a ratio of lattice outputs, which cancels the smoothly
 varying splat/blur/slice leakage.  Points with little neighbor mass (below
 a dimension-dependent threshold) are where that cancellation degrades —
 much of their true kernel mass sits in the Gaussian mid-tail, outside the
-lattice's compact support — so they fall back to exact sparse kernel rows
-over their 7-sigma feature neighborhood (the truncation error is below
-exp(-24.5)).  On image-like inputs these are a small fraction of the points.
-
-Normalizers depend only on the features, so they are fixed constants with
-respect to the filtered values; ``apply_transpose`` is the exact adjoint of
-``apply`` under that convention.
+lattice's compact support — so these starved points take exact sparse
+kernel rows over their 7-sigma feature neighborhood (the truncation error
+is below exp(-24.5)).  On image-like inputs they are a small fraction.
 """
 
 from __future__ import annotations
@@ -57,14 +61,20 @@ def _as_matrix(values: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
     return vals, squeeze
 
 
-def _kernel_rows(features: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Exact Gaussian kernel rows k(f_r, f_j), computed by direct differences."""
-    diff = features[rows][:, None, :] - features[None, :, :]
-    return np.exp(-0.5 * np.einsum("rjd,rjd->rj", diff, diff))
+def _kernel_rows(features: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the self-excluded exact kernel K - I, computed
+    by direct differences."""
+    diff = features[start:stop, None, :] - features[None, :, :]
+    rows = np.exp(-0.5 * np.einsum("rjd,rjd->rj", diff, diff))
+    rows[np.arange(stop - start), np.arange(start, stop)] = 0.0
+    return rows
 
 
 class FilterPlan:
     """Precomputed filtering structure, reusable across value channels.
+
+    ``apply = D^-1 N`` and ``apply_transpose = N^T D^-1`` share one method,
+    ``_numerator``; lattice plans store F as its starved rows only.
 
     Immutable after construction; apply/apply_transpose allocate their own
     scratch, so one plan may serve concurrent calls.
@@ -88,7 +98,6 @@ class FilterPlan:
         if self.n == 1:
             # no neighbors: zero messages, normalizer defined as 1
             self.normalizers = np.ones(1)
-            self._kernel = None
             return
 
         if backend == "exact":
@@ -99,19 +108,16 @@ class FilterPlan:
     # -- exact backend ------------------------------------------------------
 
     def _init_exact(self) -> None:
-        if self.n <= _KERNEL_CACHE_LIMIT:
-            k = np.empty((self.n, self.n))
-            for s, e in self._chunks():
-                k[s:e] = _kernel_rows(self.features, np.arange(s, e))
-            np.fill_diagonal(k, 0.0)
-            self._kernel = k
-            raw = k.sum(axis=1)
-        else:
-            self._kernel = None
-            raw = np.empty(self.n)
-            for s, e in self._chunks():
-                rows = _kernel_rows(self.features, np.arange(s, e))
-                raw[s:e] = rows.sum(axis=1) - 1.0  # remove k(f_i, f_i) = 1
+        # the dense kernel up to _KERNEL_CACHE_LIMIT points; above it, apply
+        # recomputes the rows chunk by chunk
+        self._kernel = np.empty((self.n, self.n)) if self.n <= _KERNEL_CACHE_LIMIT else None
+        raw = np.empty(self.n)
+        for s, e in self._chunks():
+            rows = _kernel_rows(self.features, s, e)
+            raw[s:e] = rows.sum(axis=1)
+            if self._kernel is not None:
+                self._kernel[s:e] = rows
+            del rows  # free the chunk before the next one is built
         self.normalizers = np.maximum(raw, NORMALIZER_FLOOR)
 
     def _chunks(self):
@@ -119,22 +125,11 @@ class FilterPlan:
         for s in range(0, self.n, step):
             yield s, min(s + step, self.n)
 
-    def _exact_numerator(self, vals: np.ndarray) -> np.ndarray:
-        if self._kernel is not None:
-            return self._kernel @ vals
-        out = np.empty_like(vals)
-        for s, e in self._chunks():
-            rows = _kernel_rows(self.features, np.arange(s, e))
-            out[s:e] = rows @ vals - vals[s:e]  # diag k = 1 exactly
-        return out
-
     # -- lattice backend -----------------------------------------------------
 
     def _init_lattice(self) -> None:
-        lat = PermutohedralLattice(self.features)
-        self._lattice = lat
-        self._lat_d = lat.diagonal
-        raw = lat.filter(np.ones(self.n)) - self._lat_d
+        lat = self._lattice = PermutohedralLattice(self.features)
+        raw = lat.filter(np.ones(self.n)) - lat.diagonal
 
         threshold = (
             STARVED_THRESHOLD_HIGH_DIM if self.dim >= 3 else STARVED_THRESHOLD_LOW_DIM
@@ -145,31 +140,47 @@ class FilterPlan:
             starved = starved[np.argsort(raw[starved], kind="stable")]
             tree = cKDTree(self.features)
             balls = tree.query_ball_point(self.features[starved], r=FALLBACK_RADIUS)
-            counts = np.array([len(b) for b in balls])
-            kept = np.searchsorted(np.cumsum(counts), FALLBACK_NNZ_LIMIT)
-            starved, balls = starved[:kept], balls[:kept]
-        if len(starved):
-            lens = [len(b) for b in balls]
-            cols = np.fromiter(
-                (j for b in balls for j in b), dtype=np.int64, count=int(np.sum(lens))
-            )
-            rows = np.repeat(starved, lens)
-            keep = rows != cols  # self term handled analytically
+            lens = np.array([len(b) for b in balls])
+            kept = np.searchsorted(np.cumsum(lens), FALLBACK_NNZ_LIMIT)
+            order = np.argsort(starved[:kept])  # F rows in point order
+            starved, balls, lens = starved[order], balls[order], lens[order]
+            cols = np.fromiter((j for b in balls for j in b), np.int64, int(lens.sum()))
+            rows = np.repeat(np.arange(len(starved)), lens)
+            keep = cols != starved[rows]  # self term handled analytically
             rows, cols = rows[keep], cols[keep]
-            diff = self.features[rows] - self.features[cols]
+            diff = self.features[starved[rows]] - self.features[cols]
             vals = np.exp(-0.5 * np.einsum("nd,nd->n", diff, diff))
-            fallback = sparse.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
-            self._starved = np.sort(starved)
-            self._fallback = fallback
-            raw = raw.copy()
-            raw[self._starved] = np.asarray(fallback.sum(axis=1)).ravel()[self._starved]
+            self._fallback = sparse.csr_matrix((vals, (rows, cols)), (len(starved), self.n))
+            self._starved = starved
+            raw[starved] = np.asarray(self._fallback.sum(axis=1)).ravel()
         self.normalizers = np.maximum(raw, NORMALIZER_FLOOR)
 
-    def _lattice_numerator(self, vals: np.ndarray, reverse: bool) -> np.ndarray:
-        lat = self._lattice
-        out = lat.filter(vals, reverse=reverse) - self._lat_d[:, None] * vals
-        if len(self._starved):
-            out[self._starved] = (self._fallback @ vals)[self._starved]
+    # -- the operator -------------------------------------------------------
+
+    def _numerator(self, vals: np.ndarray, transpose: bool) -> np.ndarray:
+        """N vals, or N^T vals with ``transpose``, as a new (N, C) array;
+        ``vals`` is left unchanged."""
+        if self.n == 1:
+            return np.zeros_like(vals)
+        if self.backend == "exact":  # symmetric: N^T = N
+            if self._kernel is not None:
+                return self._kernel @ vals
+            out = np.empty_like(vals)
+            for s, e in self._chunks():
+                out[s:e] = _kernel_rows(self.features, s, e) @ vals
+            return out
+        starved = self._starved
+        if transpose and len(starved):
+            own = vals[starved]
+            vals = vals.copy()
+            vals[starved] = 0.0
+        out = self._lattice.filter(vals, reverse=transpose)
+        out -= self._lattice.diagonal[:, None] * vals
+        if len(starved):
+            if transpose:
+                out += self._fallback.T @ own
+            else:
+                out[starved] = self._fallback @ vals
         return out
 
     # -- public API -----------------------------------------------------------
@@ -191,46 +202,16 @@ class FilterPlan:
         return 0 if self._fallback is None else self._fallback.nnz
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Normalized self-excluded Gaussian messages for (N, C) values."""
+        """D^-1 N v: normalized self-excluded Gaussian messages."""
         vals, squeeze = _as_matrix(values, self.n)
-        if self.n == 1:
-            out = np.zeros_like(vals)
-        elif self.backend == "exact":
-            out = self._exact_numerator(vals) / self.normalizers[:, None]
-        else:
-            out = self._lattice_numerator(vals, reverse=False) / self.normalizers[:, None]
-        return out[:, 0] if squeeze else out
-
-    def apply_raw(self, values: np.ndarray) -> np.ndarray:
-        """Unnormalized messages sum_{j != i} k(f_i, f_j) v_j."""
-        vals, squeeze = _as_matrix(values, self.n)
-        if self.n == 1:
-            out = np.zeros_like(vals)
-        elif self.backend == "exact":
-            out = self._exact_numerator(vals)
-        else:
-            out = self._lattice_numerator(vals, reverse=False)
+        out = self._numerator(vals, transpose=False)
+        out /= self.normalizers[:, None]
         return out[:, 0] if squeeze else out
 
     def apply_transpose(self, grads: np.ndarray) -> np.ndarray:
-        """Exact adjoint of apply (normalizers treated as constants)."""
+        """N^T D^-1 g: the exact adjoint of apply (D held constant)."""
         g, squeeze = _as_matrix(grads, self.n)
-        if self.n == 1:
-            out = np.zeros_like(g)
-        elif self.backend == "exact":
-            # kernel symmetric: (K^T g / d) == K (g / d)
-            out = self._exact_numerator(g / self.normalizers[:, None])
-        else:
-            z = g / self.normalizers[:, None]
-            zs = z.copy()
-            if len(self._starved):
-                zs[self._starved] = 0.0
-            lat = self._lattice
-            out = lat.filter(zs, reverse=True) - self._lat_d[:, None] * zs
-            if len(self._starved):
-                zf = np.zeros_like(z)
-                zf[self._starved] = z[self._starved]
-                out += self._fallback.T @ zf
+        out = self._numerator(g / self.normalizers[:, None], transpose=True)
         return out[:, 0] if squeeze else out
 
 

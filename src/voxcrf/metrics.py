@@ -119,7 +119,8 @@ def evaluate_fused_map(vmap: VoxelMap, frames: list[EvalFrame]) -> FusedEvalResu
     world; the voxel's argmax label is the prediction.  Pixels whose voxel
     is absent from the map, or whose voxel index is outside the packable
     range, land in a MISSING bucket tallied as coverage, outside the L x L
-    matrix.
+    matrix.  Each frame's truth must lie on its depth grid (``InputError``
+    otherwise; the runner resamples truth to the depth grid first).
     """
     n = vmap.labels
     cm = ConfusionMatrix(n)
@@ -127,8 +128,11 @@ def evaluate_fused_map(vmap: VoxelMap, frames: list[EvalFrame]) -> FusedEvalResu
     missing = 0
     predicted = vmap.hard_labels()
     for frame in frames:
+        shape = (frame.truth.height, frame.truth.width)
+        if shape != frame.depth.shape:
+            raise InputError(f"truth is {shape}, depth grid is {frame.depth.shape}")
         points, valid = back_project(frame.depth, frame.intrinsics)
-        truth = frame.truth.data.reshape(frame.depth.shape)
+        truth = frame.truth.data.reshape(shape)
         keep = valid & (truth != IGNORE_LABEL)
         if not np.any(keep):
             continue

@@ -132,6 +132,7 @@ _KEYS = {
     "min_confidence": (PipelineConfig, "min_confidence", _real),
 }
 _INTRINSICS = [k for k, (owner, _, _) in _KEYS.items() if owner is CameraIntrinsics]
+_VALID_INTRINSICS = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
 
 
 def _coerce(key: str, value):
@@ -144,11 +145,31 @@ def _coerce(key: str, value):
         raise ConfigError(f"bad value for {key}: {e}, got {value!r:.80}") from e
 
 
+def _header_value(key: str, text: str):
+    """The value of one header pair, coerced and checked on its own by the
+    dataclass that owns ``key``; ConfigError names the key."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = text  # not a number, such as the backend name
+    value = _coerce(key, value)
+    try:
+        if key in _INTRINSICS:
+            replace(_VALID_INTRINSICS, **{key: value})
+        else:
+            apply_overrides(PipelineConfig(_VALID_INTRINSICS), {key: value})
+    except (ConfigError, InputError) as e:
+        raise ConfigError(f"bad value for {key}: {e}") from e
+    return value
+
+
 def load_manifest(path: str | Path) -> tuple[list[FrameRecord], PipelineConfig]:
     """Parse a manifest; validates poses and referenced-file presence.
 
-    Frames keep their listed order.  Malformed lines raise FormatError naming
-    the line number; missing files raise InputError naming the path.
+    Frames keep their listed order.  Malformed lines, and header values
+    that their dataclass rejects on their own (``fx=0``, ``labels=1``), raise
+    FormatError naming the line number; missing files raise InputError
+    naming the path.
     """
     path = Path(path)
     base = path.parent
@@ -162,11 +183,7 @@ def load_manifest(path: str | Path) -> tuple[list[FrameRecord], PipelineConfig]:
         if "=" in line and len(line.split()) == 1:
             key, text = (part.strip() for part in line.split("=", 1))
             try:
-                value = float(text)
-            except ValueError:
-                value = text  # not a number, such as the backend name
-            try:
-                header[key] = _coerce(key, value)
+                header[key] = _header_value(key, text)
             except ConfigError as e:
                 raise FormatError(f"{where}: {e}") from e
             continue

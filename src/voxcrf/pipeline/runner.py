@@ -31,7 +31,7 @@ from ..metrics import (
 from ..projection import SemanticPointCloud, back_project, make_semantic_cloud, transform_cloud
 from .formats import load_unary, read_label_image, read_pgm16, read_ppm, write_ply
 from .manifest import FrameRecord, PipelineConfig, apply_overrides, load_manifest
-from .resample import resample_probabilities, resample_rgb
+from .resample import resample_labels, resample_probabilities, resample_rgb
 
 
 @dataclass
@@ -100,6 +100,7 @@ def run_pipeline(
     """Process every manifest frame in order, fuse into a global voxel map,
     and emit PLY / metrics / summary artifacts to ``out_dir``.
 
+    Truth images resample to their frame's depth grid by nearest neighbor.
     The spatial filter plan depends only on the frame size and θγ, so it is
     kept from frame to frame and rebuilt only when the size changes."""
     records, config = load_manifest(manifest_path)
@@ -127,7 +128,7 @@ def run_pipeline(
         timings["load+crf+project"] += t1 - t0
         timings["integrate"] += t2 - t1
         if record.truth_path is not None:
-            truth = read_label_image(record.truth_path)
+            truth = resample_labels(read_label_image(record.truth_path), *frame.depth.shape)
             eval_frames.append(
                 EvalFrame(truth, frame.depth, config.intrinsics, record.pose)
             )

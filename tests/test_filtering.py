@@ -67,6 +67,28 @@ def test_exact_chunked_path_matches_cached_path(rng):
     assert np.abs(small - chunked).max() < 1e-12
 
 
+def test_exact_chunked_path_keeps_isolated_points(rng):
+    # far-apart points have tiny kernel mass: the chunked path must not
+    # lose it by cancelling k(f_i, f_i) = 1 against itself
+    import voxcrf.filtering as filtering
+
+    feats = rng.uniform(0, 60, (40, 2))
+    vals = rng.normal(size=(40, 2))
+    cached = plan_filter(feats, "exact")
+    old = filtering._KERNEL_CACHE_LIMIT
+    filtering._KERNEL_CACHE_LIMIT = 10  # force the chunked path
+    try:
+        chunked = plan_filter(feats, "exact")
+    finally:
+        filtering._KERNEL_CACHE_LIMIT = old
+    assert np.any((cached.normalizers > 1e-12) & (cached.normalizers < 1e-6))
+    np.testing.assert_allclose(chunked.normalizers, cached.normalizers, rtol=1e-12)
+    np.testing.assert_allclose(chunked.apply(vals), cached.apply(vals), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        chunked.apply_transpose(vals), cached.apply_transpose(vals), rtol=1e-12, atol=1e-12
+    )
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(-3, 3), st.floats(-3, 3))
 def test_linearity(seed, a, b):
@@ -84,14 +106,15 @@ def test_linearity(seed, a, b):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_exact_kernel_symmetry_via_adjoint(seed):
-    # <apply_raw(u), v> == <u, apply_raw(v)> for the symmetric exact kernel
+    # <N u, v> == <u, N v> for the symmetric exact kernel, N = D apply
     r = np.random.default_rng(seed)
     feats = r.uniform(0, 5, (30, 2))
     u = r.normal(size=(30, 2))
     v = r.normal(size=(30, 2))
     plan = plan_filter(feats, "exact")
-    s1 = float((plan.apply_raw(u) * v).sum())
-    s2 = float((u * plan.apply_raw(v)).sum())
+    d = plan.normalizers[:, None]
+    s1 = float((plan.apply(u) * d * v).sum())
+    s2 = float((u * plan.apply(v) * d).sum())
     assert s1 == pytest.approx(s2, rel=1e-10, abs=1e-10)
 
 
@@ -205,3 +228,74 @@ def test_plan_counters(rng):
     for name in ("vertices", "starved", "fallback_nnz"):
         with pytest.raises(AttributeError):
             setattr(grid, name, 1)
+
+
+def _dense_numerator(plan):
+    """The numerator matrix M of ``plan`` built from its parts: the exact
+    self-excluded kernel, or the lattice filter of the identity minus the
+    lattice diagonal with each starved row replaced by the exact kernel row
+    over the FALLBACK_RADIUS ball.  Starved rows are found here from the
+    neighbor-mass thresholds, independently of the plan."""
+    from voxcrf import filtering
+
+    feats = plan.features
+    diff = feats[:, None, :] - feats[None, :, :]
+    dist2 = np.einsum("ijd,ijd->ij", diff, diff)
+    kernel = np.exp(-0.5 * dist2)
+    np.fill_diagonal(kernel, 0.0)
+    if plan.backend == "exact":
+        return kernel, np.zeros(0, dtype=np.int64)
+    lat = plan._lattice
+    m = lat.filter(np.eye(plan.n)) - np.diag(lat.diagonal)
+    threshold = (
+        filtering.STARVED_THRESHOLD_HIGH_DIM
+        if plan.dim >= 3
+        else filtering.STARVED_THRESHOLD_LOW_DIM
+    )
+    starved = np.flatnonzero(lat.filter(np.ones(plan.n)) - lat.diagonal < threshold)
+    near = dist2[starved] <= filtering.FALLBACK_RADIUS**2
+    m[starved] = np.where(near, kernel[starved], 0.0)
+    return m, starved
+
+
+def _oracle_features(kind, rng):
+    yy, xx = np.mgrid[0:14, 0:14].astype(np.float64)
+    grid = np.column_stack([xx.ravel(), yy.ravel()]) / 3.0
+    if kind == "exact":
+        return rng.uniform(0, 5, (60, 3))
+    if kind == "lattice_grid":
+        return grid
+    if kind == "lattice_grid_outliers":  # outliers have no neighbor mass
+        return np.vstack([grid, rng.uniform(8.0, 20.0, (6, 2))])
+    return rng.uniform(0, 5, (40, 3))  # "lattice_sparse_3d": every point starved
+
+
+@pytest.mark.parametrize(
+    "kind", ["exact", "lattice_grid", "lattice_grid_outliers", "lattice_sparse_3d"]
+)
+def test_apply_and_adjoint_match_dense_numerator(kind, rng):
+    backend = "exact" if kind == "exact" else "lattice"
+    plan = plan_filter(_oracle_features(kind, rng), backend)
+    m, starved = _dense_numerator(plan)
+    np.testing.assert_array_equal(plan._starved, starved)
+    if kind in ("lattice_grid_outliers", "lattice_sparse_3d"):
+        assert plan.starved > 0
+    if kind == "lattice_grid_outliers":
+        assert plan.starved < plan.n
+    if kind == "lattice_grid":
+        assert plan.starved == 0
+    d = np.maximum(m.sum(axis=1), 1e-12)
+    assert np.abs(plan.normalizers - d).max() < 1e-12 * max(1.0, d.max())
+    for shape in ((plan.n,), (plan.n, 3)):
+        v = rng.normal(size=shape)
+        g = rng.normal(size=shape)
+        dd = d if len(shape) == 1 else d[:, None]
+        expected = (m @ v) / dd
+        expected_t = m.T @ (g / dd)
+        v0, g0 = v.copy(), g.copy()
+        out, out_t = plan.apply(v), plan.apply_transpose(g)
+        assert out.shape == out_t.shape == shape
+        assert np.abs(out - expected).max() < 1e-12
+        assert np.abs(out_t - expected_t).max() < 1e-12
+        np.testing.assert_array_equal(v, v0)  # inputs left unchanged
+        np.testing.assert_array_equal(g, g0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,6 +182,16 @@ def test_evaluate_empty_map_gives_zero_coverage(rng):
     assert result.cm.counts.sum() == 0
     with pytest.raises(InputError):
         compute_metrics(result.cm)
+
+
+@pytest.mark.parametrize("shape", [(12, 16), (32, 24)])
+def test_evaluate_rejects_truth_off_the_depth_grid(rng, shape):
+    # (32, 24) has the depth grid's pixel count, so a reshape would not catch it
+    depth, _, pose = build_frames(rng, frames=1)[0]
+    truth = limg(rng.integers(0, 3, size=shape), *shape)
+    message = re.escape(f"truth is {shape}, depth grid is (24, 32)")
+    with pytest.raises(InputError, match=message):
+        evaluate_fused_map(VoxelMap(0.01, 3), [EvalFrame(truth, depth, INTR, pose)])
 
 
 def test_evaluate_skips_ignore_and_invalid(rng):

@@ -148,7 +148,19 @@ def test_config_bad_value_names_the_key(scene, tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
-    "line", ["iterations=2.7", "voxel_resolution=abc", "kernel_weights=3", "depth_scale=nan"]
+    "line",
+    [
+        "iterations=2.7",
+        "voxel_resolution=abc",
+        "kernel_weights=3",
+        "depth_scale=nan",
+        "fx=0",
+        "fy=-2",
+        "depth_scale=0",
+        "labels=1",
+        "voxel_resolution=0",
+        "backend=magic",
+    ],
 )
 def test_manifest_bad_value_names_the_line(tmp_path, line):
     path = tmp_path / "m.txt"
@@ -583,6 +595,28 @@ def test_run_frame_resamples_mismatched_unary(tmp_path):
     out = run_frame(rec, config)
     assert (out.q.height, out.q.width) == (spec.height, spec.width)
     assert len(out.cloud) == int((out.depth > 0).sum())
+
+
+def test_run_pipeline_resamples_truth_to_depth_grid(tmp_path):
+    from voxcrf.crf import LabelImage
+    from voxcrf.pipeline.formats import write_label_image
+    from voxcrf.pipeline.resample import resample_labels
+
+    spec = small_spec(frame_count=2, noise=0.2)
+    runs = {}
+    for name in ("small", "resampled"):
+        manifest = generate_synthetic(spec, tmp_path / name)
+        records, _ = load_manifest(manifest)
+        truth = read_label_image(records[1].truth_path)
+        grid = truth.data.reshape(truth.height, truth.width)[::2, ::2]
+        small = LabelImage(grid.shape[0], grid.shape[1], grid.reshape(-1))  # 24x18
+        if name == "resampled":
+            small = resample_labels(small, truth.height, truth.width)
+        write_label_image(records[1].truth_path, small)
+        runs[name] = run_pipeline(manifest, out_dir=tmp_path / f"{name}_out")
+    assert runs["small"].metrics is not None
+    assert runs["small"].metrics == runs["resampled"].metrics
+    assert runs["small"].coverage == runs["resampled"].coverage > 0
 
 
 def test_run_pipeline_per_frame_ply(tmp_path):
