@@ -14,7 +14,6 @@ from .crf import (
     map_labeling,
     mean_field_backward,
     mean_field_infer,
-    mean_field_step,
     potts_matrix,
     train_crf_params,
     unary_from_probabilities,
@@ -31,11 +30,8 @@ from .filtering import FilterPlan, plan_filter
 from .fusion import (
     ExtractedMap,
     VoxelMap,
-    bayes_update,
     extract_map,
     integrate_cloud,
-    merge_maps,
-    voxel_index,
     voxel_keys,
 )
 from .metrics import (

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericalError, SizeLimitError
-from .filtering import FilterPlan, plan_filter
+from .filtering import FilterPlan, _kernel_rows, plan_filter
 
 IGNORE_LABEL = 255
 PROB_FLOOR = 1e-8  # probabilities clamped here before taking logs
@@ -260,8 +260,8 @@ def _step(
     plans: tuple[FilterPlan, ...],
     weights: np.ndarray,
     mu: np.ndarray,
-    iteration: int = 0,
-    trace: MeanFieldTrace | None = None,
+    iteration: int,
+    trace: MeanFieldTrace | None,
 ) -> np.ndarray:
     msgs = [plan.apply(q) for plan in plans]
     for m, msg in enumerate(msgs):
@@ -320,25 +320,6 @@ def _check_dims(u: UnaryField, features: FeatureField) -> None:
         raise InputError(
             f"feature count {features.num_points} != pixel count {u.height * u.width}"
         )
-
-
-def mean_field_step(
-    q: LabelDistributionImage,
-    u: UnaryField,
-    features: FeatureField,
-    params: CrfParams,
-    backend: str = "exact",
-) -> LabelDistributionImage:
-    """One five-stage mean-field iteration from marginals q."""
-    if (q.height, q.width, q.labels) != (u.height, u.width, u.labels):
-        raise InputError(
-            f"Q is {q.height}x{q.width}x{q.labels}, unary is {u.height}x{u.width}x{u.labels}"
-        )
-    _check_dims(u, features)
-    mu = params.compatibility_for(u.labels)
-    plans = _build_plans(features, backend)
-    out = _step(q.data, u.data, plans, params.kernel_weights, mu)
-    return LabelDistributionImage(u.height, u.width, u.labels, out)
 
 
 def mean_field_infer(
@@ -410,14 +391,10 @@ def mean_field_backward(
 # ---------------------------------------------------------------------------
 
 
-def _kernel_matrices(features: FeatureField) -> list[np.ndarray]:
-    mats = []
-    for f in features.per_kernel():
-        diff = f[:, None, :] - f[None, :, :]
-        k = np.exp(-0.5 * np.einsum("ijd,ijd->ij", diff, diff))
-        np.fill_diagonal(k, 0.0)
-        mats.append(k)
-    return mats
+def _weighted_kernel(features: FeatureField, params: CrfParams) -> np.ndarray:
+    """Dense sum over kernels of w_m (K_m - I), the exact pairwise weights."""
+    kernels = (_kernel_rows(f, 0, len(f)) for f in features.per_kernel())
+    return sum(w * k for w, k in zip(params.kernel_weights, kernels))
 
 
 def crf_energy(
@@ -440,9 +417,7 @@ def crf_energy(
     labels = x.data
     unary = -u.data[np.arange(n), labels].sum()
     mu = params.compatibility_for(u.labels)
-    k_total = sum(
-        w * k for w, k in zip(params.kernel_weights, _kernel_matrices(features))
-    )
+    k_total = _weighted_kernel(features, params)
     mu_x = mu[labels[:, None], labels[None, :]]
     pairwise = float(np.triu(mu_x * k_total, k=1).sum())
     return float(unary) + pairwise
@@ -461,9 +436,7 @@ def brute_force_map(
         )
     _check_dims(u, features)
     mu = params.compatibility_for(num_labels)
-    k_total = sum(
-        w * k for w, k in zip(params.kernel_weights, _kernel_matrices(features))
-    )
+    k_total = _weighted_kernel(features, params)
     iu, ju = np.triu_indices(n, k=1)
     k_flat = k_total[iu, ju]
 

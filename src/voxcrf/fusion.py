@@ -67,29 +67,6 @@ def unpack_keys(keys: np.ndarray) -> np.ndarray:
     return idx - INDEX_LIMIT
 
 
-def voxel_index(point: np.ndarray, resolution: float) -> tuple[int, int, int]:
-    """Integer voxel index by floor division, deterministic at boundaries."""
-    key = voxel_keys(np.asarray(point, dtype=np.float64).reshape(1, 3), resolution)
-    if key[0] < 0:
-        raise InputError(f"point {point} is non-finite or outside the packable voxel range")
-    i, j, k = unpack_keys(key)[0]
-    return (int(i), int(j), int(k))
-
-
-def bayes_update(prior: np.ndarray, likelihood: np.ndarray) -> np.ndarray:
-    """Posterior = normalized elementwise product, computed in log space."""
-    prior = np.asarray(prior, dtype=np.float64)
-    likelihood = np.asarray(likelihood, dtype=np.float64)
-    if prior.shape != likelihood.shape:
-        raise InputError(f"shape mismatch {prior.shape} vs {likelihood.shape}")
-    log_post = np.log(np.maximum(prior, LIKELIHOOD_FLOOR)) + np.log(
-        np.maximum(likelihood, LIKELIHOOD_FLOOR)
-    )
-    log_post -= log_post.max()
-    post = np.exp(log_post)
-    return post / post.sum()
-
-
 def _normalize_rows(log_dist: np.ndarray) -> np.ndarray:
     log_dist = log_dist - log_dist.max(axis=1, keepdims=True)
     log_dist -= np.log(np.exp(log_dist).sum(axis=1, keepdims=True))
@@ -228,24 +205,6 @@ def integrate_cloud(vmap: VoxelMap, cloud: SemanticPointCloud) -> VoxelMap:
         np.add.reduceat(cloud.colors[order].astype(np.float64), starts, axis=0),
     )
     return vmap
-
-
-def merge_maps(a: VoxelMap, b: VoxelMap) -> VoxelMap:
-    """Combine maps built from disjoint frame subsets.
-
-    Voxel-wise the accumulated likelihood products multiply (one uniform
-    prior divided out, a constant the normalization absorbs), so merging is
-    order-invariant and equals sequential integration of all frames, the
-    ``created`` and ``updated`` counters included.
-    """
-    if a.resolution != b.resolution or a.labels != b.labels:
-        raise InputError("maps disagree on resolution or label count")
-    out = VoxelMap(a.resolution, a.labels)
-    for part in (a, b):
-        out._absorb(part._keys, part._log_post, part._observations, part._color_sums)
-    # integrating b's frames after a's would also hit each shared voxel once
-    out._updated += a.updated + b.updated
-    return out
 
 
 @dataclass(frozen=True)

@@ -45,11 +45,6 @@ class ConfusionMatrix:
             if np.any(self.counts < 0):
                 raise InputError("negative confusion count")
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.labels != self.labels:
-            raise InputError("label counts differ")
-        return ConfusionMatrix(self.labels, self.counts + other.counts)
-
 
 def accumulate(
     cm: ConfusionMatrix, predicted: LabelImage, truth: LabelImage

@@ -2,8 +2,8 @@
 
 Subcommands: ``segment`` (single-frame CRF refinement), ``fuse`` (full
 pipeline), ``metrics`` (label-image evaluation), ``synth`` (synthetic scene
-generation), ``train-crf`` (parameter training) and ``bench`` (filtering
-backend sweep).  Exit code 0 on success, nonzero with a diagnostic on error.
+generation) and ``train-crf`` (parameter training).  Exit code 0 on
+success, nonzero with a diagnostic on error.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from ..crf import (
     unary_from_probabilities,
 )
 from ..errors import ConfigError, InputError, VoxcrfError
-from ..filtering import plan_filter
 from .formats import load_unary, read_label_image, read_ppm, save_unary, write_label_image
 from .manifest import load_config_overrides, load_manifest
 from .runner import metrics_from_images, run_pipeline
@@ -62,7 +61,7 @@ def _cmd_segment(args: argparse.Namespace) -> int:
         raise InputError(
             f"rgb is {rgb.shape[0]}x{rgb.shape[1]}, unary is {probs.height}x{probs.width}"
         )
-    params = CrfParams(iterations=args.iterations if args.iterations is not None else 5)
+    params = CrfParams() if args.iterations is None else CrfParams(iterations=args.iterations)
     backend = args.backend or "lattice"
     unary = unary_from_probabilities(probs)
     features = build_features(rgb, params)
@@ -177,31 +176,6 @@ def run_budget_benchmark(
     return time.perf_counter() - start
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    if not sizes:
-        raise ConfigError("no sizes given")
-    print("size  backend  apply_seconds")
-    for side in sizes:
-        yy, xx = np.mgrid[0:side, 0:side].astype(np.float64)
-        rgb = rng.uniform(0, 255, (side, side, 3))
-        feats = np.column_stack(
-            [xx.ravel() / 61.0, yy.ravel() / 61.0, rgb.reshape(-1, 3) / 11.0]
-        )
-        values = rng.uniform(0, 1, (side * side, args.labels))
-        for backend in ("exact", "lattice"):
-            start = time.perf_counter()
-            plan = plan_filter(feats, backend)
-            plan.apply(values)
-            elapsed = time.perf_counter() - start
-            print(f"{side:4d}  {backend:7s}  {elapsed:.4f}")
-    if args.budget:
-        elapsed = run_budget_benchmark(iterations=args.iterations or 5, seed=args.seed)
-        print(f"budget: T={args.iterations or 5} lattice inference on 224x224, L=23: {elapsed:.3f}s")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="voxcrf",
@@ -253,13 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=("exact", "lattice"), default=None)
     p.set_defaults(func=_cmd_train_crf)
 
-    p = sub.add_parser("bench", help="filtering backend timing sweep")
-    p.add_argument("--sizes", default="32,64")
-    p.add_argument("--labels", type=int, default=4)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", action="store_true", help="also time 224x224 T=5 inference")
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

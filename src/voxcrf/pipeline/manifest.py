@@ -168,8 +168,8 @@ def load_manifest(path: str | Path) -> tuple[list[FrameRecord], PipelineConfig]:
 
     Frames keep their listed order.  Malformed lines, and header values
     that their dataclass rejects on their own (``fx=0``, ``labels=1``), raise
-    FormatError naming the line number; missing files raise InputError
-    naming the path.
+    FormatError naming the line number, missing intrinsics FormatError naming
+    the manifest, and missing files InputError naming the path.
     """
     path = Path(path)
     base = path.parent
@@ -232,7 +232,7 @@ def load_manifest(path: str | Path) -> tuple[list[FrameRecord], PipelineConfig]:
         f.name for f in fields(CameraIntrinsics) if f.default is MISSING and f.name not in header
     ]
     if missing:
-        raise ConfigError(f"config is missing intrinsics keys: {', '.join(missing)}")
+        raise FormatError(f"{path}: missing intrinsics keys: {', '.join(missing)}")
     intrinsics = CameraIntrinsics(**{k: header.pop(k) for k in _INTRINSICS if k in header})
     return records, apply_overrides(PipelineConfig(intrinsics), header)
 

@@ -89,11 +89,6 @@ class SemanticPointCloud:
     def labels(self) -> int:
         return self.label_dists.shape[1]
 
-    def validate(self) -> "SemanticPointCloud":
-        if len(self) and np.abs(self.label_dists.sum(axis=1) - 1.0).max() > 1e-6:
-            raise InputError("point label distributions do not sum to 1")
-        return self
-
     def compact(self) -> tuple[np.ndarray, np.ndarray]:
         """Hard labels (argmax, ties to the smallest id) and their confidence."""
         hard = np.argmax(self.label_dists, axis=1)

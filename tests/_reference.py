@@ -83,6 +83,20 @@ def reference_energy(
 REFERENCE_LIKELIHOOD_FLOOR = 1e-8
 
 
+def bayes_update(prior: np.ndarray, likelihood: np.ndarray) -> np.ndarray:
+    """Posterior = normalized elementwise product, computed in log space."""
+    prior = np.asarray(prior, dtype=np.float64)
+    likelihood = np.asarray(likelihood, dtype=np.float64)
+    if prior.shape != likelihood.shape:
+        raise ValueError(f"shape mismatch {prior.shape} vs {likelihood.shape}")
+    log_post = np.log(np.maximum(prior, REFERENCE_LIKELIHOOD_FLOOR)) + np.log(
+        np.maximum(likelihood, REFERENCE_LIKELIHOOD_FLOOR)
+    )
+    log_post -= log_post.max()
+    post = np.exp(log_post)
+    return post / post.sum()
+
+
 def _reference_normalize_log(log_dist: np.ndarray) -> np.ndarray:
     log_dist = log_dist - log_dist.max()
     log_dist -= np.log(np.exp(log_dist).sum())

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, as in the benchmark, set before numpy loads its BLAS:
+# test_complexity_scaling times process CPU time, which would otherwise
+# also count idle BLAS worker threads.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

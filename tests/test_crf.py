@@ -14,7 +14,6 @@ from voxcrf.crf import (
     map_labeling,
     mean_field_backward,
     mean_field_infer,
-    mean_field_step,
     potts_matrix,
     softmax,
     train_crf_params,
@@ -146,23 +145,21 @@ def test_features_bilateral_direct_evaluation():
 
 
 # ---------------------------------------------------------------------------
-# mean_field_step / mean_field_infer
+# mean_field_infer
 # ---------------------------------------------------------------------------
 
 
 def test_step_single_pixel_returns_softmax_of_unary():
     u = unary_from_probabilities(dist_image([[0.3, 0.7]]))
     feats = build_features(np.zeros((1, 1, 3)), CrfParams())
-    q0 = dist_image(softmax(u.data))
-    out = mean_field_step(q0, u, feats, CrfParams())
+    out, trace = mean_field_infer(u, feats, CrfParams(iterations=1))
+    assert trace is None
     assert out.data == pytest.approx(softmax(u.data), abs=1e-12)
 
 
 def test_step_zero_weights_returns_softmax_of_unary(rng):
-    u, feats, _ = random_instance(rng, 3, 4, 3)
-    params = CrfParams(kernel_weights=np.zeros(2))
-    q_any = dist_image(rng.dirichlet(np.ones(3), size=12), 3, 4)
-    out = mean_field_step(q_any, u, feats, params)
+    u, feats, params = random_instance(rng, 3, 4, 3, iterations=1, weights=(0.0, 0.0))
+    out, _ = mean_field_infer(u, feats, params)
     assert out.data == pytest.approx(softmax(u.data), abs=1e-12)
 
 
@@ -172,11 +169,14 @@ def test_step_two_pixel_hand_derivation():
     u = unary_from_probabilities(dist_image([[0.9, 0.1], [0.4, 0.6]], 1, 2))
     rgb = np.full((1, 2, 3), 128.0)
     params = CrfParams(
-        kernel_weights=np.array([1.0, 0.0]), theta_alpha=1e9, theta_beta=1e9, theta_gamma=1e9
+        kernel_weights=np.array([1.0, 0.0]),
+        theta_alpha=1e9,
+        theta_beta=1e9,
+        theta_gamma=1e9,
+        iterations=1,
     )
     feats = build_features(rgb, params)  # huge thetas make features identical
-    q0 = dist_image(softmax(u.data), 1, 2)
-    out = mean_field_step(q0, u, feats, params)
+    out, _ = mean_field_infer(u, feats, params)
     expected = np.array(
         [
             [0.8805053682886066, 0.11949463171139338],
@@ -184,15 +184,6 @@ def test_step_two_pixel_hand_derivation():
         ]
     )
     assert out.data == pytest.approx(expected, abs=1e-12)
-
-
-def test_infer_t1_equals_one_step(rng):
-    u, feats, params = random_instance(rng, 4, 4, 3, iterations=1)
-    q0 = dist_image(softmax(u.data), 4, 4)
-    via_step = mean_field_step(q0, u, feats, params)
-    via_infer, trace = mean_field_infer(u, feats, params)
-    assert trace is None
-    assert via_infer.data == pytest.approx(via_step.data, abs=1e-15)
 
 
 def test_infer_uniform_stays_uniform():
@@ -306,9 +297,8 @@ def test_per_pixel_unary_shift_invariance(seed):
 def test_step_dimension_mismatch():
     u = unary_from_probabilities(dist_image([[0.5, 0.5]]))
     feats = build_features(np.zeros((2, 1, 3)), CrfParams())
-    q = dist_image([[0.5, 0.5]])
     with pytest.raises(InputError):
-        mean_field_step(q, u, feats, CrfParams())
+        mean_field_infer(u, feats, CrfParams(iterations=1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,10 @@ from voxcrf.errors import InputError
 from voxcrf.fusion import (
     INDEX_LIMIT,
     VoxelMap,
-    bayes_update,
     extract_map,
     integrate_cloud,
-    merge_maps,
-    voxel_index,
+    unpack_keys,
+    voxel_keys,
 )
 from voxcrf.metrics import EvalFrame, evaluate_fused_map
 from voxcrf.projection import (
@@ -23,7 +22,7 @@ from voxcrf.projection import (
     transform_cloud,
 )
 
-from _reference import ReferenceVoxelMap
+from _reference import ReferenceVoxelMap, bayes_update
 
 
 def cloud_at(points, dists, colors=None):
@@ -35,16 +34,15 @@ def cloud_at(points, dists, colors=None):
 
 
 def test_voxel_index_examples():
-    assert voxel_index(np.array([0.0, 0.0, 0.0]), 0.01) == (0, 0, 0)
-    assert voxel_index(np.array([0.015, -0.005, 0.02]), 0.01) == (1, -1, 2)
-    assert voxel_index(np.array([0.01, 0.0, 0.0]), 0.01) == (1, 0, 0)  # floor at boundary
+    points = np.array([[0.0, 0.0, 0.0], [0.015, -0.005, 0.02], [0.01, 0.0, 0.0]])
+    indices = unpack_keys(voxel_keys(points, 0.01)).tolist()
+    assert indices == [[0, 0, 0], [1, -1, 2], [1, 0, 0]]  # the last floors at the boundary
 
 
 def test_voxel_index_errors():
+    assert voxel_keys(np.array([[np.nan, 0.0, 0.0]]), 0.01).tolist() == [-1]
     with pytest.raises(InputError):
-        voxel_index(np.array([np.nan, 0, 0]), 0.01)
-    with pytest.raises(InputError):
-        voxel_index(np.zeros(3), 0.0)
+        voxel_keys(np.zeros((1, 3)), 0.0)
 
 
 def test_bayes_uniform_likelihood_keeps_prior():
@@ -134,30 +132,6 @@ def test_convergence_toward_certainty():
     assert last > 0.999
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_merge_equals_sequential(seed):
-    r = np.random.default_rng(seed)
-    points = (r.integers(0, 3, size=(12, 3)) * 0.01 + 0.005).astype(np.float64)
-    liks = r.dirichlet(np.ones(2), size=12)
-
-    seq = VoxelMap(0.01, 2)
-    for i in range(12):
-        integrate_cloud(seq, cloud_at(points[i : i + 1], liks[i : i + 1]))
-
-    a = VoxelMap(0.01, 2)
-    b = VoxelMap(0.01, 2)
-    for i in range(6):
-        integrate_cloud(a, cloud_at(points[i : i + 1], liks[i : i + 1]))
-    for i in range(6, 12):
-        integrate_cloud(b, cloud_at(points[i : i + 1], liks[i : i + 1]))
-    merged = merge_maps(a, b)
-
-    assert np.array_equal(merged.keys, seq.keys)
-    assert np.abs(np.exp(merged.log_posteriors) - np.exp(seq.log_posteriors)).max() < 1e-9
-    assert np.array_equal(merged.observations, seq.observations)
-
-
 def test_extract_empty_map():
     rows = extract_map(VoxelMap(0.01, 2))
     assert len(rows) == 0
@@ -206,11 +180,10 @@ def test_stored_distributions_normalized_after_long_runs(rng):
 
 def test_packable_range_boundary():
     lim = INDEX_LIMIT
-    assert voxel_index(np.array([lim - 0.5, -lim, 0.0]), 1.0) == (lim - 1, -lim, 0)
+    edge = voxel_keys(np.array([[lim - 0.5, -lim, 0.0]]), 1.0)
+    assert unpack_keys(edge).tolist() == [[lim - 1, -lim, 0]]
     outside = [[lim, 0.0, 0.0], [0.0, -lim - 0.5, 0.0], [0.0, 0.0, 1e17 / 0.01]]
-    for point in outside:
-        with pytest.raises(InputError):
-            voxel_index(np.array(point), 1.0)
+    assert voxel_keys(np.array(outside), 1.0).tolist() == [-1, -1, -1]
 
     vmap = VoxelMap(1.0, 2)
     edges = [[lim - 0.5, -lim, -lim], [-lim, lim - 0.5, lim - 0.5]]
@@ -238,14 +211,10 @@ def test_packable_range_boundary():
 def test_created_and_updated_counters():
     first = [[0.5, 0.5, 0.5], [0.6, 0.5, 0.5], [1.5, 0.5, 0.5], [2.5, 0.5, 0.5]]
     second = [[1.5, 0.5, 0.5], [2.5, 0.5, 0.5], [2.6, 0.5, 0.5], [3.5, 0.5, 0.5], [-0.5, 0, 0]]
-    a = integrate_cloud(VoxelMap(1.0, 2), cloud_at(first, [[0.6, 0.4]] * 4))
-    assert (a.created, a.updated) == (3, 0)  # two points share voxel (0, 0, 0)
-    b = integrate_cloud(VoxelMap(1.0, 2), cloud_at(second, [[0.3, 0.7]] * 5))
     seq = integrate_cloud(VoxelMap(1.0, 2), cloud_at(first, [[0.6, 0.4]] * 4))
+    assert (seq.created, seq.updated) == (3, 0)  # two points share voxel (0, 0, 0)
     integrate_cloud(seq, cloud_at(second, [[0.3, 0.7]] * 5))
     assert (seq.created, seq.updated) == (5, 2)  # voxels (1, 0, 0) and (2, 0, 0) overlap
-    merged = merge_maps(a, b)
-    assert (merged.created, merged.updated) == (5, 2)
     with pytest.raises(AttributeError):
         seq.created = 0
     with pytest.raises(ValueError):
@@ -326,16 +295,10 @@ def test_array_map_matches_per_point_reference(seed):
 
     vmap = VoxelMap(res, labels)
     ref = ReferenceVoxelMap(res, labels)
-    halves = (VoxelMap(res, labels), VoxelMap(res, labels))
-    for i, cloud in enumerate(clouds):
+    for cloud in clouds:
         integrate_cloud(vmap, cloud)
-        integrate_cloud(halves[2 * i >= len(clouds)], cloud)
         ref.integrate(cloud.points, cloud.label_dists, cloud.colors)
     assert_map_equals_reference(vmap, ref)
-
-    merged = merge_maps(*halves)
-    assert_map_equals_reference(merged, ref)
-    assert (merged.created, merged.updated) == (vmap.created, vmap.updated)
 
     rows = extract_map(vmap, min_obs, min_conf)
     ref_rows = ref.extract(min_obs, min_conf)

@@ -124,12 +124,6 @@ def test_metrics_label_permutation_invariance(seed):
     assert compute_metrics(ConfusionMatrix(4, permuted)) == pytest.approx(vals)
 
 
-def test_confusion_merge():
-    a = ConfusionMatrix(2, np.array([[1, 0], [0, 1]]))
-    b = ConfusionMatrix(2, np.array([[2, 1], [0, 0]]))
-    assert a.merge(b).counts.tolist() == [[3, 1], [0, 1]]
-
-
 # ---------------------------------------------------------------------------
 # fused-map evaluation
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from voxcrf.pipeline.synthetic import (
     generate_synthetic,
 )
 
+from _reference import bayes_update
+
 
 def small_spec(**kwargs):
     defaults = dict(
@@ -93,6 +95,13 @@ def test_manifest_missing_file(tmp_path):
     pose = " ".join("%g" % v for v in np.eye(4).reshape(-1))
     path.write_text(f"fx=10\nfy=10\ncx=1\ncy=1\nf0 a.ppm b.pgm c.unry {pose}\n")
     with pytest.raises(InputError, match="a.ppm"):
+        load_manifest(path)
+
+
+def test_manifest_missing_intrinsics_names_path(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("fy=10\ncx=1\ncy=1\n")
+    with pytest.raises(FormatError, match=r"m\.txt: missing intrinsics keys: fx$"):
         load_manifest(path)
 
 
@@ -319,7 +328,6 @@ def test_run_pipeline_duplicate_frames_fuse_twice(tmp_path):
 
     once = run_pipeline(single_manifest, out_dir=tmp_path / "o1")
     twice = run_pipeline(manifest, out_dir=tmp_path / "o2")
-    from voxcrf.fusion import bayes_update
 
     # fusing the same evidence twice = one more bayes update per point;
     # spot-check voxels observed exactly once per pass
@@ -523,13 +531,6 @@ def test_cli_train_crf_output_feeds_fuse_config(tmp_path, monkeypatch):
     direct = run_pipeline(manifest, overrides=trained, out_dir=tmp_path / "api")
     assert np.array_equal(results[0].vmap.keys, direct.vmap.keys)
     assert np.array_equal(results[0].vmap.log_posteriors, direct.vmap.log_posteriors)
-
-
-def test_cli_bench_runs(capsys):
-    rc = cli_main(["bench", "--sizes", "8,12", "--labels", "2"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "exact" in out and "lattice" in out
 
 
 def test_cli_unknown_flag_exits_nonzero():
