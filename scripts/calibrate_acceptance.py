@@ -29,7 +29,6 @@ from voxcrf.crf import (
     mean_field_infer,
     unary_from_probabilities,
 )
-from voxcrf.pipeline.cli import run_budget_benchmark
 from voxcrf.pipeline.formats import read_label_image
 from voxcrf.pipeline.labels import label_palette
 from voxcrf.pipeline.manifest import load_manifest
@@ -40,6 +39,7 @@ from voxcrf.pipeline.synthetic import (
     corrupt_unaries,
     generate_synthetic,
     make_piecewise_labels,
+    run_budget_benchmark,
     shade_labels,
 )
 

@@ -8,13 +8,16 @@ One mean-field iteration is the usual five-stage stack: per-kernel Gaussian
 message passing (self-excluded, normalized per pixel), weighting, the
 compatibility transform, adding the unary, and a softmax renormalization.
 Message passing runs on a ``FilterPlan`` (exact or lattice backend); all
-other stages are dense (N, L) array operations.
+other stages are dense (N, L) array operations, done in place where no
+trace keeps their inputs: the weighted sum in the first message buffer, and
+the unary and the softmax in the output of the compatibility GEMM.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
+from typing import NoReturn
 
 import numpy as np
 
@@ -189,10 +192,16 @@ class LabelImage:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax; ``logits`` is not written."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    return z
+    return _softmax_into(logits, np.empty_like(logits, dtype=np.float64))
+
+
+def _softmax_into(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row-wise stable softmax of ``logits`` written to ``out``, which may
+    be ``logits`` itself."""
+    np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 def _softmax_vjp(q: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -254,6 +263,25 @@ def _check_finite(arr: np.ndarray, stage: str, iteration: int) -> None:
         raise NumericalError(f"non-finite value in {stage} at iteration {iteration}")
 
 
+def _raise_non_finite(
+    q: np.ndarray,
+    plans: tuple[FilterPlan, ...],
+    weights: np.ndarray,
+    mu: np.ndarray,
+    iteration: int,
+) -> NoReturn:
+    """Raise ``NumericalError`` naming the first stage of an iteration whose
+    logits were non-finite.  Runs only on that failure path: the stages are
+    recomputed from the iteration's input Q (each is deterministic) and
+    checked one by one."""
+    msgs = [plan.apply(q) for plan in plans]
+    for m, msg in enumerate(msgs):
+        _check_finite(msg, f"message passing (kernel {m})", iteration)
+    pairwise = _weighted_sum(msgs, weights, in_place=True) @ mu.T
+    _check_finite(pairwise, "compatibility transform", iteration)
+    raise NumericalError(f"non-finite value in adding the unary at iteration {iteration}")
+
+
 def _step(
     q: np.ndarray,
     u: np.ndarray,
@@ -264,19 +292,34 @@ def _step(
     trace: MeanFieldTrace | None,
 ) -> np.ndarray:
     msgs = [plan.apply(q) for plan in plans]
-    for m, msg in enumerate(msgs):
-        _check_finite(msg, f"message passing (kernel {m})", iteration)
-    combined = sum(w * msg for w, msg in zip(weights, msgs))
-    pairwise = combined @ mu.T
-    _check_finite(pairwise, "compatibility transform", iteration)
-    logits = u - pairwise
-    q_new = softmax(logits)
-    _check_finite(q_new, "normalization", iteration)
-    if trace is not None:
+    # Without a trace the first message buffer becomes ``combined`` and the
+    # others are freed before the GEMM; a trace keeps them for backward.
+    keep = trace is not None
+    combined = _weighted_sum(msgs, weights, in_place=not keep)
+    if keep:
         trace.messages.append(msgs)
         trace.combined.append(combined)
+    del msgs
+    # logits = u - combined mu^T, formed in the GEMM output; one finite
+    # check covers every stage (softmax of finite logits is finite)
+    logits = combined @ mu.T
+    del combined
+    np.subtract(u, logits, out=logits)
+    if not np.all(np.isfinite(logits)):
+        _raise_non_finite(q, plans, weights, mu, iteration)
+    q_new = _softmax_into(logits, logits)
+    if keep:
         trace.q_states.append(q_new)
     return q_new
+
+
+def _weighted_sum(msgs: list[np.ndarray], weights: np.ndarray, in_place: bool) -> np.ndarray:
+    """sum_m w_m msg_m; ``in_place`` scales the messages in place and
+    returns the first one's buffer."""
+    combined = np.multiply(msgs[0], weights[0], out=msgs[0] if in_place else None)
+    for w, msg in zip(weights[1:], msgs[1:]):
+        combined += np.multiply(msg, w, out=msg if in_place else None)
+    return combined
 
 
 def reuse_plan(
@@ -337,6 +380,13 @@ def mean_field_infer(
     plan per kernel (bilateral, spatial), None where one is to be built; a
     prebuilt plan whose shape or backend does not match raises
     ``InputError``.
+
+    Memory budget: with prebuilt plans and no trace, the allocations of one
+    inference peak at no more than five float64 (N, L) arrays above those
+    at entry on image-like features (Q, the combined messages, the message
+    being filtered, and the lattice blur buffers of (m + 1, L) for m
+    vertices, small next to N there).  A non-finite value raises
+    ``NumericalError`` naming the stage and iteration.
     """
     _check_dims(u, features)
     mu = params.compatibility_for(u.labels)

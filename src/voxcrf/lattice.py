@@ -11,7 +11,10 @@ around each point).
 
 Only splatted vertices are stored, so blur mass leaks at the boundary of the
 occupied lattice region and the raw output is accurate only up to a smoothly
-varying per-point factor.  Quantities formed as ratios of lattice outputs
+varying per-point factor.  The blur runs in place on an (m + 1, C) buffer
+whose last row stays zero: a missing neighbor is stored as index -1, which
+reads that row, so no gather needs a mask or a clamp, and two (m, C) gather
+buffers serve every axis.  Quantities formed as ratios of lattice outputs
 (message normalization in the CRF) cancel that factor; to support exact
 self-exclusion inside such ratios the lattice also exposes its own diagonal
 response, computed in closed form from the blur restricted to each point's
@@ -28,9 +31,14 @@ blur to each point's barycentric vector in place, one axis at a time.
 
 Vectorized numpy throughout; the splat/slice operators are kept as one
 sparse matrix so a built lattice can filter any number of value channels.
+``scaled`` derives a lattice whose output rows carry a per-point factor
+folded into its slice rows (with the 1 / (1 + 2^-d) correction), for callers
+that normalize the filter output per point.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 from scipy import sparse
@@ -105,7 +113,6 @@ class PermutohedralLattice:
         rank[high] -= dp1
         rem0[low] += dp1
         rem0[high] -= dp1
-        self._rank = rank
 
         # Barycentric coordinates inside the enclosing simplex.  Each row's
         # column indices d - rank and d + 1 - rank are permutations, so no
@@ -116,7 +123,7 @@ class PermutohedralLattice:
         bary[point, d - rank] += y
         bary[point, dp1 - rank] -= y
         bary[:, 0] += 1.0 + bary[:, dp1]
-        self._bary = bary[:, :dp1]
+        bary = bary[:, :dp1]
 
         # Vertex k of a point's simplex is rem0 + canon[k][rank]; the first d
         # coordinates identify it (all coordinates sum to 0).
@@ -132,12 +139,13 @@ class PermutohedralLattice:
         # Splat matrix; its transpose is the slice (same barycentric weights).
         rows = np.repeat(np.arange(self.n), dp1)
         self._splat = sparse.csr_matrix(
-            (self._bary.ravel(), (vertex_idx, rows)), shape=(m, self.n)
+            (bary.ravel(), (vertex_idx, rows)), shape=(m, self.n)
         )
         self._slice = self._splat.T.tocsr()
 
         # Blur neighbor tables: along axis a, n1 = key + 1 - (d+1) e_a,
-        # n2 = key - 1 + (d+1) e_a; -1 marks a vertex outside the lattice.
+        # n2 = key - 1 + (d+1) e_a; -1 marks a vertex outside the lattice and
+        # reads the zero pad row of the blur buffer.
         # Only the first d coordinates are kept, so axis d shifts all of them.
         self._n1 = np.empty((dp1, m), dtype=np.int64)
         self._n2 = np.empty((dp1, m), dtype=np.int64)
@@ -148,8 +156,10 @@ class PermutohedralLattice:
             self._n1[a] = self._lookup_rows(vertices + 1 - e_a)
             self._n2[a] = self._lookup_rows(vertices - 1 + e_a)
 
+        # the slice scale, applied in place after the slice (1.0 once folded
+        # into the slice rows by ``scaled``)
         self._alpha = 1.0 / (1.0 + 2.0 ** (-d))
-        self._diag = self._diagonal_response()
+        self._diag = self._diagonal_response(bary, rank)
 
     # -- vertex hashing ---------------------------------------------------
 
@@ -204,7 +214,7 @@ class PermutohedralLattice:
 
     # -- diagonal ---------------------------------------------------------
 
-    def _diagonal_response(self) -> np.ndarray:
+    def _diagonal_response(self, bary: np.ndarray, rank: np.ndarray) -> np.ndarray:
         """Per-point self response diag(slice . blur . splat), computed with
         the blur restricted to each point's enclosing simplex.
 
@@ -219,11 +229,11 @@ class PermutohedralLattice:
         negligible exactly where the diagonal matters (sparse regions).
         """
         d = self.dim
-        b = self._bary
+        b = bary
         gb = b.copy()
         point = np.arange(self.n)
         for a in range(d + 1):
-            k = d - self._rank[:, a]
+            k = d - rank[:, a]
             kn = (k + 1) % (d + 1)
             vk, vkn = gb[point, k], gb[point, kn]
             gb[point, k] = vk + 0.5 * vkn
@@ -235,14 +245,31 @@ class PermutohedralLattice:
         """Lattice self-response per point (analogue of k(f_i, f_i))."""
         return self._diag
 
+    def scaled(self, rows: np.ndarray) -> "PermutohedralLattice":
+        """This lattice with output row i multiplied by ``rows[i]``.
+
+        ``filter`` of the result gives diag(rows) L, ``reverse=True`` its
+        exact transpose L^T diag(rows), and ``diagonal`` is rows * diagonal.
+        The factor and the slice scale are folded into a copy of the slice
+        data; every other table is shared.
+        """
+        s = self._slice
+        per_entry = np.repeat(self._alpha * rows, np.diff(s.indptr))
+        out = copy.copy(self)
+        out._slice = sparse.csr_matrix((s.data * per_entry, s.indices, s.indptr), shape=s.shape)
+        out._alpha = 1.0
+        out._diag = rows * self._diag
+        return out
+
     # -- filtering --------------------------------------------------------
 
     def filter(self, values: np.ndarray, reverse: bool = False) -> np.ndarray:
         """Approximate Gaussian convolution of per-point values (N, C).
 
-        With ``reverse=True`` the blur axes run in the opposite order, which
-        yields the exact transpose of the forward operator (the blurs along
-        individual axes are symmetric but do not commute).
+        With ``reverse=True`` the result is the exact transpose of the
+        forward operator: the slice transposed splats, the blur axes run in
+        the opposite order (the blurs along individual axes are symmetric
+        but do not commute) and the splat transposed slices.
         """
         vals = np.asarray(values, dtype=np.float64)
         squeeze = vals.ndim == 1
@@ -251,14 +278,22 @@ class PermutohedralLattice:
         if vals.shape[0] != self.n:
             raise InputError(f"expected {self.n} rows, got {vals.shape[0]}")
 
-        lat = self._splat @ vals
-        axes = range(self.dim, -1, -1) if reverse else range(self.dim + 1)
+        if reverse:
+            splat, slice_, axes = self._slice.T, self._splat.T, range(self.dim, -1, -1)
+        else:
+            splat, slice_, axes = self._splat, self._slice, range(self.dim + 1)
+        m = self.num_vertices
+        lat = np.empty((m + 1, vals.shape[1]))
+        lat[m] = 0.0  # the pad row that neighbor index -1 reads
+        lat[:m] = splat @ vals
+        v1, v2 = np.empty((2, m, vals.shape[1]))
         for a in axes:
-            n1, n2 = self._n1[a], self._n2[a]
-            v1 = lat[np.maximum(n1, 0)]
-            v1[n1 < 0] = 0.0
-            v2 = lat[np.maximum(n2, 0)]
-            v2[n2 < 0] = 0.0
-            lat = lat + 0.5 * (v1 + v2)
-        out = self._alpha * (self._slice @ lat)
+            np.take(lat, self._n1[a], axis=0, out=v1, mode="wrap")
+            np.take(lat, self._n2[a], axis=0, out=v2, mode="wrap")
+            v1 += v2
+            v1 *= 0.5
+            lat[:m] += v1
+        out = slice_ @ lat[:m]
+        if self._alpha != 1.0:
+            out *= self._alpha
         return out[:, 0] if squeeze else out

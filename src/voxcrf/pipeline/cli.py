@@ -11,10 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
-
-import numpy as np
 
 from ..crf import (
     CrfParams,
@@ -153,27 +150,6 @@ def _cmd_train_crf(args: argparse.Namespace) -> int:
     Path(args.out).write_text(json.dumps(params.to_dict(), indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0
-
-
-def run_budget_benchmark(
-    side: int = 224, labels: int = 23, iterations: int = 5, seed: int = 0
-) -> float:
-    """Wall time of full lattice mean-field inference on a flat-shaded image."""
-    from .labels import label_palette
-    from .synthetic import make_piecewise_labels, shade_labels, corrupt_unaries
-    from ..crf import LabelDistributionImage
-
-    rng = np.random.default_rng(seed)
-    lab = make_piecewise_labels(side, side, min(labels, 8), rng, num_rects=6)
-    rgb = shade_labels(lab, label_palette(labels), 10.0, rng)
-    probs = corrupt_unaries(lab, labels, 0.2, 0.6, rng)
-    probs_img = LabelDistributionImage(side, side, labels, probs)
-    params = CrfParams(iterations=iterations)
-    unary = unary_from_probabilities(probs_img)
-    features = build_features(rgb, params)
-    start = time.perf_counter()
-    mean_field_infer(unary, features, params, "lattice")
-    return time.perf_counter() - start
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -137,6 +137,9 @@ def run_pipeline(
             ply = out / f"{record.frame_id}.ply"
             write_ply(ply, frame.cloud.points, frame.cloud.colors, hard, conf)
             outputs[f"ply:{record.frame_id}"] = str(ply)
+        # the frame's Q and its cloud's label_dists are two (N, L) arrays:
+        # free them before the next frame's CRF runs
+        del frame
 
     metrics_tuple = None
     coverage = None

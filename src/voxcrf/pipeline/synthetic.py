@@ -10,12 +10,19 @@ bit-identical for identical specs.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..crf import LabelDistributionImage
+from ..crf import (
+    CrfParams,
+    LabelDistributionImage,
+    build_features,
+    mean_field_infer,
+    unary_from_probabilities,
+)
 from ..errors import ConfigError
 from .formats import save_unary, write_pgm8, write_pgm16, write_ppm
 from .labels import label_palette
@@ -59,6 +66,8 @@ class SyntheticSceneSpec:
             raise ConfigError(f"frame count must be >= 1, got {self.frame_count}")
         if self.width < 2 or self.height < 2:
             raise ConfigError("image dimensions must be at least 2x2")
+        if not (np.isfinite(self.jitter) and self.jitter >= 0):
+            raise ConfigError(f"jitter must be finite and >= 0, got {self.jitter}")
         if not (0.0 <= self.noise < 1.0):
             raise ConfigError(f"noise must be in [0, 1), got {self.noise}")
         if not (1.0 / self.label_count < self.confidence <= 1.0):
@@ -234,6 +243,23 @@ def make_piecewise_labels(
         x1 = int(rng.integers(x0 + 3, min(x0 + max(4, width // 2), width) + 1))
         labels[y0:y1, x0:x1] = int(rng.integers(0, label_count))
     return labels
+
+
+def run_budget_benchmark(
+    side: int = 224, labels: int = 23, iterations: int = 5, seed: int = 0
+) -> float:
+    """Wall time of full lattice mean-field inference on a flat-shaded image."""
+    rng = np.random.default_rng(seed)
+    lab = make_piecewise_labels(side, side, min(labels, 8), rng, num_rects=6)
+    rgb = shade_labels(lab, label_palette(labels), 10.0, rng)
+    probs = corrupt_unaries(lab, labels, 0.2, 0.6, rng)
+    probs_img = LabelDistributionImage(side, side, labels, probs)
+    params = CrfParams(iterations=iterations)
+    unary = unary_from_probabilities(probs_img)
+    features = build_features(rgb, params)
+    start = time.perf_counter()
+    mean_field_infer(unary, features, params, "lattice")
+    return time.perf_counter() - start
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from voxcrf.crf import (
 from voxcrf.filtering import plan_filter
 from voxcrf.fusion import VoxelMap, integrate_cloud
 from voxcrf.metrics import ConfusionMatrix, compute_metrics
-from voxcrf.pipeline.cli import main as cli_main, run_budget_benchmark
+from voxcrf.pipeline.cli import main as cli_main
 from voxcrf.pipeline.formats import read_label_image
 from voxcrf.pipeline.labels import label_palette
 from voxcrf.pipeline.manifest import apply_overrides, load_manifest
@@ -33,6 +33,7 @@ from voxcrf.pipeline.synthetic import (
     corrupt_unaries,
     generate_synthetic,
     make_piecewise_labels,
+    run_budget_benchmark,
     shade_labels,
 )
 from voxcrf.projection import SemanticPointCloud

@@ -19,7 +19,7 @@ from voxcrf.crf import (
     train_crf_params,
     unary_from_probabilities,
 )
-from voxcrf.errors import ConfigError, InputError, SizeLimitError
+from voxcrf.errors import ConfigError, InputError, NumericalError, SizeLimitError
 from voxcrf.filtering import plan_filter
 
 from _reference import reference_energy, reference_mean_field
@@ -299,6 +299,49 @@ def test_step_dimension_mismatch():
     feats = build_features(np.zeros((2, 1, 3)), CrfParams())
     with pytest.raises(InputError):
         mean_field_infer(u, feats, CrfParams(iterations=1))
+
+
+def test_numerical_error_names_message_passing_kernel(rng):
+    u, feats, params = random_instance(rng, 4, 5, 3)
+    spatial = plan_filter(feats.spatial, "exact")
+    spatial.apply = lambda values: np.full_like(values, np.nan)
+    with pytest.raises(NumericalError, match=r"message passing \(kernel 1\) at iteration 0"):
+        mean_field_infer(u, feats, params, "exact", plans=(None, spatial))
+
+
+def test_numerical_error_names_compatibility_transform(rng):
+    # finite messages and parameters; every pairwise entry sums to ~2e308
+    u, feats, _ = random_instance(rng, 4, 5, 3)
+    params = CrfParams(kernel_weights=np.array([1e308, 1e308]), compatibility=np.ones((3, 3)))
+    with np.errstate(over="ignore"), pytest.raises(
+        NumericalError, match="compatibility transform at iteration 0"
+    ):
+        mean_field_infer(u, feats, params, "exact")
+
+
+def test_mean_field_memory_budget(rng):
+    """One lattice inference with prebuilt plans stays within the (N, L)
+    budget stated in ``mean_field_infer``: 5 float64 (N, L) arrays above
+    the allocation at entry (160x120, L=23, T=5)."""
+    import tracemalloc
+
+    from conftest import random_flat_rgb
+
+    h, w, labels = 120, 160, 23
+    rgb, _ = random_flat_rgb(rng, h, w)
+    params = CrfParams(iterations=5)
+    u = unary_from_probabilities(dist_image(rng.dirichlet(np.ones(labels), size=h * w), h, w))
+    feats = build_features(rgb, params)
+    plans = tuple(plan_filter(f, "lattice") for f in feats.per_kernel())
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        q, _ = mean_field_infer(u, feats, params, "lattice", plans=plans)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (peak - entry) / (h * w * labels * 8)
+    assert arrays <= 5.0, f"peak of {arrays:.2f} (N, L) arrays"
 
 
 # ---------------------------------------------------------------------------

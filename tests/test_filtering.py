@@ -236,9 +236,12 @@ def _dense_numerator(plan):
     """The numerator matrix M of ``plan`` built from its parts: the exact
     self-excluded kernel, or the lattice filter of the identity minus the
     lattice diagonal with each starved row replaced by the exact kernel row
-    over the FALLBACK_RADIUS ball.  Starved rows are found here from the
-    neighbor-mass thresholds, independently of the plan."""
+    over the FALLBACK_RADIUS ball.  The lattice is built here from the
+    plan's features (the plan keeps only its pre-scaled copy), and starved
+    rows are found from the neighbor-mass thresholds, independently of the
+    plan."""
     from voxcrf import filtering
+    from voxcrf.lattice import PermutohedralLattice
 
     feats = plan.features
     diff = feats[:, None, :] - feats[None, :, :]
@@ -247,7 +250,7 @@ def _dense_numerator(plan):
     np.fill_diagonal(kernel, 0.0)
     if plan.backend == "exact":
         return kernel, np.zeros(0, dtype=np.int64)
-    lat = plan._lattice
+    lat = PermutohedralLattice(feats)
     m = lat.filter(np.eye(plan.n)) - np.diag(lat.diagonal)
     threshold = (
         filtering.STARVED_THRESHOLD_HIGH_DIM

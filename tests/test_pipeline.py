@@ -223,6 +223,9 @@ def test_spec_validation():
         small_spec(frame_count=0)
     with pytest.raises(ConfigError):
         small_spec(boxes=[MaterialBox((0, 0, 0), (9, 9, 9), 1)])  # outside room
+    for jitter in (-1.0, float("nan"), float("inf")):  # once flat shading, silently
+        with pytest.raises(ConfigError, match="jitter"):
+            small_spec(jitter=jitter)
 
 
 def test_noiseless_unary_argmax_equals_truth(scene):
@@ -392,6 +395,26 @@ def test_run_pipeline_one_spatial_plan_per_depth_size(tmp_path, plan_builds):
     result = run_pipeline(manifest, out_dir=tmp_path / "out")
     assert result.frame_count == 4
     assert [s for s in plan_builds if s[1] == 2] == [(48 * 36, 2), (32 * 24, 2)]
+
+
+def test_run_pipeline_frees_each_frame_before_the_next(tmp_path, monkeypatch):
+    """Every earlier frame's Q is freed when the next frame starts, so two
+    frames' (N, L) arrays are never live at once."""
+    import weakref
+
+    manifest = generate_synthetic(small_spec(frame_count=3), tmp_path / "s")
+    original = runner.run_frame
+    earlier = []
+
+    def checked_run_frame(record, config, spatial_plan=None):
+        assert all(ref() is None for ref in earlier), f"a Q is alive at {record.frame_id}"
+        frame = original(record, config, spatial_plan)
+        earlier.append(weakref.ref(frame.q.data))
+        return frame
+
+    monkeypatch.setattr(runner, "run_frame", checked_run_frame)
+    result = run_pipeline(manifest, out_dir=tmp_path / "out")
+    assert result.frame_count == len(earlier) == 3
 
 
 @pytest.mark.parametrize("backend", ["exact", "lattice"])
