@@ -29,7 +29,6 @@ from voxcrf.crf import (
     mean_field_infer,
     unary_from_probabilities,
 )
-from voxcrf.pipeline.formats import read_label_image
 from voxcrf.pipeline.labels import label_palette
 from voxcrf.pipeline.manifest import load_manifest
 from voxcrf.pipeline.runner import run_frame, run_pipeline
@@ -104,10 +103,9 @@ def fusion_gain(seed: int, workdir: Path):
     frame_accs = []
     for rec in records:
         fo = run_frame(rec, config)
-        truth = read_label_image(rec.truth_path)
         pred = map_labeling(fo.q).data
         valid = fo.depth.reshape(-1) > 0
-        frame_accs.append(float((pred[valid] == truth.data[valid]).mean()))
+        frame_accs.append(float((pred[valid] == fo.truth.data[valid]).mean()))
 
     result = run_pipeline(manifest, overrides=FUSION_OVERRIDES, out_dir=scene_dir / "out")
     fused_acc = result.metrics[0]

@@ -23,9 +23,10 @@ from ..crf import (
     unary_from_probabilities,
 )
 from ..errors import ConfigError, InputError, VoxcrfError
+from ..metrics import ConfusionMatrix, accumulate, compute_metrics
 from .formats import load_unary, read_label_image, read_ppm, save_unary, write_label_image
 from .manifest import load_config_overrides, load_manifest
-from .runner import metrics_from_images, run_pipeline
+from .runner import load_frame, run_pipeline
 from .synthetic import default_scene_spec, generate_synthetic
 
 
@@ -100,8 +101,11 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     if len(args.images) % 2 != 0:
         raise ConfigError("metrics expects predicted/truth image pairs")
-    pairs = [(args.images[i], args.images[i + 1]) for i in range(0, len(args.images), 2)]
-    (pixel, mean, miu, fwiu), cm = metrics_from_images(pairs, args.labels)
+    cm = ConfusionMatrix(args.labels)
+    for pred_path, truth_path in zip(args.images[::2], args.images[1::2]):
+        pred = read_label_image(pred_path).validate(args.labels)
+        accumulate(cm, pred, read_label_image(truth_path))
+    pixel, mean, miu, fwiu = compute_metrics(cm)
     report = (
         f"pixel_accuracy={pixel:.6f}\nmean_accuracy={mean:.6f}\n"
         f"mean_iu={miu:.6f}\nfrequency_weighted_iu={fwiu:.6f}\n"
@@ -135,9 +139,7 @@ def _cmd_train_crf(args: argparse.Namespace) -> int:
     for record in records:
         if record.truth_path is None:
             raise InputError(f"frame {record.frame_id} has no truth labels")
-        rgb = read_ppm(record.rgb_path)
-        probs = load_unary(record.unary_path)
-        truth = read_label_image(record.truth_path)
+        _, rgb, probs, truth = load_frame(record, config.labels)
         dataset.append((rgb, probs, truth))
     params = train_crf_params(
         dataset,

@@ -40,8 +40,18 @@ PLY_PROPERTIES = [
 # ---------------------------------------------------------------------------
 
 
-def _read_netpbm_header(data: bytes, magic: bytes, path: str) -> tuple[int, int, int, int]:
-    """Parse magic, width, height, maxval; returns them plus the data offset."""
+# kind -> (magic, maxval, big-endian sample dtype, trailing channel axis)
+_NETPBM = {
+    "depth": (b"P5", 65535, np.dtype(">u2"), ()),
+    "label": (b"P5", 255, np.dtype(np.uint8), ()),
+    "color": (b"P6", 255, np.dtype(np.uint8), (3,)),
+}
+
+
+def _read_netpbm(path: str | Path, kind: str) -> np.ndarray:
+    """Parse magic, width, height and maxval, then the binary samples."""
+    magic, maxval, dtype, channels = _NETPBM[kind]
+    data = Path(path).read_bytes()
     if not data.startswith(magic):
         raise FormatError(f"{path}: expected {magic.decode()} magic")
     fields: list[int] = []
@@ -65,80 +75,55 @@ def _read_netpbm_header(data: bytes, magic: bytes, path: str) -> tuple[int, int,
             fields.append(int(token))
             pos = end
     pos += 1  # single whitespace after maxval
-    width, height, maxval = fields
+    width, height, found = fields
     if width <= 0 or height <= 0 or width * height > _MAX_PIXELS:
         raise FormatError(f"{path}: bad dimensions {width}x{height}")
-    return width, height, maxval, pos
+    if found != maxval:
+        raise FormatError(f"{path}: expected maxval {maxval}, got {found}")
+    shape = (height, width, *channels)
+    need = int(np.prod(shape)) * dtype.itemsize
+    if len(data) - pos < need:
+        raise FormatError(f"{path}: truncated pixel data")
+    samples = np.frombuffer(data[pos : pos + need], dtype=dtype).reshape(shape)
+    return samples.astype(dtype.newbyteorder("="))  # a writable native-order copy
+
+
+def _write_netpbm(path: str | Path, image: np.ndarray, kind: str) -> None:
+    magic, maxval, dtype, channels = _NETPBM[kind]
+    img = np.asarray(image)
+    if img.ndim != 2 + len(channels) or img.shape[2:] != channels:
+        form = "(H, W, 3)" if channels else "2-D"
+        raise FormatError(f"{kind} image must be {form}, got shape {img.shape}")
+    if img.min() < 0 or img.max() > maxval:
+        raise FormatError(f"{kind} values outside uint{8 * dtype.itemsize} range")
+    with open(path, "wb") as f:
+        f.write(magic + f"\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode())
+        f.write(img.astype(dtype).tobytes())
 
 
 def write_pgm16(path: str | Path, image: np.ndarray) -> None:
     """16-bit grayscale PGM, big-endian sample bytes."""
-    img = np.asarray(image)
-    if img.ndim != 2:
-        raise FormatError(f"depth image must be 2-D, got shape {img.shape}")
-    if img.min() < 0 or img.max() > 65535:
-        raise FormatError("depth values outside uint16 range")
-    h, w = img.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n65535\n".encode())
-        f.write(img.astype(">u2").tobytes())
+    _write_netpbm(path, image, "depth")
 
 
 def read_pgm16(path: str | Path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    w, h, maxval, off = _read_netpbm_header(data, b"P5", str(path))
-    if maxval != 65535:
-        raise FormatError(f"{path}: expected maxval 65535, got {maxval}")
-    need = w * h * 2
-    if len(data) - off < need:
-        raise FormatError(f"{path}: truncated pixel data")
-    return np.frombuffer(data[off : off + need], dtype=">u2").reshape(h, w).astype(np.uint16)
+    return _read_netpbm(path, "depth")
 
 
 def write_pgm8(path: str | Path, image: np.ndarray) -> None:
-    img = np.asarray(image)
-    if img.ndim != 2:
-        raise FormatError(f"label image must be 2-D, got shape {img.shape}")
-    if img.min() < 0 or img.max() > 255:
-        raise FormatError("label values outside uint8 range")
-    h, w = img.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(img.astype(np.uint8).tobytes())
+    _write_netpbm(path, image, "label")
 
 
 def read_pgm8(path: str | Path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    w, h, maxval, off = _read_netpbm_header(data, b"P5", str(path))
-    if maxval != 255:
-        raise FormatError(f"{path}: expected maxval 255, got {maxval}")
-    need = w * h
-    if len(data) - off < need:
-        raise FormatError(f"{path}: truncated pixel data")
-    return np.frombuffer(data[off : off + need], dtype=np.uint8).reshape(h, w).copy()
+    return _read_netpbm(path, "label")
 
 
 def write_ppm(path: str | Path, image: np.ndarray) -> None:
-    img = np.asarray(image)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise FormatError(f"color image must be (H, W, 3), got shape {img.shape}")
-    if img.min() < 0 or img.max() > 255:
-        raise FormatError("color values outside uint8 range")
-    h, w = img.shape[:2]
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode())
-        f.write(img.astype(np.uint8).tobytes())
+    _write_netpbm(path, image, "color")
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    w, h, maxval, off = _read_netpbm_header(data, b"P6", str(path))
-    if maxval != 255:
-        raise FormatError(f"{path}: expected maxval 255, got {maxval}")
-    need = w * h * 3
-    if len(data) - off < need:
-        raise FormatError(f"{path}: truncated pixel data")
-    return np.frombuffer(data[off : off + need], dtype=np.uint8).reshape(h, w, 3).copy()
+    return _read_netpbm(path, "color")
 
 
 def read_label_image(path: str | Path) -> LabelImage:
@@ -206,6 +191,8 @@ def write_ply(
     n = points.shape[0]
     if not (colors.shape[0] == hard_labels.shape[0] == confidences.shape[0] == n):
         raise FormatError("PLY arrays disagree in length")
+    if n and (hard_labels.min() < 0 or hard_labels.max() > 255):
+        raise FormatError("PLY labels outside the uchar range [0, 255]")
     with open(path, "w") as f:
         f.write("ply\nformat ascii 1.0\n")
         f.write(f"element vertex {n}\n")

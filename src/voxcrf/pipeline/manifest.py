@@ -28,7 +28,6 @@ import numpy as np
 from ..crf import CrfParams
 from ..errors import ConfigError, FormatError, InputError
 from ..projection import CameraIntrinsics, Pose
-from .labels import label_names, label_palette
 
 _POSE_FLOATS = 16
 
@@ -56,12 +55,10 @@ class PipelineConfig:
     voxel_resolution: float = 0.01
     min_observations: int = 1
     min_confidence: float = 0.0
-    label_names: list[str] = None
-    label_colors: np.ndarray = None
 
     def __post_init__(self):
-        if self.labels < 2:
-            raise ConfigError(f"label count must be >= 2, got {self.labels}")
+        if not 2 <= self.labels <= 255:  # 255 is IGNORE in 8-bit truth images
+            raise ConfigError(f"labels must be in [2, 255], got {self.labels}")
         self.crf.compatibility_for(self.labels)  # a given μ must be labels x labels
         if self.backend not in ("exact", "lattice"):
             raise ConfigError(f"unknown backend {self.backend!r}")
@@ -69,15 +66,6 @@ class PipelineConfig:
             raise ConfigError(f"voxel resolution must be positive, got {self.voxel_resolution}")
         if self.min_observations < 0 or self.min_confidence < 0:
             raise ConfigError("extraction thresholds must be >= 0")
-        if self.label_names is None:
-            self.label_names = label_names(self.labels)
-        if self.label_colors is None:
-            self.label_colors = label_palette(self.labels)
-        self.label_colors = np.ascontiguousarray(self.label_colors, dtype=np.uint8)
-        if len(self.label_names) != self.labels or self.label_colors.shape != (self.labels, 3):
-            raise ConfigError(
-                f"name/color tables must have exactly {self.labels} entries"
-            )
 
 
 def _real(value) -> float:
@@ -266,8 +254,6 @@ def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
         crf_updates["kernel_weights"] = config.crf.kernel_weights.copy()
         for index, value in weights.items():
             crf_updates["kernel_weights"][index] = value
-    if "labels" in config_updates:
-        config_updates.update(label_names=None, label_colors=None)
     return replace(config, crf=replace(config.crf, **crf_updates), **config_updates)
 
 

@@ -1,9 +1,15 @@
-"""Pipeline orchestration: per-frame refinement and projection, map fusion,
-artifact emission (PLY, metrics report, timing summary)."""
+"""Pipeline orchestration: frame loading, per-frame refinement and
+projection, map fusion, artifact emission (PLY, metrics report, timing
+summary).
+
+:func:`load_frame` is the one reader of a manifest frame; ``fuse`` (through
+:func:`run_frame`) and ``train-crf`` both see a frame exactly as it returns
+it, every input on the depth grid."""
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -11,6 +17,7 @@ import numpy as np
 
 from ..crf import (
     LabelDistributionImage,
+    LabelImage,
     build_features,
     mean_field_infer,
     reuse_plan,
@@ -20,7 +27,6 @@ from ..errors import InputError, VoxcrfError
 from ..filtering import FilterPlan
 from ..fusion import VoxelMap, extract_map, integrate_cloud
 from ..metrics import (
-    ConfusionMatrix,
     EvalFrame,
     FusedEvalResult,
     compute_metrics,
@@ -30,17 +36,17 @@ from ..metrics import (
 )
 from ..projection import SemanticPointCloud, back_project, make_semantic_cloud, transform_cloud
 from .formats import load_unary, read_label_image, read_pgm16, read_ppm, write_ply
+from .labels import label_names
 from .manifest import FrameRecord, PipelineConfig, apply_overrides, load_manifest
 from .resample import resample_labels, resample_probabilities, resample_rgb
 
 
 @dataclass
 class FrameOutput:
-    record: FrameRecord
     q: LabelDistributionImage
     cloud: SemanticPointCloud  # world frame
     depth: np.ndarray
-    rgb: np.ndarray
+    truth: LabelImage | None  # on the depth grid
     spatial_plan: FilterPlan  # reusable by the next frame of the same size
 
 
@@ -54,6 +60,40 @@ class PipelineResult:
     outputs: dict[str, str] = field(default_factory=dict)
 
 
+@contextmanager
+def _frame_errors(record: FrameRecord):
+    """Prefix the frame id to a voxcrf or file-system error raised inside."""
+    try:
+        yield
+    except VoxcrfError as e:
+        raise type(e)(f"frame {record.frame_id}: {e}") from e
+    except OSError as e:
+        raise InputError(f"frame {record.frame_id}: {e}") from e
+
+
+def load_frame(
+    record: FrameRecord, labels: int
+) -> tuple[np.ndarray, np.ndarray, LabelDistributionImage, LabelImage | None]:
+    """(depth, rgb, unary probabilities, truth or None) of one frame, all on
+    the depth grid.
+
+    Geometry is defined by the depth image: the RGB image and the unary
+    resample to it bilinearly, the truth by nearest neighbor.  The unary
+    must have ``labels`` labels and the truth ids must lie in [0, labels)
+    or be IGNORE; errors name the frame."""
+    with _frame_errors(record):
+        rgb = read_ppm(record.rgb_path)
+        depth = read_pgm16(record.depth_path)
+        probs = load_unary(record.unary_path)
+        if probs.labels != labels:
+            raise InputError(f"unary has {probs.labels} labels, config expects {labels}")
+        h, w = depth.shape
+        truth = None
+        if record.truth_path is not None:
+            truth = resample_labels(read_label_image(record.truth_path), h, w).validate(labels)
+        return depth, resample_rgb(rgb, h, w), resample_probabilities(probs, h, w), truth
+
+
 def run_frame(
     record: FrameRecord, config: PipelineConfig, spatial_plan: FilterPlan | None = None
 ) -> FrameOutput:
@@ -62,18 +102,8 @@ def run_frame(
 
     ``spatial_plan`` (from an earlier frame) is used when it was built on
     this frame's spatial features; otherwise a new one is built."""
-    try:
-        rgb = read_ppm(record.rgb_path)
-        depth = read_pgm16(record.depth_path)
-        probs = load_unary(record.unary_path)
-        if probs.labels != config.labels:
-            raise InputError(
-                f"unary has {probs.labels} labels, config expects {config.labels}"
-            )
-        # geometry is defined by the depth grid; other inputs resample to it
-        h, w = depth.shape
-        probs = resample_probabilities(probs, h, w)
-        rgb = resample_rgb(rgb, h, w)
+    depth, rgb, probs, truth = load_frame(record, config.labels)
+    with _frame_errors(record):
         unary = unary_from_probabilities(probs)
         features = build_features(rgb, config.crf)
         held = () if spatial_plan is None else (spatial_plan,)
@@ -82,13 +112,8 @@ def run_frame(
             unary, features, config.crf, config.backend, plans=(None, spatial_plan)
         )
         points, valid = back_project(depth, config.intrinsics)
-        cloud = make_semantic_cloud(points, valid, q, rgb, record.frame_id)
-        cloud = transform_cloud(cloud, record.pose)
-        return FrameOutput(record, q, cloud, depth, rgb, spatial_plan)
-    except VoxcrfError as e:
-        raise type(e)(f"frame {record.frame_id}: {e}") from e
-    except OSError as e:
-        raise InputError(f"frame {record.frame_id}: {e}") from e
+        cloud = transform_cloud(make_semantic_cloud(points, valid, q, rgb), record.pose)
+    return FrameOutput(q, cloud, depth, truth, spatial_plan)
 
 
 def run_pipeline(
@@ -100,9 +125,9 @@ def run_pipeline(
     """Process every manifest frame in order, fuse into a global voxel map,
     and emit PLY / metrics / summary artifacts to ``out_dir``.
 
-    Truth images resample to their frame's depth grid by nearest neighbor.
-    The spatial filter plan depends only on the frame size and θγ, so it is
-    kept from frame to frame and rebuilt only when the size changes."""
+    Frames with truth are evaluated against the fused map.  The spatial
+    filter plan depends only on the frame size and θγ, so it is kept from
+    frame to frame and rebuilt only when the size changes."""
     records, config = load_manifest(manifest_path)
     if overrides:
         config = apply_overrides(config, overrides)
@@ -127,10 +152,9 @@ def run_pipeline(
         t2 = time.perf_counter()
         timings["load+crf+project"] += t1 - t0
         timings["integrate"] += t2 - t1
-        if record.truth_path is not None:
-            truth = resample_labels(read_label_image(record.truth_path), *frame.depth.shape)
+        if frame.truth is not None:
             eval_frames.append(
-                EvalFrame(truth, frame.depth, config.intrinsics, record.pose)
+                EvalFrame(frame.truth, frame.depth, config.intrinsics, record.pose)
             )
         if per_frame_ply:
             hard, conf = frame.cloud.compact()
@@ -153,7 +177,7 @@ def run_pipeline(
             report = format_report(*metrics_tuple, coverage=coverage)
             (out / "metrics.txt").write_text(report)
             (out / "metrics_per_class.csv").write_text(
-                per_class_rows(result.cm, config.label_names)
+                per_class_rows(result.cm, label_names(config.labels))
             )
             outputs["metrics"] = str(out / "metrics.txt")
             outputs["metrics_per_class"] = str(out / "metrics_per_class.csv")
@@ -186,18 +210,3 @@ def run_pipeline(
     outputs["summary"] = str(out / "summary.txt")
 
     return PipelineResult(vmap, len(records), timings, metrics_tuple, coverage, outputs)
-
-
-def metrics_from_images(
-    pairs: list[tuple[str, str]], labels: int
-) -> tuple[tuple[float, float, float, float], ConfusionMatrix]:
-    """Accumulate predicted/truth label-image files into one matrix."""
-    cm = ConfusionMatrix(labels)
-    from ..metrics import accumulate
-
-    for pred_path, truth_path in pairs:
-        pred = read_label_image(pred_path)
-        truth = read_label_image(truth_path)
-        pred.validate(labels)
-        accumulate(cm, pred, truth)
-    return compute_metrics(cm), cm

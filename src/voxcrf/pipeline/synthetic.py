@@ -59,6 +59,8 @@ class SyntheticSceneSpec:
     depth_scale: float = 0.001
 
     def __post_init__(self):
+        if not 2 <= self.label_count <= 255:  # 255 is IGNORE in the truth images
+            raise ConfigError(f"label count must be in [2, 255], got {self.label_count}")
         room = np.asarray(self.room, dtype=np.float64)
         if room.shape != (3,) or np.any(room <= 0):
             raise ConfigError(f"room extents must be 3 positive reals, got {self.room}")
@@ -314,7 +316,7 @@ def generate_synthetic(spec: SyntheticSceneSpec, out_dir: str | Path) -> Path:
         write_ppm(out / "rgb" / f"{fid}.ppm", rgb)
         write_pgm16(out / "depth" / f"{fid}.pgm", raw)
         save_unary(out / "unary" / f"{fid}.unry", unary)
-        write_pgm8(out / "truth" / f"{fid}.pgm", labels.astype(np.uint8))
+        write_pgm8(out / "truth" / f"{fid}.pgm", labels)
         pose_str = " ".join("%.17g" % v for v in pose.reshape(-1))
         lines.append(
             f"{fid} rgb/{fid}.ppm depth/{fid}.pgm unary/{fid}.unry truth/{fid}.pgm {pose_str}"

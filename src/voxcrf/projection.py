@@ -67,7 +67,6 @@ class SemanticPointCloud:
     points: np.ndarray  # (N, 3) float64, meters
     colors: np.ndarray  # (N, 3) uint8
     label_dists: np.ndarray  # (N, L) float64
-    frame_id: str = ""
 
     def __post_init__(self):
         self.points = np.ascontiguousarray(self.points, dtype=np.float64).reshape(-1, 3)
@@ -124,7 +123,6 @@ def make_semantic_cloud(
     valid: np.ndarray,
     q: LabelDistributionImage,
     rgb: np.ndarray,
-    frame_id: str = "",
 ) -> SemanticPointCloud:
     """One point per valid depth pixel, in row-major pixel order, carrying the
     pixel's marginal distribution and color."""
@@ -143,7 +141,6 @@ def make_semantic_cloud(
         points.reshape(-1, 3)[mask],
         np.clip(rgb.reshape(-1, 3)[mask], 0, 255).astype(np.uint8),
         q.data[mask],
-        frame_id,
     )
 
 
@@ -151,6 +148,4 @@ def transform_cloud(cloud: SemanticPointCloud, pose: Pose) -> SemanticPointCloud
     """Rigidly map point positions; labels and colors are untouched."""
     r = pose.matrix[:3, :3]
     t = pose.matrix[:3, 3]
-    return SemanticPointCloud(
-        cloud.points @ r.T + t, cloud.colors, cloud.label_dists, cloud.frame_id
-    )
+    return SemanticPointCloud(cloud.points @ r.T + t, cloud.colors, cloud.label_dists)

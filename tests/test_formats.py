@@ -155,3 +155,30 @@ def test_ply_strict_reader_rejects_surprises(tmp_path):
     path.write_text("not a ply\n")
     with pytest.raises(FormatError):
         read_ply(path)
+
+
+@pytest.mark.parametrize("label", [-1, 256])
+def test_ply_writer_rejects_labels_outside_uchar(tmp_path, label):
+    # the label property is a uchar; read_ply would accept the wider text
+    path = tmp_path / "c.ply"
+    with pytest.raises(FormatError, match="label"):
+        write_ply(path, np.zeros((2, 3)), np.zeros((2, 3), np.uint8), [0, label], [1.0, 1.0])
+    assert not path.exists()
+
+
+def test_netpbm_writers_pin_header_and_sample_bytes(tmp_path):
+    path = tmp_path / "x"
+    cases = [
+        (write_pgm16, [[1, 0x0102]], b"P5\n2 1\n65535\n\x00\x01\x01\x02"),
+        (write_pgm8, [[7, 255]], b"P5\n2 1\n255\n\x07\xff"),
+        (write_ppm, [[[1, 2, 3]]], b"P6\n1 1\n255\n\x01\x02\x03"),
+    ]
+    for write, image, expected in cases:
+        write(path, np.array(image))
+        assert path.read_bytes() == expected
+    for write, image in [(write_pgm16, [[65536]]), (write_pgm8, [[256]]), (write_ppm, [[[0, 0, -1]]])]:
+        with pytest.raises(FormatError, match="outside"):
+            write(path, np.array(image))
+    for write, shape in [(write_pgm16, (3,)), (write_pgm8, (2, 2, 1)), (write_ppm, (2, 2))]:
+        with pytest.raises(FormatError, match="must be"):
+            write(path, np.zeros(shape))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,7 @@ _BAD_VALUES = [
     ("kernel_weights", 5.0),
     ("kernel_weights", [5.0, "3"]),
     ("compatibility", [[0.0, 1.0], [1.0]]),
+    ("labels", 256),  # 255 is IGNORE in 8-bit truth images, PLY labels are uchar
 ]
 
 
@@ -167,6 +169,7 @@ def test_config_bad_value_names_the_key(scene, tmp_path, capsys, key, value):
         "fy=-2",
         "depth_scale=0",
         "labels=1",
+        "labels=256",
         "voxel_resolution=0",
         "backend=magic",
     ],
@@ -226,6 +229,9 @@ def test_spec_validation():
     for jitter in (-1.0, float("nan"), float("inf")):  # once flat shading, silently
         with pytest.raises(ConfigError, match="jitter"):
             small_spec(jitter=jitter)
+    for label_count in (1, 256):  # 256 once wrapped truth ids to 0 in the uint8 files
+        with pytest.raises(ConfigError, match="label count"):
+            small_spec(label_count=label_count)
 
 
 def test_noiseless_unary_argmax_equals_truth(scene):
@@ -678,3 +684,58 @@ def test_cli_segment_energy_report(tmp_path, scene, capsys):
     # the refined labeling should not have higher energy than the raw argmax
     values = dict(line.split("=") for line in text.strip().splitlines())
     assert float(values["energy_map"]) <= float(values["energy_unary_argmax"]) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the one frame loader
+# ---------------------------------------------------------------------------
+
+
+def _train(manifest, out):
+    return cli_main(["train-crf", "--manifest", str(manifest), "--epochs", "1", "--out", str(out)])
+
+
+def test_train_crf_sees_frames_on_the_depth_grid(tmp_path):
+    from voxcrf.crf import LabelImage
+    from voxcrf.pipeline.formats import read_ppm, write_label_image, write_ppm
+    from voxcrf.pipeline.resample import resample_labels, resample_rgb
+
+    spec = small_spec(frame_count=2, noise=0.2)  # 48x36 depth
+    for name in ("a", "b"):
+        records, _ = load_manifest(generate_synthetic(spec, tmp_path / name))
+        for rec in records:
+            truth = read_label_image(rec.truth_path)
+            grid = truth.data.reshape(truth.height, truth.width)[::2, ::2]
+            truth = LabelImage(grid.shape[0], grid.shape[1], grid.reshape(-1))  # 24x18
+            rgb = np.repeat(np.repeat(read_ppm(rec.rgb_path), 2, axis=0), 2, axis=1)  # 96x72
+            if name == "b":  # scene a's inputs, already on the depth grid
+                truth = resample_labels(truth, spec.height, spec.width)
+                rgb = resample_rgb(rgb, spec.height, spec.width)
+            write_label_image(rec.truth_path, truth)
+            write_ppm(rec.rgb_path, rgb)
+        assert _train(tmp_path / name / "manifest.txt", tmp_path / f"{name}.json") == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "header, truth_id, message",
+    [
+        ("labels=23", None, "frame0000: unary has 6 labels, config expects 23"),
+        ("labels=6", 7, r"frame0000: label id out of range \[0, 6\)"),
+    ],
+    ids=["unary-label-count", "truth-id"],
+)
+def test_train_crf_frame_errors_name_the_frame_once(tmp_path, capsys, header, truth_id, message):
+    boxes = [MaterialBox((0.9, 0.9, 0.10), (2.3, 1.7, 0.72), 5)]
+    manifest = generate_synthetic(small_spec(label_count=6, boxes=boxes), tmp_path / "s")
+    manifest.write_text(manifest.read_text().replace("labels=6", header))
+    if truth_id is not None:
+        from voxcrf.pipeline.formats import write_pgm8
+
+        records, _ = load_manifest(manifest)
+        write_pgm8(records[0].truth_path, np.full((36, 48), truth_id))
+    assert _train(manifest, tmp_path / "p.json") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and err[0].count("frame0000") == 1
+    assert re.search(message, err[0])
+    assert not (tmp_path / "p.json").exists()
