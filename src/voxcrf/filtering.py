@@ -29,9 +29,10 @@ Lattice messages are a ratio of lattice outputs, which cancels the smoothly
 varying splat/blur/slice leakage.  Points with little neighbor mass (below
 a dimension-dependent threshold) are where that cancellation degrades —
 much of their true kernel mass sits in the Gaussian mid-tail, outside the
-lattice's compact support — so these starved points take exact sparse
-kernel rows over their 7-sigma feature neighborhood (the truncation error
-is below exp(-24.5)).  On image-like inputs they are a small fraction.
+lattice's compact support — so these starved points, worst first while their
+7-sigma ball sizes sum to under FALLBACK_NNZ_LIMIT, take exact sparse kernel
+rows (truncation below exp(-24.5)); scipy counts the balls and enumerates
+only the kept pairs, so memory follows the kept entries, not every ball.
 """
 
 from __future__ import annotations
@@ -154,21 +155,20 @@ class FilterPlan:
         )
         starved = np.flatnonzero(raw < threshold)
         if len(starved):
-            # worst points first, in case the sparse-row budget runs out
+            # worst points first keep exact rows while their balls fit the budget
             starved = starved[np.argsort(raw[starved], kind="stable")]
             tree = cKDTree(self.features)
-            balls = tree.query_ball_point(self.features[starved], r=FALLBACK_RADIUS)
-            lens = np.array([len(b) for b in balls])
-            kept = np.searchsorted(np.cumsum(lens), FALLBACK_NNZ_LIMIT)
-            order = np.argsort(starved[:kept])  # F rows in point order
-            starved, balls, lens = starved[order], balls[order], lens[order]
-            cols = np.fromiter((j for b in balls for j in b), np.int64, int(lens.sum()))
-            rows = np.repeat(np.arange(len(starved)), lens)
-            keep = cols != starved[rows]  # self term handled analytically
-            rows, cols = rows[keep], cols[keep]
+            lens = tree.query_ball_point(self.features[starved], FALLBACK_RADIUS, return_length=True)
+            starved = np.sort(starved[: np.searchsorted(np.cumsum(lens), FALLBACK_NNZ_LIMIT)])
+            pairs = cKDTree(self.features[starved]).sparse_distance_matrix(
+                tree, FALLBACK_RADIUS, output_type="ndarray"
+            )
+            pairs = pairs[pairs["j"] != starved[pairs["i"]]]  # self term is analytic
+            rows, cols = pairs["i"], pairs["j"]
             diff = self.features[starved[rows]] - self.features[cols]
             vals = np.exp(-0.5 * np.einsum("nd,nd->n", diff, diff))
             fallback = sparse.csr_matrix((vals, (rows, cols)), (len(starved), self.n))
+            fallback.sort_indices()  # row sums and products run in column order
             raw[starved] = np.asarray(fallback.sum(axis=1)).ravel()
             self._starved = starved
         self.normalizers = np.maximum(raw, NORMALIZER_FLOOR)

@@ -25,6 +25,9 @@ from .errors import InputError
 from .fusion import VoxelMap, voxel_keys
 from .projection import CameraIntrinsics, Pose, back_project
 
+# the names of compute_metrics' four values in every report
+METRIC_NAMES = ("pixel_accuracy", "mean_accuracy", "mean_iu", "frequency_weighted_iu")
+
 
 @dataclass
 class ConfusionMatrix:
@@ -145,18 +148,11 @@ def evaluate_fused_map(vmap: VoxelMap, frames: list[EvalFrame]) -> FusedEvalResu
     return FusedEvalResult(cm, hits, missing)
 
 
-def format_report(
-    pixel_acc: float, mean_acc: float, mean_iu: float, fw_iu: float, **extra: float
-) -> str:
-    """Flat key-value metrics report."""
-    lines = [
-        f"pixel_accuracy={pixel_acc:.6f}",
-        f"mean_accuracy={mean_acc:.6f}",
-        f"mean_iu={mean_iu:.6f}",
-        f"frequency_weighted_iu={fw_iu:.6f}",
-    ]
-    lines.extend(f"{key}={value:.6f}" for key, value in extra.items())
-    return "\n".join(lines) + "\n"
+def format_report(*metrics: float, **extra: float) -> str:
+    """Flat ``name=value`` report of compute_metrics' four values, then the
+    extras."""
+    pairs = [*zip(METRIC_NAMES, metrics, strict=True), *extra.items()]
+    return "".join(f"{key}={value:.6f}\n" for key, value in pairs)
 
 
 def per_class_rows(cm: ConfusionMatrix, names: list[str] | None = None) -> str:

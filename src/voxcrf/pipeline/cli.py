@@ -23,7 +23,7 @@ from ..crf import (
     unary_from_probabilities,
 )
 from ..errors import ConfigError, InputError, VoxcrfError
-from ..metrics import ConfusionMatrix, accumulate, compute_metrics
+from ..metrics import ConfusionMatrix, accumulate, compute_metrics, format_report
 from .formats import load_unary, read_label_image, read_ppm, save_unary, write_label_image
 from .manifest import load_config_overrides, load_manifest
 from .runner import load_frame, run_pipeline
@@ -105,11 +105,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     for pred_path, truth_path in zip(args.images[::2], args.images[1::2]):
         pred = read_label_image(pred_path).validate(args.labels)
         accumulate(cm, pred, read_label_image(truth_path))
-    pixel, mean, miu, fwiu = compute_metrics(cm)
-    report = (
-        f"pixel_accuracy={pixel:.6f}\nmean_accuracy={mean:.6f}\n"
-        f"mean_iu={miu:.6f}\nfrequency_weighted_iu={fwiu:.6f}\n"
-    )
+    report = format_report(*compute_metrics(cm))
     if args.out:
         Path(args.out).write_text(report)
     print(report, end="")

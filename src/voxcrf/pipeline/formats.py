@@ -12,6 +12,7 @@ uchar, label uchar and confidence float per vertex.
 from __future__ import annotations
 
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -191,8 +192,10 @@ def write_ply(
     n = points.shape[0]
     if not (colors.shape[0] == hard_labels.shape[0] == confidences.shape[0] == n):
         raise FormatError("PLY arrays disagree in length")
-    if n and (hard_labels.min() < 0 or hard_labels.max() > 255):
-        raise FormatError("PLY labels outside the uchar range [0, 255]")
+    for name, column in (("colors", colors), ("labels", hard_labels)):
+        # written truncated to an integer, so [0, 256) is the uchar range
+        if n and not (column.min() >= 0 and column.max() < 256):
+            raise FormatError(f"PLY {name} outside the uchar range [0, 255]")
     with open(path, "w") as f:
         f.write("ply\nformat ascii 1.0\n")
         f.write(f"element vertex {n}\n")
@@ -211,43 +214,40 @@ def write_ply(
 
 
 def read_ply(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Strict reader for the PLY layout produced by :func:`write_ply`."""
-    lines = Path(path).read_text().splitlines()
-    if len(lines) < 3 or lines[0] != "ply" or lines[1] != "format ascii 1.0":
-        raise FormatError(f"{path}: not an ascii PLY file")
+    """Strict reader for the PLY layout produced by :func:`write_ply`: any
+    other header line, a vertex row that is not 8 numbers, or a uchar value
+    that is not an integer in [0, 255] raises ``FormatError``."""
+    header: list[list[str]] = []
+    with open(path, encoding="ascii") as f:
+        try:
+            for line in iter(f.readline, ""):
+                header.append(line.split())
+                if header[-1] == ["end_header"]:
+                    break
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns on an empty body
+                table = np.loadtxt(f, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError as e:  # UnicodeDecodeError included
+            raise FormatError(f"{path}: {e}") from e
+    if header[:2] != [["ply"], ["format", "ascii", "1.0"]] or header[-1] != ["end_header"]:
+        raise FormatError(f"{path}: not an ascii PLY file with a complete header")
     count = None
     props: list[tuple[str, str]] = []
-    body_start = None
-    for i, line in enumerate(lines[2:], start=2):
-        if line.startswith("element vertex "):
-            count = int(line.split()[2])
-        elif line.startswith("element "):
-            raise FormatError(f"{path}: unexpected element {line!r}")
-        elif line.startswith("property "):
-            _, typ, name = line.split()
-            props.append((typ, name))
-        elif line == "end_header":
-            body_start = i + 1
-            break
-        elif line.startswith("comment"):
-            continue
-    if count is None or body_start is None:
-        raise FormatError(f"{path}: incomplete header")
-    if props != PLY_PROPERTIES:
-        raise FormatError(f"{path}: unexpected vertex properties {props}")
-    body = [ln for ln in lines[body_start:] if ln.strip()]
-    if len(body) != count:
-        raise FormatError(f"{path}: {len(body)} vertex rows, header declares {count}")
-    points = np.empty((count, 3))
-    colors = np.empty((count, 3), dtype=np.uint8)
-    hard = np.empty(count, dtype=np.int64)
-    conf = np.empty(count)
-    for i, ln in enumerate(body):
-        parts = ln.split()
-        if len(parts) != 8:
-            raise FormatError(f"{path}: vertex row {i} has {len(parts)} fields")
-        points[i] = [float(parts[0]), float(parts[1]), float(parts[2])]
-        colors[i] = [int(parts[3]), int(parts[4]), int(parts[5])]
-        hard[i] = int(parts[6])
-        conf[i] = float(parts[7])
-    return points, colors, hard, conf
+    for number, words in enumerate(header[2:-1], start=3):
+        if words[:2] == ["element", "vertex"] and len(words) == 3 and words[2].isdigit():
+            count = int(words[2])
+        elif words[:1] == ["property"] and len(words) == 3:
+            props.append((words[1], words[2]))
+        elif words[:1] != ["comment"]:
+            raise FormatError(f"{path}: line {number}: unexpected header line {words}")
+    if count is None or props != PLY_PROPERTIES:
+        raise FormatError(f"{path}: header has vertex count {count}, properties {props}")
+    if table.size == 0:
+        table = table.reshape(0, 8)
+    if table.shape != (count, 8):
+        raise FormatError(f"{path}: vertex table is {table.shape}, header declares ({count}, 8)")
+    uchar = table[:, 3:7]
+    if not np.all((uchar >= 0) & (uchar <= 255) & (uchar == np.floor(uchar))):
+        raise FormatError(f"{path}: a color or label is not an integer in [0, 255]")
+    points = np.ascontiguousarray(table[:, :3])
+    return points, uchar[:, :3].astype(np.uint8), uchar[:, 3].astype(np.int64), table[:, 7].copy()

@@ -27,6 +27,7 @@ from ..errors import InputError, VoxcrfError
 from ..filtering import FilterPlan
 from ..fusion import VoxelMap, extract_map, integrate_cloud
 from ..metrics import (
+    METRIC_NAMES,
     EvalFrame,
     FusedEvalResult,
     compute_metrics,
@@ -204,8 +205,7 @@ def run_pipeline(
     if coverage is not None:
         summary_lines.append(f"coverage={coverage:.6f}")
     if metrics_tuple is not None:
-        names = ("pixel_accuracy", "mean_accuracy", "mean_iu", "frequency_weighted_iu")
-        summary_lines += [f"{n}={v:.6f}" for n, v in zip(names, metrics_tuple)]
+        summary_lines += [f"{n}={v:.6f}" for n, v in zip(METRIC_NAMES, metrics_tuple)]
     (out / "summary.txt").write_text("\n".join(summary_lines) + "\n")
     outputs["summary"] = str(out / "summary.txt")
 

@@ -36,6 +36,8 @@ class Pose:
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.matrix, dtype=np.float64)
+        if not np.all(np.isfinite(m)):  # NaN would pass every tolerance check below
+            raise InputError("pose entries must be finite")
         if m.shape != (4, 4):
             raise InputError(f"pose must be 4x4, got {m.shape}")
         object.__setattr__(self, "matrix", m)

@@ -232,6 +232,46 @@ def test_plan_counters(rng):
             setattr(grid, name, 1)
 
 
+def test_fallback_memory_follows_the_budget(monkeypatch):
+    """Frame 0 of a strongly textured scene starves many points.  The plan
+    build allocates for the fallback entries the budget keeps, not for every
+    starved point's 7-sigma ball."""
+    import tracemalloc
+
+    from voxcrf import filtering
+    from voxcrf.crf import CrfParams, build_features
+    from voxcrf.lattice import PermutohedralLattice
+    from voxcrf.pipeline.labels import label_palette
+    from voxcrf.pipeline.synthetic import (
+        default_scene_spec,
+        orbit_poses,
+        render_frame,
+        shade_labels,
+    )
+
+    spec = default_scene_spec(width=80, height=60, jitter=60.0)
+    _, labels = render_frame(spec, orbit_poses(spec)[0])
+    palette = label_palette(spec.label_count)
+    rgb = shade_labels(labels, palette, spec.jitter, np.random.default_rng(spec.seed))
+    feats = build_features(rgb, CrfParams()).bilateral
+    lat = PermutohedralLattice(feats)
+    mass = lat.filter(np.ones(len(feats))) - lat.diagonal
+    under = np.count_nonzero(mass < filtering.STARVED_THRESHOLD_HIGH_DIM)
+    del lat, mass
+
+    limit = 1 << 16
+    monkeypatch.setattr(filtering, "FALLBACK_NNZ_LIMIT", limit)
+    tracemalloc.start()
+    try:
+        plan = plan_filter(feats, "lattice")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < plan.starved < under
+    assert plan.fallback_nnz < limit
+    assert peak < 32 << 20, f"plan build peaked at {peak / 2**20:.1f} MiB"
+
+
 def _dense_numerator(plan):
     """The numerator matrix M of ``plan`` built from its parts: the exact
     self-excluded kernel, or the lattice filter of the identity minus the
@@ -239,7 +279,9 @@ def _dense_numerator(plan):
     over the FALLBACK_RADIUS ball.  The lattice is built here from the
     plan's features (the plan keeps only its pre-scaled copy), and starved
     rows are found from the neighbor-mass thresholds, independently of the
-    plan."""
+    plan: of the points under the threshold, the prefix in order of
+    increasing mass whose ball sizes (self included) sum to under
+    FALLBACK_NNZ_LIMIT.  The returned rows are those exact rows."""
     from voxcrf import filtering
     from voxcrf.lattice import PermutohedralLattice
 
@@ -257,9 +299,13 @@ def _dense_numerator(plan):
         if plan.dim >= 3
         else filtering.STARVED_THRESHOLD_LOW_DIM
     )
-    starved = np.flatnonzero(lat.filter(np.ones(plan.n)) - lat.diagonal < threshold)
-    near = dist2[starved] <= filtering.FALLBACK_RADIUS**2
-    m[starved] = np.where(near, kernel[starved], 0.0)
+    mass = lat.filter(np.ones(plan.n)) - lat.diagonal
+    near = dist2 <= filtering.FALLBACK_RADIUS**2
+    worst_first = np.flatnonzero(mass < threshold)
+    worst_first = worst_first[np.argsort(mass[worst_first], kind="stable")]
+    fits = np.cumsum(near[worst_first].sum(axis=1)) < filtering.FALLBACK_NNZ_LIMIT
+    starved = np.sort(worst_first[fits])
+    m[starved] = np.where(near[starved], kernel[starved], 0.0)
     return m, starved
 
 
@@ -272,17 +318,34 @@ def _oracle_features(kind, rng):
         return grid
     if kind == "lattice_grid_outliers":  # outliers have no neighbor mass
         return np.vstack([grid, rng.uniform(8.0, 20.0, (6, 2))])
-    return rng.uniform(0, 5, (40, 3))  # "lattice_sparse_3d": every point starved
+    return rng.uniform(0, 5, (40, 3))  # "lattice_sparse_3d*": every point starved
 
 
 @pytest.mark.parametrize(
-    "kind", ["exact", "lattice_grid", "lattice_grid_outliers", "lattice_sparse_3d"]
+    "kind",
+    [
+        "exact",
+        "lattice_grid",
+        "lattice_grid_outliers",
+        "lattice_sparse_3d",
+        "lattice_sparse_3d_budget",  # the budget keeps exact rows for some points
+    ],
 )
-def test_apply_and_adjoint_match_dense_numerator(kind, rng):
+def test_apply_and_adjoint_match_dense_numerator(kind, rng, monkeypatch):
+    from voxcrf import filtering
+
+    if kind == "lattice_sparse_3d_budget":
+        monkeypatch.setattr(filtering, "FALLBACK_NNZ_LIMIT", 400)
     backend = "exact" if kind == "exact" else "lattice"
     plan = plan_filter(_oracle_features(kind, rng), backend)
     m, starved = _dense_numerator(plan)
     np.testing.assert_array_equal(plan._starved, starved)
+    if kind == "lattice_sparse_3d_budget":
+        # a worst-first prefix: some points past the budget keep lattice rows
+        assert 0 < plan.starved < plan.n
+        assert plan.fallback_nnz == np.count_nonzero(m[starved]) < 400
+        kept_rows = plan._fallback.toarray() * plan.normalizers[starved, None]
+        assert np.abs(kept_rows - m[starved]).max() < 1e-12
     if kind in ("lattice_grid_outliers", "lattice_sparse_3d"):
         assert plan.starved > 0
     if kind == "lattice_grid_outliers":

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -128,6 +129,9 @@ def test_ply_round_trip(tmp_path, rng):
     assert np.array_equal(c2, colors)
     assert np.array_equal(l2, labels)
     assert np.abs(f2 - conf).max() < 1e-6
+    assert [a.dtype for a in (p2, c2, l2, f2)] == [np.float64, np.uint8, np.int64, np.float64]
+    write_ply(path, points[:0], colors[:0], labels[:0], conf[:0])
+    assert [a.shape for a in read_ply(path)] == [(0, 3), (0, 3), (0,), (0,)]
 
 
 @pytest.mark.parametrize("n", [0, 1, 257])
@@ -157,9 +161,53 @@ def test_ply_strict_reader_rejects_surprises(tmp_path):
         read_ply(path)
 
 
+_ROW = "0 0 0 0 0 0 0 1\n"  # write_ply's one-vertex row below
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (_ROW, "0 0 0 0 0 0 280 1\n"),  # label above the uchar range
+        (_ROW, "0 0 0 0 0 0 -3 1\n"),  # negative label
+        (_ROW, "0 0 0 0 0 300 0 1\n"),  # blue above the uchar range
+        (_ROW, "0 0 0 3.5 0 0 0 1\n"),  # fractional red
+        (_ROW, "0 0 0 0 0 0 nan 1\n"),
+        (_ROW, "0 0 0 0 0 0 0\n"),  # 7 fields
+        (_ROW, "0 0 0 0 0 0 0 1 0\n"),  # 9 fields
+        (_ROW, "0 0 0 0 0 0 0 x\n"),
+        (_ROW, "# 0 0 0 0 0 0 0 1\n"),
+        (_ROW, "0 0 0 0 0 0 0 1\u00e9\n"),  # not ascii
+        ("element vertex 1", "element vertex x"),
+        ("element vertex 1", "element vertex -1"),
+        ("element vertex 1", "element face 1"),
+        ("property float x", "property float"),
+        ("end_header", "header_end"),
+        ("end_header", "obj_info made by hand\nend_header"),
+    ],
+)
+def test_ply_strict_reader_rejects_hand_edits(tmp_path, old, new):
+    path = tmp_path / "cloud.ply"
+    write_ply(path, np.zeros((1, 3)), np.zeros((1, 3), np.uint8), [0], [1.0])
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_bytes(text.replace(old, new).encode("utf-8"))
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        read_ply(path)
+
+
+@pytest.mark.parametrize("color", [-1, 256, 300, np.nan])
+def test_ply_writer_rejects_colors_outside_uchar(tmp_path, color):
+    path = tmp_path / "c.ply"
+    colors = np.zeros((2, 3))
+    colors[1, 2] = color
+    with pytest.raises(FormatError, match="colors"):
+        write_ply(path, np.zeros((2, 3)), colors, [0, 1], [1.0, 1.0])
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("label", [-1, 256])
 def test_ply_writer_rejects_labels_outside_uchar(tmp_path, label):
-    # the label property is a uchar; read_ply would accept the wider text
+    # the label property is a uchar
     path = tmp_path / "c.ply"
     with pytest.raises(FormatError, match="label"):
         write_ply(path, np.zeros((2, 3)), np.zeros((2, 3), np.uint8), [0, label], [1.0, 1.0])

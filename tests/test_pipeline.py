@@ -91,6 +91,18 @@ def test_manifest_pose_arity_error(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_manifest_non_finite_pose_names_the_line(tmp_path, token):
+    # a non-finite translation passes every rotation check; it must fail at
+    # load time, before any frame runs
+    path = tmp_path / "m.txt"
+    pose = ["%g" % v for v in np.eye(4).reshape(-1)]
+    pose[3] = token
+    path.write_text(f"fx=10\nfy=10\ncx=1\ncy=1\nf0 a.ppm b.pgm c.unry {' '.join(pose)}\n")
+    with pytest.raises(FormatError, match=r"m\.txt:5: pose entries must be finite"):
+        load_manifest(path)
+
+
 def test_manifest_missing_file(tmp_path):
     path = tmp_path / "m.txt"
     pose = " ".join("%g" % v for v in np.eye(4).reshape(-1))

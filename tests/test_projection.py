@@ -55,6 +55,18 @@ def test_pose_validation():
     Pose(rotation_z(0.3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pose_rejects_non_finite_entries(bad):
+    # NaN fails no tolerance comparison, so it must be caught by name
+    for entry in ((0, 0), (1, 3), (3, 3)):
+        m = np.eye(4)
+        m[entry] = bad
+        with pytest.raises(InputError, match="finite"):
+            Pose(m)
+    with pytest.raises(InputError, match="finite"):
+        Pose(np.full((4, 4), bad))
+
+
 def test_back_project_principal_ray():
     depth = np.zeros((480, 640), dtype=np.uint16)
     depth[240, 320] = 1000
