@@ -11,6 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from voxcrf.metrics import format_report
 from voxcrf.pipeline.runner import run_pipeline
 from voxcrf.pipeline.synthetic import default_scene_spec, generate_synthetic
 
@@ -24,9 +25,7 @@ def main() -> int:
     result = run_pipeline(manifest, out_dir=out / "out")
     print(f"fused {result.frame_count} frames into {len(result.vmap)} voxels")
     if result.metrics:
-        names = ("pixel_acc", "mean_acc", "mean_iu", "fw_iu")
-        print("  ".join(f"{n}={v:.4f}" for n, v in zip(names, result.metrics)))
-        print(f"coverage={result.coverage:.4f}")
+        print(format_report(*result.metrics, coverage=result.coverage), end="")
     for key, path in sorted(result.outputs.items()):
         print(f"{key}: {path}")
     return 0

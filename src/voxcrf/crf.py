@@ -248,14 +248,14 @@ def map_labeling(q: LabelDistributionImage) -> LabelImage:
 
 @dataclass
 class MeanFieldTrace:
-    """Cached intermediates of an unrolled inference, consumed by backward."""
+    """Cached intermediates of an unrolled inference, consumed by backward;
+    each iteration's weighted message sum is recomputed from ``messages``."""
 
     plans: tuple[FilterPlan, ...]
     weights: np.ndarray
     compatibility: np.ndarray
     q_states: list[np.ndarray]  # T+1 entries; [0] is softmax(U)
     messages: list[list[np.ndarray]]  # per iteration, per kernel
-    combined: list[np.ndarray]  # per iteration
 
 
 def _check_finite(arr: np.ndarray, stage: str, iteration: int) -> None:
@@ -298,7 +298,6 @@ def _step(
     combined = _weighted_sum(msgs, weights, in_place=not keep)
     if keep:
         trace.messages.append(msgs)
-        trace.combined.append(combined)
     del msgs
     # logits = u - combined mu^T, formed in the GEMM output; one finite
     # check covers every stage (softmax of finite logits is finite)
@@ -322,40 +321,14 @@ def _weighted_sum(msgs: list[np.ndarray], weights: np.ndarray, in_place: bool) -
     return combined
 
 
-def reuse_plan(
-    features: np.ndarray, backend: str = "exact", plans: Sequence[FilterPlan] = ()
-) -> FilterPlan:
-    """The first of ``plans`` built on equal features with the same backend,
-    else a new plan from :func:`plan_filter`."""
+def reuse_plan(features: np.ndarray, backend: str, plans: Sequence[FilterPlan]) -> FilterPlan:
+    """The first of ``plans`` with this backend whose ``features`` equal
+    ``features`` (a plan is the operator of exactly the features it was built
+    on), else a new plan from :func:`plan_filter`."""
     for plan in plans:
         if plan.backend == backend and np.array_equal(plan.features, features):
             return plan
     return plan_filter(features, backend)
-
-
-def _build_plans(
-    features: FeatureField, backend: str, plans: Sequence[FilterPlan | None] | None = None
-) -> tuple[FilterPlan, ...]:
-    """One plan per kernel: the prebuilt entry of ``plans`` where one is
-    given, else a new plan.  Prebuilt plans are checked before any build."""
-    kernels = features.per_kernel()
-    given = (None,) * len(kernels) if plans is None else tuple(plans)
-    if len(given) != len(kernels):
-        raise InputError(f"expected {len(kernels)} plans (or None), got {len(given)}")
-    for m, (f, plan) in enumerate(zip(kernels, given)):
-        if plan is None:
-            continue
-        if (plan.n, plan.dim) != f.shape:
-            raise InputError(
-                f"plan for kernel {m} is ({plan.n}, {plan.dim}), features are {f.shape}"
-            )
-        if plan.backend != backend:
-            raise InputError(
-                f"plan for kernel {m} is {plan.backend}, inference asks for {backend}"
-            )
-    return tuple(
-        plan_filter(f, backend) if plan is None else plan for f, plan in zip(kernels, given)
-    )
 
 
 def _check_dims(u: UnaryField, features: FeatureField) -> None:
@@ -371,31 +344,31 @@ def mean_field_infer(
     params: CrfParams,
     backend: str = "exact",
     cache_gradients: bool = False,
-    plans: Sequence[FilterPlan | None] | None = None,
+    plans: Sequence[FilterPlan] = (),
 ) -> tuple[LabelDistributionImage, MeanFieldTrace | None]:
     """Run T mean-field iterations from Q0 = softmax(U).
 
     With ``cache_gradients`` the returned trace retains every intermediate
-    needed by :func:`mean_field_backward`.  ``plans`` may hold a prebuilt
-    plan per kernel (bilateral, spatial), None where one is to be built; a
-    prebuilt plan whose shape or backend does not match raises
-    ``InputError``.
+    needed by :func:`mean_field_backward`.  ``plans`` is a pool of held
+    plans in any order: each kernel (bilateral, spatial) runs on the held
+    plan :func:`reuse_plan` finds for its features and ``backend``, or on a
+    new one.  A held plan built on other features is never used.
 
-    Memory budget: with prebuilt plans and no trace, the allocations of one
-    inference peak at no more than five float64 (N, L) arrays above those
-    at entry on image-like features (Q, the combined messages, the message
-    being filtered, and the lattice blur buffers of (m + 1, L) for m
-    vertices, small next to N there).  A non-finite value raises
-    ``NumericalError`` naming the stage and iteration.
+    Memory budget: with held plans for both kernels and no trace, the
+    allocations of one inference peak at no more than five float64 (N, L)
+    arrays above those at entry on image-like features (Q, the combined
+    messages, the message being filtered, and the lattice blur buffers of
+    (m + 1, L) for m vertices, small next to N there).  A non-finite value
+    raises ``NumericalError`` naming the stage and iteration.
     """
     _check_dims(u, features)
     mu = params.compatibility_for(u.labels)
-    plans = _build_plans(features, backend, plans)
+    plans = tuple(reuse_plan(f, backend, plans) for f in features.per_kernel())
     q = softmax(u.data)
     _check_finite(q, "initialization", 0)
     trace = None
     if cache_gradients:
-        trace = MeanFieldTrace(plans, params.kernel_weights.copy(), mu.copy(), [q], [], [])
+        trace = MeanFieldTrace(plans, params.kernel_weights.copy(), mu.copy(), [q], [])
     for t in range(params.iterations):
         q = _step(q, u.data, plans, params.kernel_weights, mu, t, trace)
     return LabelDistributionImage(u.height, u.width, u.labels, q), trace
@@ -427,7 +400,7 @@ def mean_field_backward(
         ds = _softmax_vjp(trace.q_states[t + 1], g)
         du += ds
         dp = -ds
-        dmu += dp.T @ trace.combined[t]
+        dmu += dp.T @ _weighted_sum(trace.messages[t], weights, in_place=False)
         dc = dp @ mu
         for m, plan in enumerate(trace.plans):
             dw[m] += float((dc * trace.messages[t][m]).sum())
@@ -580,7 +553,7 @@ def train_crf_params(
         p = replace(base, kernel_weights=w_cur, compatibility=mu_cur)
         total = 0.0
         for u, feats, truth, spatial in prepared:
-            qf, _ = mean_field_infer(u, feats, p, backend, plans=(None, spatial))
+            qf, _ = mean_field_infer(u, feats, p, backend, plans=(spatial,))
             loss, _ = _cross_entropy_and_grad(qf.data, truth)
             total += loss
         return total / len(prepared)
@@ -595,7 +568,7 @@ def train_crf_params(
             u, feats, truth, spatial = prepared[i]
             p = replace(base, kernel_weights=w, compatibility=mu)
             qf, trace = mean_field_infer(
-                u, feats, p, backend, cache_gradients=True, plans=(None, spatial)
+                u, feats, p, backend, cache_gradients=True, plans=(spatial,)
             )
             _, grad = _cross_entropy_and_grad(qf.data, truth)
             if grad is None:

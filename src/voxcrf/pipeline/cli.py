@@ -91,10 +91,9 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     for key, path in sorted(result.outputs.items()):
         print(f"{key}: {path}")
     if result.metrics is not None:
-        names = ("pixel_acc", "mean_acc", "mean_iu", "fw_iu")
-        print("  ".join(f"{n}={v:.4f}" for n, v in zip(names, result.metrics)))
+        print(format_report(*result.metrics), end="")
     if result.coverage is not None:
-        print(f"coverage={result.coverage:.4f}")
+        print(f"coverage={result.coverage:.6f}")
     return 0
 
 

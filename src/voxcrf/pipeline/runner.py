@@ -110,7 +110,7 @@ def run_frame(
         held = () if spatial_plan is None else (spatial_plan,)
         spatial_plan = reuse_plan(features.spatial, config.backend, plans=held)
         q, _ = mean_field_infer(
-            unary, features, config.crf, config.backend, plans=(None, spatial_plan)
+            unary, features, config.crf, config.backend, plans=(spatial_plan,)
         )
         points, valid = back_project(depth, config.intrinsics)
         cloud = transform_cloud(make_semantic_cloud(points, valid, q, rgb), record.pose)

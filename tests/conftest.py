@@ -60,7 +60,7 @@ def plan_builds(monkeypatch):
     return built
 
 
-def build_fresh_plan(features, backend="exact", plans=()):
+def build_fresh_plan(features, backend, plans):
     """Stand-in for ``reuse_plan`` that ignores the held plans."""
     import voxcrf.crf as crf
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -229,24 +231,39 @@ def test_prebuilt_plans_match_fresh_plans(rng, backend):
     fresh, _ = mean_field_infer(u, feats, params, backend)
     bilateral = plan_filter(feats.bilateral, backend)
     spatial = plan_filter(feats.spatial, backend)
-    for plans in ((bilateral, spatial), (None, spatial), (bilateral, None), (None, None)):
+    pools = ((bilateral, spatial), (spatial, bilateral), (spatial,), (bilateral,), ())
+    for plans in pools:
         q, _ = mean_field_infer(u, feats, params, backend, plans=plans)
         assert np.array_equal(q.data, fresh.data)
 
 
-def test_prebuilt_plan_mismatch_raises(rng, plan_builds):
-    u, feats, params = random_instance(rng, 4, 5, 3)
-    other_size = build_features(rng.uniform(0, 255, (5, 5, 3)), params)
-    bad_plans = [
-        (None, plan_filter(other_size.spatial, "exact")),  # wrong n
-        (plan_filter(feats.spatial, "exact"), None),  # wrong dim
-        (None, plan_filter(feats.spatial, "lattice")),  # wrong backend
-        (plan_filter(feats.bilateral, "exact"),),  # wrong count
-    ]
-    for plans in bad_plans:
-        with pytest.raises(InputError):
-            mean_field_infer(u, feats, params, "exact", plans=plans)
-    assert plan_builds == []  # checked before anything is built
+@pytest.mark.parametrize("backend", ["exact", "lattice"])
+def test_plans_built_on_other_features_are_never_used(rng, plan_builds, backend):
+    """Held plans built on another image of the same size, another size,
+    the other backend or another θγ are passed over: both kernels are
+    rebuilt and Q equals a fresh inference bit for bit."""
+    u, feats, params = random_instance(rng, 6, 7, 3)
+    other_image = build_features(rng.uniform(0, 255, (6, 7, 3)), params)
+    other_size = build_features(rng.uniform(0, 255, (5, 7, 3)), params)
+    other_theta = build_features(np.zeros((6, 7, 3)), replace(params, theta_gamma=5.0))
+    other_backend = "lattice" if backend == "exact" else "exact"
+    held = (
+        plan_filter(other_image.bilateral, backend),
+        plan_filter(other_size.spatial, backend),
+        plan_filter(feats.bilateral, other_backend),
+        plan_filter(feats.spatial, other_backend),
+        plan_filter(other_theta.spatial, backend),
+    )
+    q0 = softmax(u.data)
+    for stale, f in ((held[0], feats.bilateral), (held[4], feats.spatial)):
+        # same shape and backend, another operator: using it would move Q
+        assert not np.allclose(stale.apply(q0), plan_filter(f, backend).apply(q0))
+
+    fresh, _ = mean_field_infer(u, feats, params, backend)
+    del plan_builds[:]
+    q, _ = mean_field_infer(u, feats, params, backend, plans=held)
+    assert np.array_equal(q.data, fresh.data)
+    assert plan_builds == [(42, 5), (42, 2)]
 
 
 def test_normalization_after_every_step(rng):
@@ -306,7 +323,7 @@ def test_numerical_error_names_message_passing_kernel(rng):
     spatial = plan_filter(feats.spatial, "exact")
     spatial.apply = lambda values: np.full_like(values, np.nan)
     with pytest.raises(NumericalError, match=r"message passing \(kernel 1\) at iteration 0"):
-        mean_field_infer(u, feats, params, "exact", plans=(None, spatial))
+        mean_field_infer(u, feats, params, "exact", plans=(spatial,))
 
 
 def test_numerical_error_names_compatibility_transform(rng):
