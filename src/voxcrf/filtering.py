@@ -31,8 +31,9 @@ a dimension-dependent threshold) are where that cancellation degrades —
 much of their true kernel mass sits in the Gaussian mid-tail, outside the
 lattice's compact support — so these starved points, worst first while their
 7-sigma ball sizes sum to under FALLBACK_NNZ_LIMIT, take exact sparse kernel
-rows (truncation below exp(-24.5)); scipy counts the balls and enumerates
-only the kept pairs, so memory follows the kept entries, not every ball.
+rows (truncation below exp(-24.5)); scipy counts the balls, worst first and
+only until the budget is full, and enumerates only the kept pairs, so time
+and memory follow the kept entries, not every ball.
 """
 
 from __future__ import annotations
@@ -155,10 +156,16 @@ class FilterPlan:
         )
         starved = np.flatnonzero(raw < threshold)
         if len(starved):
-            # worst points first keep exact rows while their balls fit the budget
+            # worst points first keep exact rows while their balls fit the
+            # budget; the balls are counted in chunks of 1, 2, 4, ... points
+            # only until their sum reaches it
             starved = starved[np.argsort(raw[starved], kind="stable")]
             tree = cKDTree(self.features)
-            lens = tree.query_ball_point(self.features[starved], FALLBACK_RADIUS, return_length=True)
+            lens = np.zeros(0, dtype=np.intp)
+            while len(lens) < len(starved) and lens.sum() < FALLBACK_NNZ_LIMIT:
+                chunk = self.features[starved[len(lens) : 2 * len(lens) + 1]]
+                balls = tree.query_ball_point(chunk, FALLBACK_RADIUS, return_length=True)
+                lens = np.append(lens, balls)
             starved = np.sort(starved[: np.searchsorted(np.cumsum(lens), FALLBACK_NNZ_LIMIT)])
             pairs = cKDTree(self.features[starved]).sparse_distance_matrix(
                 tree, FALLBACK_RADIUS, output_type="ndarray"

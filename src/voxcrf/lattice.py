@@ -29,11 +29,13 @@ ranges are too wide to pack, whole rows are sorted as structured records
 instead, giving the same vertex order.  The diagonal applies the restricted
 blur to each point's barycentric vector in place, one axis at a time.
 
-Vectorized numpy throughout; the splat/slice operators are kept as one
-sparse matrix so a built lattice can filter any number of value channels.
+Vectorized numpy throughout.  Splat and slice share one set of barycentric
+weights, stored once as the (N, m) sparse slice matrix S; the splat is its
+transpose S^T, so a built lattice can filter any number of value channels.
 ``scaled`` derives a lattice whose output rows carry a per-point factor
-folded into its slice rows (with the 1 / (1 + 2^-d) correction), for callers
-that normalize the filter output per point.
+folded into a second slice S' (with the 1 / (1 + 2^-d) correction), for
+callers that normalize the filter output per point; S' has its own weights
+and shares S's index arrays.
 """
 
 from __future__ import annotations
@@ -136,12 +138,14 @@ class PermutohedralLattice:
         m = vertices.shape[0]
         self.num_vertices = m
 
-        # Splat matrix; its transpose is the slice (same barycentric weights).
-        rows = np.repeat(np.arange(self.n), dp1)
-        self._splat = sparse.csr_matrix(
-            (bary.ravel(), (vertex_idx, rows)), shape=(m, self.n)
-        )
-        self._slice = self._splat.T.tocsr()
+        # Slice S: row i holds point i's d+1 barycentric weights; the splat
+        # is S^T.  Each row's indices are sorted so the slice sums run in
+        # vertex order; copy=True because the sort reorders ``data`` in place
+        # and ``bary.ravel()`` is a view of ``bary`` when N = 1.
+        indptr = np.arange(0, self.n * dp1 + 1, dp1)
+        self._slice = sparse.csr_matrix((bary.ravel(), vertex_idx, indptr), (self.n, m), copy=True)
+        self._slice.sort_indices()
+        self._out_slice = self._slice  # S', the slice of the output rows
 
         # Blur neighbor tables: along axis a, n1 = key + 1 - (d+1) e_a,
         # n2 = key - 1 + (d+1) e_a; -1 marks a vertex outside the lattice and
@@ -250,13 +254,14 @@ class PermutohedralLattice:
 
         ``filter`` of the result gives diag(rows) L, ``reverse=True`` its
         exact transpose L^T diag(rows), and ``diagonal`` is rows * diagonal.
-        The factor and the slice scale are folded into a copy of the slice
-        data; every other table is shared.
+        The factor and the slice scale are folded into the output slice S', a
+        new data array over S's ``indices`` and ``indptr``; S, which still
+        splats, and every other table are shared.
         """
-        s = self._slice
+        s = self._out_slice
         per_entry = np.repeat(self._alpha * rows, np.diff(s.indptr))
         out = copy.copy(self)
-        out._slice = sparse.csr_matrix((s.data * per_entry, s.indices, s.indptr), shape=s.shape)
+        out._out_slice = sparse.csr_matrix((s.data * per_entry, s.indices, s.indptr), shape=s.shape)
         out._alpha = 1.0
         out._diag = rows * self._diag
         return out
@@ -266,10 +271,11 @@ class PermutohedralLattice:
     def filter(self, values: np.ndarray, reverse: bool = False) -> np.ndarray:
         """Approximate Gaussian convolution of per-point values (N, C).
 
-        With ``reverse=True`` the result is the exact transpose of the
-        forward operator: the slice transposed splats, the blur axes run in
-        the opposite order (the blurs along individual axes are symmetric
-        but do not commute) and the splat transposed slices.
+        Forward, S^T splats and the output slice S' slices (S' is S unless
+        the lattice is ``scaled``).  With ``reverse=True`` the result is the
+        exact transpose: S'^T splats, the blur axes run in the opposite order
+        (the blurs along individual axes are symmetric but do not commute)
+        and S slices.
         """
         vals = np.asarray(values, dtype=np.float64)
         squeeze = vals.ndim == 1
@@ -279,9 +285,9 @@ class PermutohedralLattice:
             raise InputError(f"expected {self.n} rows, got {vals.shape[0]}")
 
         if reverse:
-            splat, slice_, axes = self._slice.T, self._splat.T, range(self.dim, -1, -1)
+            splat, slice_, axes = self._out_slice.T, self._slice, range(self.dim, -1, -1)
         else:
-            splat, slice_, axes = self._splat, self._slice, range(self.dim + 1)
+            splat, slice_, axes = self._slice.T, self._out_slice, range(self.dim + 1)
         m = self.num_vertices
         lat = np.empty((m + 1, vals.shape[1]))
         lat[m] = 0.0  # the pad row that neighbor index -1 reads

@@ -272,6 +272,33 @@ def test_fallback_memory_follows_the_budget(monkeypatch):
     assert peak < 32 << 20, f"plan build peaked at {peak / 2**20:.1f} MiB"
 
 
+def test_starved_balls_are_counted_only_until_the_budget_is_full(monkeypatch):
+    """Every point is starved, and the budget keeps few of them.  The plan
+    counts the 7-sigma balls of a worst-first prefix at most about twice the
+    kept rows long, not the balls of every starved point."""
+    from voxcrf import filtering
+    from voxcrf.lattice import PermutohedralLattice
+
+    counted = []
+
+    class CountingTree(filtering.cKDTree):
+        def query_ball_point(self, x, *args, **kwargs):
+            counted.append(len(x))
+            return super().query_ball_point(x, *args, **kwargs)
+
+    monkeypatch.setattr(filtering, "cKDTree", CountingTree)
+    monkeypatch.setattr(filtering, "FALLBACK_NNZ_LIMIT", 64)
+    feats = np.random.default_rng(0).uniform(0.0, 400.0, (2000, 3))  # isolated points
+    lat = PermutohedralLattice(feats)
+    mass = lat.filter(np.ones(len(feats))) - lat.diagonal
+    assert np.all(mass < filtering.STARVED_THRESHOLD_HIGH_DIM)
+
+    plan = plan_filter(feats, "lattice")
+    assert 0 < plan.starved and plan.fallback_nnz < 64
+    assert sum(counted) <= 2 * plan.starved + 1
+    assert sum(counted) < len(feats) // 10
+
+
 def _dense_numerator(plan):
     """The numerator matrix M of ``plan`` built from its parts: the exact
     self-excluded kernel, or the lattice filter of the identity minus the
@@ -341,8 +368,10 @@ def test_apply_and_adjoint_match_dense_numerator(kind, rng, monkeypatch):
     m, starved = _dense_numerator(plan)
     np.testing.assert_array_equal(plan._starved, starved)
     if kind == "lattice_sparse_3d_budget":
-        # a worst-first prefix: some points past the budget keep lattice rows
-        assert 0 < plan.starved < plan.n
+        # a worst-first prefix: some points past the budget keep lattice rows;
+        # balls are counted in chunks of 1, 2, 4, ... points, so the kept
+        # prefix spans several chunks
+        assert 3 < plan.starved < plan.n
         assert plan.fallback_nnz == np.count_nonzero(m[starved]) < 400
         kept_rows = plan._fallback.toarray() * plan.normalizers[starved, None]
         assert np.abs(kept_rows - m[starved]).max() < 1e-12

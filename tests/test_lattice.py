@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 import voxcrf.lattice as lattice_mod
 from voxcrf.lattice import PermutohedralLattice
@@ -25,7 +26,7 @@ def random_features(rng, n, d, kind):
 
 def assert_same_lattice(lat, ref, rng):
     assert lat.num_vertices == ref.num_vertices
-    assert (lat._splat != ref.splat).nnz == 0
+    assert (lat._slice.T != ref.splat).nnz == 0
     assert (lat._slice != ref.slice).nnz == 0
     assert np.array_equal(lat._n1, ref.n1)
     assert np.array_equal(lat._n2, ref.n2)
@@ -68,7 +69,7 @@ def test_forced_row_fallback_matches_packed_codes(monkeypatch, rng, d):
     rows = PermutohedralLattice(feats)
     assert rows._codes is None
     assert rows.num_vertices == packed.num_vertices
-    assert (rows._splat != packed._splat).nnz == 0
+    assert (rows._slice.T != packed._slice.T).nnz == 0
     assert np.array_equal(rows._n1, packed._n1)
     assert np.array_equal(rows._n2, packed._n2)
     assert np.array_equal(rows.diagonal, packed.diagonal)
@@ -82,3 +83,19 @@ def test_extreme_coordinate_range_takes_row_fallback(rng):
     lat = PermutohedralLattice(feats)
     assert lat._codes is None
     assert_same_lattice(lat, ReferenceLattice(feats), rng)
+
+
+def test_one_slice_matrix_per_lattice(rng):
+    """A lattice stores its barycentric weights once, as the N x m slice S;
+    ``scaled`` adds an output slice with its own weights over S's indices."""
+    feats = random_features(rng, 200, 3, "spread")
+    lat = PermutohedralLattice(feats)
+    matrices = [v for v in vars(lat).values() if sparse.issparse(v)]
+    assert matrices and all(a.shape == (lat.n, lat.num_vertices) for a in matrices)
+    assert lat._out_slice is lat._slice
+    scaled = lat.scaled(rng.uniform(0.5, 2.0, lat.n))
+    s, out = scaled._slice, scaled._out_slice
+    assert s is lat._slice
+    assert np.shares_memory(out.indices, s.indices)
+    assert np.shares_memory(out.indptr, s.indptr)
+    assert not np.shares_memory(out.data, s.data)
