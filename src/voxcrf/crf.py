@@ -115,7 +115,8 @@ class CrfParams:
     """Kernel weights, label compatibility, kernel scales and iteration count.
 
     ``compatibility=None`` stands for the Potts matrix of whatever label
-    count the params are used with; θ values are fixed hyperparameters.
+    count the params are used with; θ values are fixed hyperparameters.  The
+    arrays are float64 copies owned by the params, never the caller's.
     """
 
     kernel_weights: np.ndarray = field(default_factory=lambda: np.array([5.0, 3.0]))
@@ -126,13 +127,13 @@ class CrfParams:
     iterations: int = 5
 
     def __post_init__(self):
-        self.kernel_weights = np.asarray(self.kernel_weights, dtype=np.float64)
+        self.kernel_weights = np.array(self.kernel_weights, dtype=np.float64)
         if self.kernel_weights.shape != (2,):
             raise ConfigError(f"expected 2 kernel weights, got {self.kernel_weights.shape}")
         if not np.all(np.isfinite(self.kernel_weights)) or np.any(self.kernel_weights < 0):
             raise ConfigError("kernel weights must be finite and >= 0")
         if self.compatibility is not None:
-            self.compatibility = np.asarray(self.compatibility, dtype=np.float64)
+            self.compatibility = np.array(self.compatibility, dtype=np.float64)
             c = self.compatibility
             if c.ndim != 2 or c.shape[0] != c.shape[1] or not np.all(np.isfinite(c)):
                 raise ConfigError("compatibility must be a finite square matrix")
@@ -515,9 +516,10 @@ def train_crf_params(
 
     ``dataset`` holds (rgb, unary probabilities, ground-truth labels) per
     image; the loss is per-pixel cross-entropy of the final marginals with
-    IGNORE pixels excluded.  Images are visited in a seed-shuffled order;
-    the best parameters seen (by full-dataset loss) are returned, so the
-    result never has higher training loss than the initial parameters.
+    IGNORE pixels excluded.  Images are visited in a seed-shuffled order.
+    The state is one ``CrfParams``, replaced by each step (a non-finite step
+    raises ``ConfigError``); the best seen (by full-dataset loss) is
+    returned, so the result never has higher training loss than ``params``.
     """
     if not dataset:
         raise ConfigError("empty training dataset")
@@ -531,53 +533,50 @@ def train_crf_params(
             raise ConfigError("all images must share the label count")
         truth.validate(labels)
 
-    base = params if params is not None else CrfParams()
-    w = base.kernel_weights.copy()
-    mu = base.compatibility_for(labels).copy()
+    params = params if params is not None else CrfParams()
+    p = replace(params, compatibility=params.compatibility_for(labels))
 
     # Spatial features depend only on the image size, so images of one size
-    # share one spatial plan for the whole run.  Bilateral plans are rebuilt
-    # per inference: caching them per image would hold an exact-backend
-    # N x N kernel for every image at once.
+    # share one spatial plan, held in the pool every inference gets.
+    # Bilateral plans are rebuilt per inference: caching them per image would
+    # hold an exact-backend N x N kernel for every image at once.
     spatial_plans: list[FilterPlan] = []
     prepared = []
     for rgb, probs, truth in dataset:
         u = unary_from_probabilities(probs)
-        feats = build_features(rgb, base)
+        feats = build_features(rgb, p)
         spatial = reuse_plan(feats.spatial, backend, plans=spatial_plans)
         if spatial not in spatial_plans:
             spatial_plans.append(spatial)
-        prepared.append((u, feats, truth.data, spatial))
+        prepared.append((u, feats, truth.data))
 
-    def dataset_loss(w_cur: np.ndarray, mu_cur: np.ndarray) -> float:
-        p = replace(base, kernel_weights=w_cur, compatibility=mu_cur)
+    def dataset_loss(p: CrfParams) -> float:
         total = 0.0
-        for u, feats, truth, spatial in prepared:
-            qf, _ = mean_field_infer(u, feats, p, backend, plans=(spatial,))
-            loss, _ = _cross_entropy_and_grad(qf.data, truth)
-            total += loss
+        for u, feats, truth in prepared:
+            qf, _ = mean_field_infer(u, feats, p, backend, plans=spatial_plans)
+            total += _cross_entropy_and_grad(qf.data, truth)[0]
         return total / len(prepared)
 
-    best_w, best_mu = w.copy(), mu.copy()
-    best_loss = dataset_loss(w, mu)
+    best, best_loss = p, dataset_loss(p)
     rng = np.random.default_rng(seed)
     order = np.arange(len(prepared))
     for _ in range(int(epochs)):
         rng.shuffle(order)
         for i in order:
-            u, feats, truth, spatial = prepared[i]
-            p = replace(base, kernel_weights=w, compatibility=mu)
+            u, feats, truth = prepared[i]
             qf, trace = mean_field_infer(
-                u, feats, p, backend, cache_gradients=True, plans=(spatial,)
+                u, feats, p, backend, cache_gradients=True, plans=spatial_plans
             )
             _, grad = _cross_entropy_and_grad(qf.data, truth)
             if grad is None:
                 continue
             _, dw, dmu = mean_field_backward(trace, grad)
-            w = np.maximum(w - learning_rate * dw, 0.0)
-            mu = mu - learning_rate * dmu
-        loss = dataset_loss(w, mu)
+            p = replace(
+                p,
+                kernel_weights=np.maximum(p.kernel_weights - learning_rate * dw, 0.0),
+                compatibility=p.compatibility - learning_rate * dmu,
+            )
+        loss = dataset_loss(p)
         if loss < best_loss:
-            best_loss = loss
-            best_w, best_mu = w.copy(), mu.copy()
-    return replace(base, kernel_weights=best_w, compatibility=best_mu)
+            best, best_loss = p, loss
+    return best

@@ -25,6 +25,7 @@ going to the smallest label id.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,8 @@ def _pack(idx: np.ndarray) -> np.ndarray:
 def voxel_keys(points: np.ndarray, resolution: float) -> np.ndarray:
     """Packed int64 voxel keys of (N, 3) points by floor division; -1 where a
     point is non-finite or its index is outside the packable range."""
-    if resolution <= 0:
-        raise InputError(f"resolution must be positive, got {resolution}")
+    if not 0 < resolution < math.inf:  # NaN fails both comparisons
+        raise InputError(f"resolution must be positive and finite, got {resolution}")
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     return _pack(np.floor(points / resolution))
 
@@ -84,8 +85,8 @@ class VoxelMap:
     module docstring for the layout)."""
 
     def __init__(self, resolution: float = 0.01, labels: int = 2):
-        if resolution <= 0:
-            raise InputError(f"resolution must be positive, got {resolution}")
+        if not 0 < resolution < math.inf:
+            raise InputError(f"resolution must be positive and finite, got {resolution}")
         if labels < 2:
             raise InputError(f"label count must be >= 2, got {labels}")
         self.resolution = resolution

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from ..crf import (
+    ENERGY_PIXEL_LIMIT,
     CrfParams,
     build_features,
     crf_energy,
@@ -22,7 +23,7 @@ from ..crf import (
     train_crf_params,
     unary_from_probabilities,
 )
-from ..errors import ConfigError, InputError, VoxcrfError
+from ..errors import ConfigError, InputError, SizeLimitError, VoxcrfError
 from ..metrics import ConfusionMatrix, accumulate, compute_metrics, format_report
 from .formats import load_unary, read_label_image, read_ppm, save_unary, write_label_image
 from .manifest import load_config_overrides, load_manifest
@@ -59,6 +60,9 @@ def _cmd_segment(args: argparse.Namespace) -> int:
         raise InputError(
             f"rgb is {rgb.shape[0]}x{rgb.shape[1]}, unary is {probs.height}x{probs.width}"
         )
+    n = probs.height * probs.width
+    if args.energy_report and n > ENERGY_PIXEL_LIMIT:  # fail before writing anything
+        raise SizeLimitError(f"energy evaluation is O(N^2); {n} > {ENERGY_PIXEL_LIMIT} pixels")
     params = CrfParams() if args.iterations is None else CrfParams(iterations=args.iterations)
     backend = args.backend or "lattice"
     unary = unary_from_probabilities(probs)

@@ -8,11 +8,12 @@ with 16 row-major floats of the camera-to-world pose.  Paths are resolved
 relative to the manifest's directory.  Whitespace-separated, ``#`` starts a
 comment.
 
-``_KEYS`` maps every config key to the dataclass field it sets and the
-coercion of its value; defaults live in the dataclasses only.  The header
-takes scalar values of every key; :func:`apply_overrides` (``--config``)
-takes every key but the intrinsics, including the ``CrfParams.to_dict()``
-mapping that ``voxcrf train-crf`` writes.
+``_KEYS`` maps every config key, the name of the field it sets, to the
+owning dataclass and the coercion of its value; defaults live in the
+dataclasses only.  The header takes every key but ``compatibility``, as a
+number, a comma list of numbers (``kernel_weights=5,3``) or a name;
+:func:`apply_overrides` (``--config``) takes every key but the intrinsics,
+including the ``CrfParams.to_dict()`` mapping that ``voxcrf train-crf`` writes.
 """
 
 from __future__ import annotations
@@ -97,29 +98,27 @@ def _matrix_or_potts(value) -> np.ndarray | None:
     return None if value is None else _array(value)
 
 
-# key -> (owning dataclass, field, coercion).  An int field is an index into
-# CrfParams.kernel_weights; defaults live in the dataclasses only.
+# key -> (owning dataclass, coercion); each key is the name of its field in
+# the owning dataclass, and defaults live in the dataclasses only.
 _KEYS = {
-    "fx": (CameraIntrinsics, "fx", _real),
-    "fy": (CameraIntrinsics, "fy", _real),
-    "cx": (CameraIntrinsics, "cx", _real),
-    "cy": (CameraIntrinsics, "cy", _real),
-    "depth_scale": (CameraIntrinsics, "depth_scale", _real),
-    "kernel_weights": (CrfParams, "kernel_weights", _array),
-    "w_bilateral": (CrfParams, 0, _real),
-    "w_spatial": (CrfParams, 1, _real),
-    "compatibility": (CrfParams, "compatibility", _matrix_or_potts),
-    "theta_alpha": (CrfParams, "theta_alpha", _real),
-    "theta_beta": (CrfParams, "theta_beta", _real),
-    "theta_gamma": (CrfParams, "theta_gamma", _real),
-    "iterations": (CrfParams, "iterations", _integer),
-    "labels": (PipelineConfig, "labels", _integer),
-    "backend": (PipelineConfig, "backend", _text),
-    "voxel_resolution": (PipelineConfig, "voxel_resolution", _real),
-    "min_observations": (PipelineConfig, "min_observations", _integer),
-    "min_confidence": (PipelineConfig, "min_confidence", _real),
+    "fx": (CameraIntrinsics, _real),
+    "fy": (CameraIntrinsics, _real),
+    "cx": (CameraIntrinsics, _real),
+    "cy": (CameraIntrinsics, _real),
+    "depth_scale": (CameraIntrinsics, _real),
+    "kernel_weights": (CrfParams, _array),
+    "compatibility": (CrfParams, _matrix_or_potts),
+    "theta_alpha": (CrfParams, _real),
+    "theta_beta": (CrfParams, _real),
+    "theta_gamma": (CrfParams, _real),
+    "iterations": (CrfParams, _integer),
+    "labels": (PipelineConfig, _integer),
+    "backend": (PipelineConfig, _text),
+    "voxel_resolution": (PipelineConfig, _real),
+    "min_observations": (PipelineConfig, _integer),
+    "min_confidence": (PipelineConfig, _real),
 }
-_INTRINSICS = [k for k, (owner, _, _) in _KEYS.items() if owner is CameraIntrinsics]
+_INTRINSICS = [k for k, (owner, _) in _KEYS.items() if owner is CameraIntrinsics]
 _VALID_INTRINSICS = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
 
 
@@ -128,18 +127,24 @@ def _coerce(key: str, value):
     if key not in _KEYS:
         raise ConfigError(f"unknown config key {key!r}")
     try:
-        return _KEYS[key][2](value)
+        return _KEYS[key][1](value)
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad value for {key}: {e}, got {value!r:.80}") from e
 
 
-def _header_value(key: str, text: str):
-    """The value of one header pair, coerced and checked on its own by the
-    dataclass that owns ``key``; ConfigError names the key."""
+def _number(text: str) -> float | str:
+    """``text`` as a float, or unchanged if it is not a number (a name)."""
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
-        value = text  # not a number, such as the backend name
+        return text
+
+
+def _header_value(key: str, text: str):
+    """The value of one header pair, a comma list if it holds a comma,
+    coerced and checked on its own by the dataclass that owns ``key``;
+    ConfigError names the key."""
+    value = [_number(t) for t in text.split(",")] if "," in text else _number(text)
     value = _coerce(key, value)
     try:
         if key in _INTRINSICS:
@@ -231,29 +236,16 @@ def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
     Every value goes through its key's coercion, so a value that does not
     exactly fit its field (a string for a number, 2.7 for an integer, null)
     raises ``ConfigError`` naming the key, as do unknown and manifest-only
-    (intrinsics) keys, ``kernel_weights`` given together with
-    ``w_bilateral`` / ``w_spatial``, and a ``compatibility`` that is not
-    labels x labels.
+    (intrinsics) keys and a ``compatibility`` that is not labels x labels.
+    Each key sets its one field of ``config.crf`` or ``config``.
     """
     bad = sorted(k for k in overrides if k not in _KEYS or k in _INTRINSICS)
     if bad:
         raise ConfigError(f"unknown override keys (intrinsics are manifest-only): {bad}")
-    crf_updates, config_updates, weights = {}, {}, {}
+    crf_updates, config_updates = {}, {}
     for key, value in overrides.items():
-        owner, name, _ = _KEYS[key]
-        value = _coerce(key, value)
-        if owner is PipelineConfig:
-            config_updates[name] = value
-        elif isinstance(name, int):
-            weights[name] = value
-        else:
-            crf_updates[name] = value
-    if weights:
-        if "kernel_weights" in crf_updates:
-            raise ConfigError("give kernel_weights or w_bilateral/w_spatial, not both")
-        crf_updates["kernel_weights"] = config.crf.kernel_weights.copy()
-        for index, value in weights.items():
-            crf_updates["kernel_weights"][index] = value
+        updates = config_updates if _KEYS[key][0] is PipelineConfig else crf_updates
+        updates[key] = _coerce(key, value)
     return replace(config, crf=replace(config.crf, **crf_updates), **config_updates)
 
 

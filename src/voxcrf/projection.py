@@ -22,6 +22,8 @@ class CameraIntrinsics:
     depth_scale: float = 0.001
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.fx, self.fy, self.cx, self.cy, self.depth_scale])):
+            raise InputError(f"intrinsics must be finite, got {self}")
         if self.fx <= 0 or self.fy <= 0:
             raise InputError(f"focal lengths must be positive, got fx={self.fx} fy={self.fy}")
         if self.depth_scale <= 0:

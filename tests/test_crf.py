@@ -577,6 +577,15 @@ def test_train_zero_epochs_returns_initial(rng):
     assert np.array_equal(params.compatibility, potts_matrix(3))
 
 
+def test_train_result_shares_no_array_with_initial_params(rng):
+    dataset = make_training_set(rng)
+    init = CrfParams(compatibility=potts_matrix(3))
+    params = train_crf_params(dataset, learning_rate=0.1, epochs=0, seed=0, params=init)
+    assert np.array_equal(params.compatibility, init.compatibility)
+    assert not np.shares_memory(params.compatibility, init.compatibility)
+    assert not np.shares_memory(params.kernel_weights, init.kernel_weights)
+
+
 def test_train_loss_never_increases_over_best(rng):
     dataset = make_training_set(rng, n_images=2)
 

@@ -45,6 +45,15 @@ def test_voxel_index_errors():
         voxel_keys(np.zeros((1, 3)), 0.0)
 
 
+@pytest.mark.parametrize("resolution", [np.inf, np.nan])
+def test_non_finite_resolution_is_rejected(resolution):
+    # inf once fused every point into one voxel centred at (inf, inf, inf)
+    with pytest.raises(InputError, match="finite"):
+        voxel_keys(np.zeros((1, 3)), resolution)
+    with pytest.raises(InputError, match="finite"):
+        VoxelMap(resolution, 3)
+
+
 def test_bayes_uniform_likelihood_keeps_prior():
     prior = np.array([0.3, 0.5, 0.2])
     post = bayes_update(prior, np.full(3, 1 / 3))

@@ -149,7 +149,7 @@ _BAD_VALUES = [
     ("labels", "4"),
     ("backend", 1),
     ("theta_alpha", [61.0]),
-    ("w_spatial", "3"),
+    ("kernel_weights", [5.0, None]),
     ("kernel_weights", 5.0),
     ("kernel_weights", [5.0, "3"]),
     ("compatibility", [[0.0, 1.0], [1.0]]),
@@ -184,6 +184,10 @@ def test_config_bad_value_names_the_key(scene, tmp_path, capsys, key, value):
         "labels=256",
         "voxel_resolution=0",
         "backend=magic",
+        "kernel_weights=1,2,3",
+        "kernel_weights=a,b",
+        "kernel_weights=5,",
+        "compatibility=0,1,1,0",  # a comma list is 1-D: compatibility is --config only
     ],
 )
 def test_manifest_bad_value_names_the_line(tmp_path, line):
@@ -191,6 +195,31 @@ def test_manifest_bad_value_names_the_line(tmp_path, line):
     path.write_text(f"fx=10\nfy=10\ncx=1\ncy=1\n{line}\n")
     with pytest.raises(FormatError, match=r"m\.txt:5: bad value for " + line.split("=")[0]):
         load_manifest(path)
+
+
+def test_manifest_reads_a_comma_list(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("fx=10\nfy=10\ncx=1\ncy=1\nkernel_weights=0.5,2\niterations=2\n")
+    _, config = load_manifest(path)
+    assert config.crf.kernel_weights.tolist() == [0.5, 2.0]
+    assert config.crf.iterations == 2
+
+
+@pytest.mark.parametrize("key", ["w_bilateral", "w_spatial"])
+def test_manifest_has_no_kernel_weight_aliases(tmp_path, key):
+    path = tmp_path / "m.txt"
+    path.write_text(f"fx=10\nfy=10\ncx=1\ncy=1\n{key}=2\n")
+    with pytest.raises(FormatError, match=rf"m\.txt:5: unknown config key '{key}'"):
+        load_manifest(path)
+
+
+def test_every_config_key_names_a_field_of_its_dataclass():
+    from dataclasses import fields
+
+    from voxcrf.pipeline.manifest import _KEYS
+
+    for key, (owner, _) in _KEYS.items():
+        assert key in {f.name for f in fields(owner)}
 
 
 def test_apply_overrides_reads_crf_params_dict(scene):
@@ -202,8 +231,6 @@ def test_apply_overrides_reads_crf_params_dict(scene):
     assert potts.compatibility is None
     exact = apply_overrides(config, {"iterations": 2.0, "min_observations": np.int64(3)})
     assert (exact.crf.iterations, exact.min_observations) == (2, 3)
-    alias = apply_overrides(config, {"w_spatial": 1.5})
-    assert alias.crf.kernel_weights.tolist() == [config.crf.kernel_weights[0], 1.5]
 
 
 def test_config_cross_field_conflicts(scene, monkeypatch):
@@ -213,7 +240,7 @@ def test_config_cross_field_conflicts(scene, monkeypatch):
     with_mu = apply_overrides(config, {"compatibility": np.eye(4).tolist()})
     with pytest.raises(ConfigError, match="compatibility"):
         apply_overrides(with_mu, {"labels": 3})
-    with pytest.raises(ConfigError, match="kernel_weights"):
+    with pytest.raises(ConfigError, match=r"unknown override keys .*\['w_bilateral'\]"):
         apply_overrides(config, {"kernel_weights": [1.0, 1.0], "w_bilateral": 2.0})
 
     def no_frames(*args):
@@ -288,7 +315,7 @@ def test_depth_is_valid_everywhere_inside_room(scene):
 
 def test_run_frame_inert_crf_keeps_unary_argmax(scene):
     records, config = load_manifest(scene)
-    config = apply_overrides(config, {"w_bilateral": 0.0, "w_spatial": 0.0, "iterations": 1})
+    config = apply_overrides(config, {"kernel_weights": [0.0, 0.0], "iterations": 1})
     out = run_frame(records[0], config)
     probs = load_unary(records[0].unary_path)
     pred = map_labeling(out.q).data
@@ -696,6 +723,27 @@ def test_cli_segment_energy_report(tmp_path, scene, capsys):
     # the refined labeling should not have higher energy than the raw argmax
     values = dict(line.split("=") for line in text.strip().splitlines())
     assert float(values["energy_map"]) <= float(values["energy_unary_argmax"]) + 1e-9
+
+
+def test_cli_segment_energy_report_too_large_fails_before_writing(tmp_path, capsys, monkeypatch):
+    manifest = generate_synthetic(small_spec(width=72, height=64, frame_count=1), tmp_path / "s")
+    rec = load_manifest(manifest)[0][0]
+
+    def no_inference(*args, **kwargs):
+        raise AssertionError("inference ran")
+
+    monkeypatch.setattr(cli, "mean_field_infer", no_inference)
+    out_dir = tmp_path / "seg"
+    rc = cli_main(
+        [
+            "segment", "--unary", rec.unary_path, "--rgb", rec.rgb_path,
+            "--out", str(out_dir), "--energy-report",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: energy evaluation is O(N^2); 4608 > 4096 pixels\n"
+    assert captured.out == "" and not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

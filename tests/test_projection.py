@@ -41,6 +41,15 @@ def test_intrinsics_validation():
         CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, depth_scale=0.0)
 
 
+@pytest.mark.parametrize("name", ["fx", "fy", "cx", "cy", "depth_scale"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_intrinsics_reject_non_finite_values(name, bad):
+    # fx=inf once collapsed every X to 0; NaN passes every sign check
+    values = dict(fx=1.0, fy=1.0, cx=0.0, cy=0.0, depth_scale=0.001)
+    with pytest.raises(InputError, match="finite"):
+        CameraIntrinsics(**{**values, name: bad})
+
+
 def test_pose_validation():
     with pytest.raises(InputError):
         Pose(np.zeros((4, 4)))

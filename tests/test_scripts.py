@@ -1,8 +1,11 @@
 """Every script under ``scripts/`` loads as a module (``main`` is not
 called), so a voxcrf name that a script imports and the package no longer
-has fails here instead of in a manual run."""
+has fails here instead of in a manual run.  Likewise every ``voxcrf``
+command of the README Quickstart parses (it is not run), so a renamed or
+removed flag fails here."""
 
 import importlib.util
+import shlex
 import sys
 from pathlib import Path
 
@@ -19,3 +22,34 @@ def test_script_loads(path, monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def _quickstart_commands() -> list[list[str]]:
+    """The ``voxcrf ...`` commands of the README Quickstart block, with
+    backslash continuations joined, as argv lists."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Quickstart (CLI)", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.startswith("voxcrf ")]
+
+
+QUICKSTART = _quickstart_commands()
+
+
+def test_quickstart_lists_every_subcommand():
+    from voxcrf.pipeline.cli import build_parser
+
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    assert {argv[1] for argv in QUICKSTART} == set(subparsers.choices)
+
+
+@pytest.mark.parametrize("argv", QUICKSTART, ids=lambda argv: " ".join(argv[:2]))
+def test_quickstart_command_parses(argv):
+    from voxcrf.pipeline.cli import build_parser
+
+    assert argv[0] == "voxcrf"
+    try:
+        args = build_parser().parse_args(argv[1:])
+    except SystemExit as e:
+        pytest.fail(f"argparse rejects {' '.join(argv)!r} (exit {e.code})")
+    assert args.command == argv[1]
