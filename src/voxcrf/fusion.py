@@ -226,7 +226,7 @@ def extract_map(
 ) -> ExtractedMap:
     """Voxels meeting both thresholds, with their argmax label (ties to the
     smallest label id), its confidence and the rounded mean color."""
-    if min_observations < 0 or min_confidence < 0:
+    if not (min_observations >= 0 and min_confidence >= 0):
         raise InputError("thresholds must be >= 0")
     labels = vmap.hard_labels()
     conf = np.exp(vmap._log_post[np.arange(len(vmap)), labels])

@@ -31,28 +31,6 @@ from .runner import load_frame, run_pipeline
 from .synthetic import default_scene_spec, generate_synthetic
 
 
-def _add_crf_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=("exact", "lattice"), default=None)
-    p.add_argument("--iterations", type=int, default=None)
-
-
-def _collect_overrides(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    if getattr(args, "config", None):
-        overrides.update(load_config_overrides(args.config))
-    for key, attr in (
-        ("backend", "backend"),
-        ("iterations", "iterations"),
-        ("voxel_resolution", "voxel_res"),
-        ("min_observations", "min_obs"),
-        ("min_confidence", "min_conf"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
-    return overrides
-
-
 def _cmd_segment(args: argparse.Namespace) -> int:
     probs = load_unary(args.unary)
     rgb = read_ppm(args.rgb)
@@ -64,10 +42,9 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     if args.energy_report and n > ENERGY_PIXEL_LIMIT:  # fail before writing anything
         raise SizeLimitError(f"energy evaluation is O(N^2); {n} > {ENERGY_PIXEL_LIMIT} pixels")
     params = CrfParams() if args.iterations is None else CrfParams(iterations=args.iterations)
-    backend = args.backend or "lattice"
     unary = unary_from_probabilities(probs)
     features = build_features(rgb, params)
-    q, _ = mean_field_infer(unary, features, params, backend)
+    q, _ = mean_field_infer(unary, features, params, args.backend)
     labels = map_labeling(q)
 
     out = Path(args.out)
@@ -87,7 +64,7 @@ def _cmd_segment(args: argparse.Namespace) -> int:
 def _cmd_fuse(args: argparse.Namespace) -> int:
     result = run_pipeline(
         args.manifest,
-        overrides=_collect_overrides(args),
+        overrides=load_config_overrides(args.config) if args.config else None,
         out_dir=args.out,
         per_frame_ply=args.per_frame_ply,
     )
@@ -146,7 +123,7 @@ def _cmd_train_crf(args: argparse.Namespace) -> int:
         epochs=args.epochs,
         seed=args.seed,
         params=config.crf,
-        backend=args.backend or "exact",
+        backend=args.backend,
     )
     Path(args.out).write_text(json.dumps(params.to_dict(), indent=2) + "\n")
     print(f"wrote {args.out}")
@@ -165,18 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rgb", required=True)
     p.add_argument("--out", default="segment_out")
     p.add_argument("--energy-report", action="store_true")
-    _add_crf_flags(p)
+    p.add_argument("--backend", choices=("exact", "lattice"), default="lattice")
+    p.add_argument("--iterations", type=int, default=None)
     p.set_defaults(func=_cmd_segment)
 
     p = sub.add_parser("fuse", help="run the full pipeline over a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None, help="JSON file of config overrides")
-    p.add_argument("--voxel-res", type=float, default=None)
-    p.add_argument("--min-obs", type=int, default=None)
-    p.add_argument("--min-conf", type=float, default=None)
     p.add_argument("--per-frame-ply", action="store_true")
-    _add_crf_flags(p)
     p.set_defaults(func=_cmd_fuse)
 
     p = sub.add_parser("metrics", help="evaluate predicted vs truth label images")
@@ -201,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="crf_params.json")
-    p.add_argument("--backend", choices=("exact", "lattice"), default=None)
+    p.add_argument("--backend", choices=("exact", "lattice"), default="exact")
     p.set_defaults(func=_cmd_train_crf)
 
     return parser

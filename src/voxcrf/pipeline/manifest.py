@@ -14,6 +14,8 @@ dataclasses only.  The header takes every key but ``compatibility``, as a
 number, a comma list of numbers (``kernel_weights=5,3``) or a name;
 :func:`apply_overrides` (``--config``) takes every key but the intrinsics,
 including the ``CrfParams.to_dict()`` mapping that ``voxcrf train-crf`` writes.
+Both read each value through ``_coerce``, the one check of a single value, so
+every bad value fails as ``ConfigError("bad value for <key>: ...")``.
 """
 
 from __future__ import annotations
@@ -63,9 +65,11 @@ class PipelineConfig:
         self.crf.compatibility_for(self.labels)  # a given μ must be labels x labels
         if self.backend not in ("exact", "lattice"):
             raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.voxel_resolution <= 0:
-            raise ConfigError(f"voxel resolution must be positive, got {self.voxel_resolution}")
-        if self.min_observations < 0 or self.min_confidence < 0:
+        if not 0 < self.voxel_resolution < math.inf:
+            raise ConfigError(
+                f"voxel resolution must be positive and finite, got {self.voxel_resolution}"
+            )
+        if not (self.min_observations >= 0 and self.min_confidence >= 0):
             raise ConfigError("extraction thresholds must be >= 0")
 
 
@@ -120,16 +124,31 @@ _KEYS = {
 }
 _INTRINSICS = [k for k, (owner, _) in _KEYS.items() if owner is CameraIntrinsics]
 _VALID_INTRINSICS = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
+# a valid instance of each owner, for checking one value on its own
+_BASES = {
+    CameraIntrinsics: _VALID_INTRINSICS,
+    CrfParams: CrfParams(),
+    PipelineConfig: PipelineConfig(_VALID_INTRINSICS),
+}
 
 
 def _coerce(key: str, value):
-    """The value of ``key`` through its coercion; ConfigError names the key."""
+    """The value of ``key`` through its coercion, checked on its own by the
+    dataclass that owns the key; every rejection is a ConfigError naming
+    the key.  Checks across fields (a ``compatibility`` that is not labels
+    x labels) are left to the caller's combined ``replace``."""
     if key not in _KEYS:
         raise ConfigError(f"unknown config key {key!r}")
+    owner, coercion = _KEYS[key]
     try:
-        return _KEYS[key][1](value)
+        value = coercion(value)
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad value for {key}: {e}, got {value!r:.80}") from e
+    try:
+        replace(_BASES[owner], **{key: value})
+    except (ConfigError, InputError) as e:
+        raise ConfigError(f"bad value for {key}: {e}") from e
+    return value
 
 
 def _number(text: str) -> float | str:
@@ -141,28 +160,18 @@ def _number(text: str) -> float | str:
 
 
 def _header_value(key: str, text: str):
-    """The value of one header pair, a comma list if it holds a comma,
-    coerced and checked on its own by the dataclass that owns ``key``;
-    ConfigError names the key."""
+    """The value of one header pair, a comma list if it holds a comma."""
     value = [_number(t) for t in text.split(",")] if "," in text else _number(text)
-    value = _coerce(key, value)
-    try:
-        if key in _INTRINSICS:
-            replace(_VALID_INTRINSICS, **{key: value})
-        else:
-            apply_overrides(PipelineConfig(_VALID_INTRINSICS), {key: value})
-    except (ConfigError, InputError) as e:
-        raise ConfigError(f"bad value for {key}: {e}") from e
-    return value
+    return _coerce(key, value)
 
 
 def load_manifest(path: str | Path) -> tuple[list[FrameRecord], PipelineConfig]:
     """Parse a manifest; validates poses and referenced-file presence.
 
-    Frames keep their listed order.  Malformed lines, and header values
-    that their dataclass rejects on their own (``fx=0``, ``labels=1``), raise
-    FormatError naming the line number, missing intrinsics FormatError naming
-    the manifest, and missing files InputError naming the path.
+    Frames keep their listed order.  Malformed lines and bad header values
+    (``fx=0``, ``labels=1``) raise FormatError naming the line number,
+    missing intrinsics FormatError naming the manifest, and missing files
+    InputError naming the path.
     """
     path = Path(path)
     base = path.parent
@@ -181,46 +190,26 @@ def load_manifest(path: str | Path) -> tuple[list[FrameRecord], PipelineConfig]:
                 raise FormatError(f"{where}: {e}") from e
             continue
         tokens = line.split()
-        if len(tokens) == 4 + _POSE_FLOATS:
-            frame_id, rgb, depth, unary = tokens[:4]
-            truth = None
-            pose_tokens = tokens[4:]
-        elif len(tokens) == 5 + _POSE_FLOATS:
-            frame_id, rgb, depth, unary, truth = tokens[:5]
-            pose_tokens = tokens[5:]
-        else:
+        names = tokens[: len(tokens) - _POSE_FLOATS]
+        if len(names) not in (4, 5):
             raise FormatError(
                 f"{where}: frame line has {len(tokens)} tokens, expected "
                 f"{4 + _POSE_FLOATS} or {5 + _POSE_FLOATS}"
             )
         try:
-            pose_vals = np.array([float(t) for t in pose_tokens]).reshape(4, 4)
-        except ValueError as e:
-            raise FormatError(f"{where}: bad pose float") from e
-        try:
-            pose = Pose(pose_vals)
+            pose = Pose(np.array([float(t) for t in tokens[len(names) :]]).reshape(4, 4))
         except InputError as e:
             raise FormatError(f"{where}: {e}") from e
-
-        paths = {"rgb": rgb, "depth": depth, "unary": unary}
-        if truth is not None:
-            paths["truth"] = truth
-        resolved = {}
-        for kind, rel in paths.items():
+        except ValueError as e:
+            raise FormatError(f"{where}: bad pose float") from e
+        frame_id, *rel_paths = names
+        paths = []
+        for kind, rel in zip(("rgb", "depth", "unary", "truth"), rel_paths):
             p = base / rel
             if not p.is_file():
                 raise InputError(f"{where}: missing {kind} file {p}")
-            resolved[kind] = str(p)
-        records.append(
-            FrameRecord(
-                frame_id,
-                resolved["rgb"],
-                resolved["depth"],
-                resolved["unary"],
-                pose,
-                resolved.get("truth"),
-            )
-        )
+            paths.append(str(p))
+        records.append(FrameRecord(frame_id, *paths[:3], pose, *paths[3:]))
     missing = [
         f.name for f in fields(CameraIntrinsics) if f.default is MISSING and f.name not in header
     ]
@@ -233,11 +222,12 @@ def load_manifest(path: str | Path) -> tuple[list[FrameRecord], PipelineConfig]:
 def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
     """Return ``config`` with the keys of ``overrides`` applied.
 
-    Every value goes through its key's coercion, so a value that does not
-    exactly fit its field (a string for a number, 2.7 for an integer, null)
-    raises ``ConfigError`` naming the key, as do unknown and manifest-only
-    (intrinsics) keys and a ``compatibility`` that is not labels x labels.
-    Each key sets its one field of ``config.crf`` or ``config``.
+    Every value goes through ``_coerce``, so a value that does not exactly
+    fit its field (a string for a number, 2.7 for an integer, null) or that
+    its dataclass rejects (``voxel_resolution=0``) raises ``ConfigError``
+    naming the key, as do unknown and manifest-only (intrinsics) keys and a
+    ``compatibility`` that is not labels x labels.  Each key sets its one
+    field of ``config.crf`` or ``config``.
     """
     bad = sorted(k for k in overrides if k not in _KEYS or k in _INTRINSICS)
     if bad:

@@ -170,6 +170,14 @@ def test_extract_min_observations():
     assert len(extract_map(vmap, min_observations=2)) == 0
 
 
+@pytest.mark.parametrize("thresholds", [(np.nan, 0.0), (1, np.nan), (-1, 0.0), (1, -0.5)])
+def test_extract_rejects_bad_thresholds(thresholds):
+    vmap = VoxelMap(0.01, 2)
+    integrate_cloud(vmap, cloud_at([[0.0, 0.0, 0.0]], [[0.9, 0.1]]))
+    with pytest.raises(InputError, match="thresholds"):
+        extract_map(vmap, *thresholds)
+
+
 def test_extract_tie_breaks_to_smallest_label():
     vmap = VoxelMap(0.01, 2)
     integrate_cloud(vmap, cloud_at([[0.0, 0.0, 0.0]], [[0.5, 0.5]]))

@@ -10,7 +10,7 @@ from voxcrf.pipeline import cli, runner
 from voxcrf.pipeline.cli import main as cli_main
 from voxcrf.pipeline.formats import load_unary, read_label_image, read_ply
 from voxcrf.pipeline.labels import MATERIAL_NAMES, label_names, label_palette
-from voxcrf.pipeline.manifest import apply_overrides, load_manifest
+from voxcrf.pipeline.manifest import PipelineConfig, apply_overrides, load_manifest
 from voxcrf.pipeline.runner import run_frame, run_pipeline
 from voxcrf.pipeline.synthetic import (
     MaterialBox,
@@ -18,6 +18,7 @@ from voxcrf.pipeline.synthetic import (
     corrupt_unaries,
     generate_synthetic,
 )
+from voxcrf.projection import CameraIntrinsics
 
 from _reference import bayes_update
 
@@ -154,6 +155,11 @@ _BAD_VALUES = [
     ("kernel_weights", [5.0, "3"]),
     ("compatibility", [[0.0, 1.0], [1.0]]),
     ("labels", 256),  # 255 is IGNORE in 8-bit truth images, PLY labels are uchar
+    ("kernel_weights", [5.0]),
+    ("kernel_weights", [-1.0, 1.0]),
+    ("voxel_resolution", 0),
+    ("min_observations", -1),
+    ("min_confidence", -0.5),
 ]
 
 
@@ -197,6 +203,20 @@ def test_manifest_bad_value_names_the_line(tmp_path, line):
         load_manifest(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("voxel_resolution", float("nan")),
+        ("voxel_resolution", float("inf")),
+        ("min_confidence", float("nan")),
+        ("min_observations", float("nan")),
+    ],
+)
+def test_pipeline_config_rejects_non_finite_settings(key, value):
+    with pytest.raises(ConfigError):
+        PipelineConfig(CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0), **{key: value})
+
+
 def test_manifest_reads_a_comma_list(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("fx=10\nfy=10\ncx=1\ncy=1\nkernel_weights=0.5,2\niterations=2\n")
@@ -237,6 +257,8 @@ def test_config_cross_field_conflicts(scene, monkeypatch):
     _, config = load_manifest(scene)
     with pytest.raises(ConfigError, match="compatibility"):
         apply_overrides(config, {"compatibility": np.eye(3).tolist()})
+    six = apply_overrides(config, {"labels": 6, "compatibility": np.eye(6).tolist()})
+    assert six.crf.compatibility_for(6).shape == (6, 6)
     with_mu = apply_overrides(config, {"compatibility": np.eye(4).tolist()})
     with pytest.raises(ConfigError, match="compatibility"):
         apply_overrides(with_mu, {"labels": 3})
@@ -605,6 +627,22 @@ def test_cli_unknown_flag_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         cli_main(["fuse", "--nonsense"])
     assert exc.value.code != 0
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--backend", "exact"),
+        ("--iterations", "2"),
+        ("--voxel-res", "0.05"),
+        ("--min-obs", "2"),
+        ("--min-conf", "0.5"),
+    ],
+)
+def test_fuse_takes_settings_only_from_manifest_and_config(scene, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["fuse", "--manifest", str(scene), flag, value])
+    assert exc.value.code == 2
 
 
 def test_cli_missing_file_diagnostic(tmp_path, capsys):

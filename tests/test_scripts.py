@@ -1,10 +1,12 @@
 """Every script under ``scripts/`` loads as a module (``main`` is not
 called), so a voxcrf name that a script imports and the package no longer
 has fails here instead of in a manual run.  Likewise every ``voxcrf``
-command of the README Quickstart parses (it is not run), so a renamed or
+command of the README Quickstart parses (it is not run), and every flag the
+README names is an option of a ``voxcrf`` subcommand, so a renamed or
 removed flag fails here."""
 
 import importlib.util
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
@@ -27,8 +30,7 @@ def test_script_loads(path, monkeypatch):
 def _quickstart_commands() -> list[list[str]]:
     """The ``voxcrf ...`` commands of the README Quickstart block, with
     backslash continuations joined, as argv lists."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("## Quickstart (CLI)", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    block = README.split("## Quickstart (CLI)", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line) for line in lines if line.startswith("voxcrf ")]
 
@@ -53,3 +55,20 @@ def test_quickstart_command_parses(argv):
     except SystemExit as e:
         pytest.fail(f"argparse rejects {' '.join(argv)!r} (exit {e.code})")
     assert args.command == argv[1]
+
+
+def test_readme_flags_are_voxcrf_options():
+    from voxcrf.pipeline.cli import build_parser
+
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    options = {
+        option
+        for parser in subparsers.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+    }
+    paragraph = README.split("Useful flags", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+    named |= {token for argv in QUICKSTART for token in argv if token.startswith("--")}
+    assert named, "the README names no flag"
+    assert named <= options, f"not an option of any voxcrf subcommand: {sorted(named - options)}"
