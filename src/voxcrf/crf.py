@@ -523,10 +523,12 @@ def train_crf_params(
     """
     if not dataset:
         raise ConfigError("empty training dataset")
-    if learning_rate <= 0:
-        raise ConfigError(f"learning rate must be positive, got {learning_rate}")
+    if not 0 < learning_rate < np.inf:  # NaN and inf would fail only after a step
+        raise ConfigError(f"learning rate must be positive and finite, got {learning_rate}")
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
+    if seed < 0:  # numpy's seeding would fail only after the first loss pass
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     labels = dataset[0][1].labels
     for rgb, probs, truth in dataset:
         if probs.labels != labels:

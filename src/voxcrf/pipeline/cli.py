@@ -93,15 +93,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    kwargs = dict(
-        seed=args.seed,
-        frame_count=args.frames,
-        noise=args.noise,
-        confidence=args.confidence,
-        width=args.width,
-        height=args.height,
-    )
-    spec = default_scene_spec(**kwargs)
+    flags = dict(seed=args.seed, frame_count=args.frames, noise=args.noise,
+                 confidence=args.confidence, width=args.width, height=args.height)
+    # only the flags given, so every default is SyntheticSceneSpec's
+    spec = default_scene_spec(**{k: v for k, v in flags.items() if v is not None})
     manifest = generate_synthetic(spec, args.out)
     print(f"wrote {manifest}")
     return 0
@@ -161,12 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic scene + manifest")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--frames", type=int, default=12)
-    p.add_argument("--noise", type=float, default=0.2)
-    p.add_argument("--confidence", type=float, default=0.6)
-    p.add_argument("--width", type=int, default=96)
-    p.add_argument("--height", type=int, default=72)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--frames", type=int, default=None)
+    p.add_argument("--noise", type=float, default=None)
+    p.add_argument("--confidence", type=float, default=None)
+    p.add_argument("--width", type=int, default=None)
+    p.add_argument("--height", type=int, default=None)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train-crf", help="train kernel weights and compatibility")

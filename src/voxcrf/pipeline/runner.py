@@ -106,6 +106,7 @@ def run_frame(
     depth, rgb, probs, truth = load_frame(record, config.labels)
     with _frame_errors(record):
         unary = unary_from_probabilities(probs)
+        del probs  # nothing reads it after U; free its (N, L) array before inference
         features = build_features(rgb, config.crf)
         held = () if spatial_plan is None else (spatial_plan,)
         spatial_plan = reuse_plan(features.spatial, config.backend, plans=held)

@@ -6,12 +6,15 @@ flat-shaded RGB with bounded per-pixel jitter for bilateral contrast, and
 unaries corrupted by replacing the true label with a random wrong one at a
 given rate.  All randomness derives from the scene seed, so outputs are
 bit-identical for identical specs.
+
+``SyntheticSceneSpec`` holds every default of ``voxcrf synth``.  Its camera,
+``spec.intrinsics``, casts the rays and writes the manifest's intrinsics header.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,8 @@ from ..crf import (
     mean_field_infer,
     unary_from_probabilities,
 )
-from ..errors import ConfigError
+from ..errors import ConfigError, InputError
+from ..projection import CameraIntrinsics
 from .formats import save_unary, write_pgm8, write_pgm16, write_ppm
 from .labels import label_palette
 
@@ -39,12 +43,13 @@ class MaterialBox:
     label: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSceneSpec:
-    """Room extents, furniture boxes, camera orbit and unary corruption."""
+    """Room extents, furniture boxes, camera orbit and unary corruption;
+    frozen, as its checks run once, on construction."""
 
     room: tuple[float, float, float] = (3.2, 3.2, 2.4)
-    boxes: list[MaterialBox] = field(default_factory=list)
+    boxes: tuple[MaterialBox, ...] = ()  # a list given is stored as a tuple
     room_label: int = 0
     label_count: int = 23
     width: int = 96
@@ -59,15 +64,22 @@ class SyntheticSceneSpec:
     depth_scale: float = 0.001
 
     def __post_init__(self):
+        object.__setattr__(self, "boxes", tuple(self.boxes))
         if not 2 <= self.label_count <= 255:  # 255 is IGNORE in the truth images
             raise ConfigError(f"label count must be in [2, 255], got {self.label_count}")
         room = np.asarray(self.room, dtype=np.float64)
-        if room.shape != (3,) or np.any(room <= 0):
-            raise ConfigError(f"room extents must be 3 positive reals, got {self.room}")
+        if room.shape != (3,) or not np.all((room > 0) & (room < np.inf)):
+            raise ConfigError(f"room extents must be 3 positive finite reals, got {self.room}")
         if self.frame_count < 1:
             raise ConfigError(f"frame count must be >= 1, got {self.frame_count}")
+        if self.seed < 0:  # numpy's seeding would fail after the directories exist
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.width < 2 or self.height < 2:
             raise ConfigError("image dimensions must be at least 2x2")
+        try:
+            self.intrinsics  # the camera checks depth_scale
+        except InputError as e:
+            raise ConfigError(str(e)) from e
         if not (np.isfinite(self.jitter) and self.jitter >= 0):
             raise ConfigError(f"jitter must be finite and >= 0, got {self.jitter}")
         if not (0.0 <= self.noise < 1.0):
@@ -85,20 +97,10 @@ class SyntheticSceneSpec:
                 raise ConfigError(f"box {b} not inside the room")
 
     @property
-    def fx(self) -> float:
-        return 0.9 * self.width
-
-    @property
-    def fy(self) -> float:
-        return 0.9 * self.width
-
-    @property
-    def cx(self) -> float:
-        return (self.width - 1) / 2.0
-
-    @property
-    def cy(self) -> float:
-        return (self.height - 1) / 2.0
+    def intrinsics(self) -> CameraIntrinsics:
+        """Pinhole camera: focal length 0.9 x width, principal point at the image center."""
+        w, h = self.width, self.height
+        return CameraIntrinsics(0.9 * w, 0.9 * w, (w - 1) / 2.0, (h - 1) / 2.0, self.depth_scale)
 
 
 def default_scene_spec(**kwargs) -> SyntheticSceneSpec:
@@ -166,9 +168,10 @@ def render_frame(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ray-cast one frame: (raw uint16 depth, label image), both (H, W)."""
     h, w = spec.height, spec.width
+    cam = spec.intrinsics
     vv, uu = np.mgrid[0:h, 0:w].astype(np.float64)
     dirs_cam = np.stack(
-        [(uu - spec.cx) / spec.fx, (vv - spec.cy) / spec.fy, np.ones_like(uu)], axis=-1
+        [(uu - cam.cx) / cam.fx, (vv - cam.cy) / cam.fy, np.ones_like(uu)], axis=-1
     )
     r = pose[:3, :3]
     eye = pose[:3, 3]
@@ -294,13 +297,10 @@ def generate_synthetic(spec: SyntheticSceneSpec, out_dir: str | Path) -> Path:
     palette = label_palette(spec.label_count)
     rng = np.random.default_rng(spec.seed)
 
+    cam = spec.intrinsics
     lines = [
         "# synthetic scene manifest",
-        f"fx={spec.fx}",
-        f"fy={spec.fy}",
-        f"cx={spec.cx}",
-        f"cy={spec.cy}",
-        f"depth_scale={spec.depth_scale}",
+        *(f"{f.name}={getattr(cam, f.name)}" for f in fields(CameraIntrinsics)),
         f"labels={spec.label_count}",
         "",
     ]

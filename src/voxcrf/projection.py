@@ -24,8 +24,9 @@ class CameraIntrinsics:
     def __post_init__(self):
         if not np.all(np.isfinite([self.fx, self.fy, self.cx, self.cy, self.depth_scale])):
             raise InputError(f"intrinsics must be finite, got {self}")
-        if self.fx <= 0 or self.fy <= 0:
-            raise InputError(f"focal lengths must be positive, got fx={self.fx} fy={self.fy}")
+        for name in ("fx", "fy"):
+            if getattr(self, name) <= 0:
+                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
         if self.depth_scale <= 0:
             raise InputError(f"depth_scale must be positive, got {self.depth_scale}")
 

@@ -648,6 +648,11 @@ def test_train_config_errors(rng):
         train_crf_params([], learning_rate=0.1, epochs=1)
     with pytest.raises(ConfigError):
         train_crf_params(dataset, learning_rate=0.0, epochs=1)
+    for lr in (float("nan"), float("inf")):  # once failed after a step, naming the weights
+        with pytest.raises(ConfigError, match="learning rate must be positive and finite"):
+            train_crf_params(dataset, learning_rate=lr, epochs=1)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):  # once numpy's error
+        train_crf_params(dataset, learning_rate=0.1, epochs=1, seed=-3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from voxcrf.pipeline.synthetic import (
     MaterialBox,
     SyntheticSceneSpec,
     corrupt_unaries,
+    default_scene_spec,
     generate_synthetic,
 )
 from voxcrf.projection import CameraIntrinsics
@@ -116,6 +118,14 @@ def test_manifest_missing_intrinsics_names_path(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("fy=10\ncx=1\ncy=1\n")
     with pytest.raises(FormatError, match=r"m\.txt: missing intrinsics keys: fx$"):
+        load_manifest(path)
+
+
+def test_manifest_bad_focal_length_quotes_only_its_own_value(tmp_path):
+    # the check of fx alone once quoted its placeholder fy=1.0 as well
+    path = tmp_path / "m.txt"
+    path.write_text("fx=0\nfy=10\ncx=1\ncy=1\n")
+    with pytest.raises(FormatError, match=r"m\.txt:1: bad value for fx: fx must be positive, got 0\.0$"):
         load_manifest(path)
 
 
@@ -293,6 +303,12 @@ def test_spec_validation():
     for label_count in (1, 256):  # 256 once wrapped truth ids to 0 in the uint8 files
         with pytest.raises(ConfigError, match="label count"):
             small_spec(label_count=label_count)
+    for room in ((float("nan"), 3.2, 2.4), (3.2, float("inf"), 2.4)):  # NaN once gave no depth
+        with pytest.raises(ConfigError, match="room extents"):
+            small_spec(room=room)
+    with pytest.raises(FrozenInstanceError):  # a checked spec cannot be made invalid
+        small_spec().seed = -1
+    assert isinstance(small_spec().boxes, tuple)  # no box appended after the checks
 
 
 def test_noiseless_unary_argmax_equals_truth(scene):
@@ -328,6 +344,33 @@ def test_depth_is_valid_everywhere_inside_room(scene):
 
     for rec in records:
         assert (read_pgm16(rec.depth_path) > 0).all()
+
+
+def test_synthetic_manifest_carries_the_spec_camera(tmp_path):
+    from dataclasses import fields
+
+    spec = small_spec(width=40, height=30, depth_scale=0.0005)
+    manifest = generate_synthetic(spec, tmp_path / "s")
+    _, config = load_manifest(manifest)
+    assert config.intrinsics == spec.intrinsics
+    assert spec.intrinsics == CameraIntrinsics(36.0, 36.0, 19.5, 14.5, 0.0005)
+    header = [ln.split("=", 1)[0] for ln in manifest.read_text().splitlines() if "=" in ln]
+    assert [k for k in header if k != "labels"] == [f.name for f in fields(CameraIntrinsics)]
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(depth_scale=0.0), "depth_scale must be positive"),  # once wrote all-zero depth
+        (dict(depth_scale=float("nan")), "intrinsics must be finite"),
+        (dict(seed=-1), r"seed must be >= 0, got -1"),  # once a numpy traceback
+    ],
+    ids=["depth_scale-zero", "depth_scale-nan", "seed-negative"],
+)
+def test_spec_rejects_bad_camera_and_seed_before_writing(tmp_path, kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        generate_synthetic(small_spec(**kwargs), tmp_path / "s")
+    assert not (tmp_path / "s").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +527,30 @@ def test_run_pipeline_frees_each_frame_before_the_next(tmp_path, monkeypatch):
     assert result.frame_count == len(earlier) == 3
 
 
+def test_run_frame_frees_the_probabilities_before_inference(tmp_path, monkeypatch):
+    """The unary probabilities are dead once U is formed, so their (N, L)
+    array is not held through the mean field."""
+    import weakref
+
+    manifest = generate_synthetic(small_spec(frame_count=2), tmp_path / "s")
+    unary_original, infer_original = runner.unary_from_probabilities, runner.mean_field_infer
+    refs, checked = [], []
+
+    def recording_unary(probs):
+        refs.append(weakref.ref(probs.data))
+        return unary_original(probs)
+
+    def checked_infer(*args, **kwargs):
+        assert refs[-1]() is None, "the unary probabilities are alive in mean_field_infer"
+        checked.append(True)
+        return infer_original(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "unary_from_probabilities", recording_unary)
+    monkeypatch.setattr(runner, "mean_field_infer", checked_infer)
+    run_pipeline(manifest, out_dir=tmp_path / "out")
+    assert len(checked) == len(refs) == 2
+
+
 @pytest.mark.parametrize("backend", ["exact", "lattice"])
 def test_run_pipeline_reused_plan_bit_equal_to_fresh_plans(tmp_path, monkeypatch, backend):
     import voxcrf.pipeline.runner as runner
@@ -566,6 +633,34 @@ def test_cli_segment_rejects_zero_iterations(scene, tmp_path, capsys):
     )
     assert rc != 0
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_synth_passes_only_the_flags_given(tmp_path, monkeypatch):
+    """Every synth default is SyntheticSceneSpec's: with no flags the CLI
+    writes the bytes of the default spec's scene."""
+    passed = []
+
+    def recording_spec(**kwargs):
+        passed.append(kwargs)
+        return default_scene_spec(**kwargs)
+
+    monkeypatch.setattr(cli, "default_scene_spec", recording_spec)
+    assert cli_main(["synth", "--out", str(tmp_path / "cli")]) == 0
+    assert cli_main(["synth", "--out", str(tmp_path / "two"), "--frames", "2"]) == 0
+    assert passed == [{}, {"frame_count": 2}]
+
+    generate_synthetic(default_scene_spec(), tmp_path / "api")
+
+    def contents(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    assert contents(tmp_path / "cli") == contents(tmp_path / "api")
+
+
+def test_cli_synth_negative_seed_exits_1_writing_nothing(tmp_path, capsys):
+    assert cli_main(["synth", "--out", str(tmp_path / "s"), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "s").exists()
 
 
 def test_cli_train_crf(tmp_path, scene, capsys):
