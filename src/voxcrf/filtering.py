@@ -11,15 +11,30 @@ point.  Two backends share the contract: ``exact`` evaluates the literal
 double sum in O(N^2) (the oracle), ``lattice`` approximates it with a
 permutohedral lattice in near-linear time.
 
-Each plan is one linear operator, stored pre-scaled: with N the unnormalized
-(numerator) message matrix and D = diag(d), the plan holds M = D^-1 N, and
-``apply = M v`` and ``apply_transpose = M^T g`` with no separate
-normalization pass and no ``g / d`` copy (d depends only on the features, so
-M^T is the exact adjoint of apply).  ``exact`` has N = K - I, symmetric, and
-stores M as the kernel with each row divided by d_i.  ``lattice`` has
-N = P_ns (L - D_L) + P_s F, with L the lattice filter, D_L its own diagonal
-response, P_s / P_ns the starved / other rows and F exact kernel rows
-stored for the starved points only (sparse, |starved| x N).  Its plan keeps
+Each plan is one linear operator: with N the unnormalized (numerator)
+message matrix and D = diag(d), ``apply = M v`` and ``apply_transpose =
+M^T g`` for M = D^-1 N (d depends only on the features, so M^T is the exact
+adjoint of apply).  ``exact`` has N = K - I, symmetric, and three paths:
+
+- grid Kronecker: 2-D features on a row-major product grid (an image's
+  spatial kernel, x = tile(xs, h), y = repeat(ys, w)) with h and w up to
+  _KERNEL_CACHE_LIMIT keep the two self-excluded 1-D factors A_x over xs
+  and A_y over ys, and K - I = A_y (x) I + I (x) A_x + A_y (x) A_x.  Then
+  d = s_y + s_x + s_y s_x from the factors' row sums and
+  N v = T + A_y (T + V) over an (h, w, C) view with T = A_x V, in
+  O(N (h + w)) time and O(h^2 + w^2) memory beside the values, at any N;
+  apply is N v / d and apply_transpose N (g / d);
+- mirrored cached: other features, up to _KERNEL_CACHE_LIMIT points, have
+  the kernel built a block of rows at a time against the columns right of
+  the block only, the part right of the diagonal mirrored into the rows
+  below, and stored as M (each row divided by d_i);
+- chunked: above the limit, apply recomputes the kernel rows chunk by chunk.
+
+``lattice`` is stored pre-scaled as M, with no separate normalization pass
+and no ``g / d`` copy.  It has N = P_ns (L - D_L) + P_s F, with L the
+lattice filter, D_L its own diagonal response, P_s / P_ns the starved /
+other rows and F exact kernel rows stored for the starved points only
+(sparse, |starved| x N).  Its plan keeps
 diag(r) L as one scaled lattice (r_i = 1 / d_i, 0 on starved rows; the
 factor is folded into the slice rows, ``reverse=True`` gives the transpose),
 D_L / d as one vector (0 on starved rows) and F with each row divided by
@@ -56,6 +71,7 @@ STARVED_THRESHOLD_LOW_DIM = 4.0
 FALLBACK_RADIUS = 7.0
 FALLBACK_NNZ_LIMIT = 1 << 24
 _KERNEL_CACHE_LIMIT = 4096  # exact backend keeps the dense kernel up to this N
+_MIRROR_BLOCK = 64  # rows per block of the mirrored exact kernel build
 _ROW_BLOCK = 2048  # rows per block of the lattice diagonal term
 
 
@@ -81,19 +97,36 @@ def _subtract_row_scaled(out: np.ndarray, scale: np.ndarray, vals: np.ndarray) -
         out[s:e] -= block
 
 
-def _kernel_rows(features: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the self-excluded exact kernel K - I, computed
-    by direct differences."""
-    diff = features[start:stop, None, :] - features[None, :, :]
+def _kernel_rows(features: np.ndarray, start: int, stop: int, first: int = 0) -> np.ndarray:
+    """Rows start..stop-1 of the self-excluded exact kernel K - I over
+    columns first.. (first <= start), computed by direct differences."""
+    diff = features[start:stop, None, :] - features[None, first:, :]
     rows = np.exp(-0.5 * np.einsum("rjd,rjd->rj", diff, diff))
-    rows[np.arange(stop - start), np.arange(start, stop)] = 0.0
+    rows[np.arange(stop - start), np.arange(start - first, stop - first)] = 0.0
     return rows
+
+
+def _grid_axes(features: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(xs, ys) when 2-D ``features`` form the row-major product grid
+    x = tile(xs, h), y = repeat(ys, w); None otherwise, and when a side is
+    longer than _KERNEL_CACHE_LIMIT, so a dense factor is never larger than
+    the dense kernel the exact backend keeps."""
+    if features.shape[1] != 2:
+        return None
+    x, y = features[:, 0], features[:, 1]
+    w = int(np.argmax(y != y[0])) or len(y)  # the first row's length
+    if len(y) % w or max(w, len(y) // w) > _KERNEL_CACHE_LIMIT:
+        return None
+    xs, ys = x[:w], y[::w]
+    if np.array_equal(x, np.tile(xs, len(ys))) and np.array_equal(y, np.repeat(ys, w)):
+        return xs, ys
+    return None
 
 
 class FilterPlan:
     """Precomputed filtering structure, reusable across value channels.
 
-    The plan is the pre-scaled operator M = D^-1 N (module docstring):
+    The plan is the operator M = D^-1 N (module docstring):
     ``apply = M v`` and ``apply_transpose = M^T g`` share one method,
     ``_operator``.  ``normalizers`` holds d.
 
@@ -129,16 +162,29 @@ class FilterPlan:
     # -- exact backend ------------------------------------------------------
 
     def _init_exact(self) -> None:
-        # M up to _KERNEL_CACHE_LIMIT points; above it, apply recomputes the
-        # rows chunk by chunk
-        self._kernel = np.empty((self.n, self.n)) if self.n <= _KERNEL_CACHE_LIMIT else None
-        d = self.normalizers = np.empty(self.n)
-        for s, e in self._chunks():
-            rows = _kernel_rows(self.features, s, e)
-            d[s:e] = np.maximum(rows.sum(axis=1), NORMALIZER_FLOOR)
-            if self._kernel is not None:
-                np.divide(rows, d[s:e, None], out=self._kernel[s:e])
-            del rows  # free the chunk before the next one is built
+        # the three paths of the module docstring: grid factors, M up to
+        # _KERNEL_CACHE_LIMIT points, or neither (apply recomputes the rows)
+        self._kernel = self._factors = None
+        axes = _grid_axes(self.features)
+        if axes is not None:
+            self._factors = ax, ay = tuple(_kernel_rows(c[:, None], 0, len(c)) for c in axes)
+            sx, sy = ax.sum(axis=1), ay.sum(axis=1)[:, None]
+            # (1 + s_y)(1 + s_x) - 1 without the cancellation of subtracting 1
+            d = (sy + sx + sy * sx).ravel()
+        elif self.n <= _KERNEL_CACHE_LIMIT:
+            k = self._kernel = np.empty((self.n, self.n))
+            for s in range(0, self.n, _MIRROR_BLOCK):
+                e = min(s + _MIRROR_BLOCK, self.n)
+                k[s:e, s:] = _kernel_rows(self.features, s, e, s)
+                k[e:, s:e] = k[s:e, e:].T
+            d = k.sum(axis=1)
+        else:
+            d = np.empty(self.n)
+            for s, e in self._chunks():
+                d[s:e] = _kernel_rows(self.features, s, e).sum(axis=1)
+        self.normalizers = np.maximum(d, NORMALIZER_FLOOR)
+        if self._kernel is not None:
+            self._kernel /= self.normalizers[:, None]
 
     def _chunks(self):
         step = max(1, (1 << 22) // (self.n * self.dim))
@@ -195,7 +241,12 @@ class FilterPlan:
         if self.n == 1:
             out = np.zeros_like(vals)
         elif self.backend == "exact":
-            if self._kernel is not None:
+            if self._factors is not None:
+                d = self.normalizers[:, None]
+                out = self._grid_numerator(vals / d if transpose else vals)
+                if not transpose:
+                    out /= d
+            elif self._kernel is not None:
                 # M v = (v^T M^T)^T and M^T g = (g^T M)^T: with C << N,
                 # OpenBLAS runs the (C, N) products about 1.5x faster
                 m = self._kernel if transpose else self._kernel.T
@@ -219,6 +270,15 @@ class FilterPlan:
                 else:
                     out[starved] = self._fallback @ vals
         return out[:, 0] if squeeze else out
+
+    def _grid_numerator(self, vals: np.ndarray) -> np.ndarray:
+        """N v = T + A_y (T + V) with T = A_x V, over an (h, w, C) view."""
+        ax, ay = self._factors
+        v = vals.reshape(len(ay), len(ax), -1)
+        t = ax @ v
+        out = ay @ (t + v).reshape(len(ay), -1)
+        out += t.reshape(len(ay), -1)
+        return out.reshape(vals.shape)
 
     # -- public API -----------------------------------------------------------
 

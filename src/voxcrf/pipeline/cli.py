@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from ..crf import (
     ENERGY_PIXEL_LIMIT,
-    CrfParams,
     build_features,
     crf_energy,
     map_labeling,
@@ -26,7 +26,13 @@ from ..crf import (
 from ..errors import ConfigError, InputError, SizeLimitError, VoxcrfError
 from ..metrics import ConfusionMatrix, accumulate, compute_metrics, format_report
 from .formats import load_unary, read_label_image, read_ppm, save_unary, write_label_image
-from .manifest import load_config_overrides, load_manifest
+from .manifest import (
+    _BASES,
+    PipelineConfig,
+    apply_overrides,
+    load_config_overrides,
+    load_manifest,
+)
 from .runner import load_frame, run_pipeline
 from .synthetic import default_scene_spec, generate_synthetic
 
@@ -41,10 +47,17 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     n = probs.height * probs.width
     if args.energy_report and n > ENERGY_PIXEL_LIMIT:  # fail before writing anything
         raise SizeLimitError(f"energy evaluation is O(N^2); {n} > {ENERGY_PIXEL_LIMIT} pixels")
-    params = CrfParams() if args.iterations is None else CrfParams(iterations=args.iterations)
+    config = _BASES[PipelineConfig]
+    if args.config:  # its compatibility must fit the unary's label count
+        overrides = load_config_overrides(args.config)
+        config = apply_overrides(replace(config, labels=probs.labels), overrides)
+    # a flag given wins over the config; replace copies the shared defaults
+    flags = {} if args.iterations is None else {"iterations": args.iterations}
+    params = replace(config.crf, **flags)
+    backend = config.backend if args.backend is None else args.backend
     unary = unary_from_probabilities(probs)
     features = build_features(rgb, params)
-    q, _ = mean_field_infer(unary, features, params, args.backend)
+    q, _ = mean_field_infer(unary, features, params, backend)
     labels = map_labeling(q)
 
     out = Path(args.out)
@@ -137,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rgb", required=True)
     p.add_argument("--out", default="segment_out")
     p.add_argument("--energy-report", action="store_true")
-    p.add_argument("--backend", choices=("exact", "lattice"), default="lattice")
+    p.add_argument("--config", default=None, help="JSON file of CRF and backend settings")
+    p.add_argument("--backend", choices=("exact", "lattice"), default=None)
     p.add_argument("--iterations", type=int, default=None)
     p.set_defaults(func=_cmd_segment)
 

@@ -89,6 +89,131 @@ def test_exact_chunked_path_keeps_isolated_points(rng):
     )
 
 
+def _grid_features(xs, ys):
+    """Row-major product grid: x = tile(xs, h), y = repeat(ys, w), as an
+    image's spatial features are."""
+    return np.column_stack([np.tile(xs, len(ys)), np.repeat(ys, len(xs))])
+
+
+def _grid_axes_case(kind, rng):
+    h, w = (int(v) for v in rng.integers(2, 40, 2))
+    if kind == "random":
+        return np.arange(w) / 3.0, np.arange(h) / 3.0
+    if kind == "single_row":
+        return np.arange(50) / 3.0, np.zeros(1)
+    if kind == "single_column":
+        return np.zeros(1), np.arange(50) / 3.0
+    if kind == "unit_spacing":
+        return np.arange(w) + 0.5, np.arange(h) - 7.0
+    if kind == "spacing_5":  # off-diagonal mass about 1e-6 per neighbor
+        return np.arange(w) * 5.0, np.arange(h) * 5.0
+    # uneven spacing, some coordinates far apart
+    return np.cumsum(rng.uniform(0.05, 4.0, w)), np.cumsum(rng.uniform(0.05, 4.0, h))
+
+
+@pytest.mark.parametrize(
+    "kind", ["random", "single_row", "single_column", "unit_spacing", "spacing_5", "uneven"]
+)
+def test_exact_grid_plan_matches_dense_kernel(kind, rng):
+    """A product grid takes the Kronecker path, and its normalizers, apply
+    and apply_transpose match the dense self-excluded kernel."""
+    from voxcrf.filtering import NORMALIZER_FLOOR, _kernel_rows
+
+    feats = _grid_features(*_grid_axes_case(kind, rng))
+    n = len(feats)
+    plan = plan_filter(feats, "exact")
+    assert plan._factors is not None and plan._kernel is None
+    kernel = _kernel_rows(feats, 0, n)
+    d = np.maximum(kernel.sum(axis=1), NORMALIZER_FLOOR)
+    if kind == "spacing_5":
+        assert d.max() < 2e-5  # four neighbors at exp(-12.5)
+    np.testing.assert_allclose(plan.normalizers, d, rtol=1e-13, atol=0)
+    for shape in ((n,), (n, 4)):
+        v = rng.normal(size=shape)
+        dd = d if len(shape) == 1 else d[:, None]
+        for out, expected in (
+            (plan.apply(v), (kernel @ v) / dd),
+            (plan.apply_transpose(v), kernel @ (v / dd)),
+        ):
+            assert out.shape == shape
+            assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n, dim", [(200, 5), (64, 5), (130, 2), (2, 3)])
+def test_exact_mirrored_kernel_is_bit_equal_to_row_build(n, dim, rng):
+    """The cached kernel, built against the columns right of each block and
+    mirrored, equals a build one row at a time bit for bit."""
+    from voxcrf.filtering import NORMALIZER_FLOOR, _kernel_rows
+
+    feats = rng.uniform(0, 4, (n, dim))
+    plan = plan_filter(feats, "exact")
+    assert plan._kernel is not None
+    rows = np.vstack([_kernel_rows(feats, i, i + 1) for i in range(n)])
+    d = np.maximum(rows.sum(axis=1), NORMALIZER_FLOOR)
+    np.testing.assert_array_equal(plan.normalizers, d)
+    np.testing.assert_array_equal(plan._kernel, rows / d[:, None])
+
+
+def test_exact_grid_path_only_for_product_grids(rng):
+    """Only 2-D features in row-major product grid order skip the dense
+    kernel: a permuted or column-major grid, random 2-D points and 5-D
+    features keep it."""
+    from voxcrf.crf import CrfParams, build_features
+
+    features = build_features(rng.uniform(0, 255, (12, 9, 3)), CrfParams())
+    assert plan_filter(features.spatial, "exact")._factors is not None
+    assert plan_filter(features.spatial[::-1], "exact")._factors is not None  # xs, ys reversed
+    for feats in (
+        features.spatial[rng.permutation(len(features.spatial))],
+        features.spatial.reshape(12, 9, 2).transpose(1, 0, 2).reshape(-1, 2),
+        rng.uniform(0, 5, (108, 2)),
+        features.bilateral,
+    ):
+        plan = plan_filter(feats, "exact")
+        assert plan._factors is None and plan._kernel is not None
+
+
+def test_exact_grid_factors_stay_within_the_dense_limit(monkeypatch):
+    """A grid side longer than _KERNEL_CACHE_LIMIT would make a dense 1-D
+    factor larger than the dense kernel; such a grid takes the chunked path."""
+    from voxcrf import filtering
+
+    monkeypatch.setattr(filtering, "_KERNEL_CACHE_LIMIT", 10)
+    for xs, ys in ((np.arange(11.0), np.arange(2.0)), (np.arange(2.0), np.arange(11.0))):
+        plan = plan_filter(_grid_features(xs, ys), "exact")
+        assert plan._factors is None and plan._kernel is None
+    assert plan_filter(_grid_features(np.arange(10.0), np.arange(10.0)), "exact")._factors is not None
+
+
+def test_exact_grid_plan_allocates_no_dense_kernel(rng):
+    """A 96x72 image's spatial plan, above the dense-kernel limit, builds
+    and applies without any N x N (or N x block) array."""
+    import tracemalloc
+
+    from voxcrf.crf import CrfParams, build_features
+    from voxcrf.filtering import _KERNEL_CACHE_LIMIT, _kernel_rows
+
+    feats = build_features(np.zeros((72, 96, 3)), CrfParams()).spatial
+    n = len(feats)
+    assert n > _KERNEL_CACHE_LIMIT
+    v = rng.normal(size=(n, 4))
+    tracemalloc.start()
+    try:
+        plan = plan_filter(feats, "exact")
+        out, out_t = plan.apply(v), plan.apply_transpose(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * v.nbytes + (1 << 20), f"peaked at {peak / 2**20:.1f} MiB"
+    rows = _kernel_rows(feats, 0, 100)  # spot-check the first rows
+    np.testing.assert_allclose(plan.normalizers[:100], rows.sum(axis=1), rtol=1e-13)
+    expected = rows @ v / plan.normalizers[:100, None]
+    assert np.abs(out[:100] - expected).max() <= 1e-13 * np.abs(expected).max()
+    # the kernel is symmetric, so M^T g's first rows read N's first rows too
+    expected_t = rows @ (v / plan.normalizers[:, None])
+    assert np.abs(out_t[:100] - expected_t).max() <= 1e-13 * np.abs(expected_t).max()
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(-3, 3), st.floats(-3, 3))
 def test_linearity(seed, a, b):

@@ -635,6 +635,76 @@ def test_cli_segment_rejects_zero_iterations(scene, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _recorded_segment(rec, tmp_path, monkeypatch, *flags):
+    """Run ``voxcrf segment`` on ``rec`` and return the (params, backend)
+    its mean-field inference was given."""
+    used, infer = [], cli.mean_field_infer
+
+    def recording_infer(u, features, params, backend, *args, **kwargs):
+        used.append((params, backend))
+        return infer(u, features, params, backend, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "mean_field_infer", recording_infer)
+    args = ["--unary", rec.unary_path, "--rgb", rec.rgb_path, "--out", str(tmp_path / "seg")]
+    assert cli_main(["segment", *args, *flags]) == 0
+    assert len(used) == 1
+    return used[0]
+
+
+def test_cli_segment_config_takes_train_crf_output(scene, tmp_path, monkeypatch):
+    params_path = tmp_path / "params.json"
+    rc = cli_main(["train-crf", "--manifest", str(scene), "--epochs", "1", "--out", str(params_path)])
+    assert rc == 0
+    trained = json.loads(params_path.read_text())
+    assert trained["kernel_weights"] != CrfParams().kernel_weights.tolist()
+    rec = load_manifest(scene)[0][0]
+
+    params, backend = _recorded_segment(rec, tmp_path, monkeypatch, "--config", str(params_path))
+    assert params.kernel_weights.tolist() == trained["kernel_weights"]
+    assert params.compatibility.tolist() == trained["compatibility"]
+    assert backend == PipelineConfig.backend  # the JSON holds no backend
+
+    params, backend = _recorded_segment(rec, tmp_path, monkeypatch)  # no config: the defaults
+    assert params.kernel_weights.tolist() == CrfParams().kernel_weights.tolist()
+    assert params.compatibility is None and params.iterations == CrfParams().iterations
+    assert backend == "lattice"
+
+
+def test_cli_segment_flags_given_beat_the_config(scene, tmp_path, monkeypatch):
+    settings = tmp_path / "settings.json"
+    settings.write_text('{"backend": "exact", "iterations": 2, "kernel_weights": [4, 1]}')
+    rec = load_manifest(scene)[0][0]
+    config = ["--config", str(settings)]
+
+    params, backend = _recorded_segment(rec, tmp_path, monkeypatch, *config)
+    assert (backend, params.iterations, params.kernel_weights.tolist()) == ("exact", 2, [4, 1])
+    flags = ["--backend", "lattice", "--iterations", "3"]
+    params, backend = _recorded_segment(rec, tmp_path, monkeypatch, *config, *flags)
+    assert (backend, params.iterations, params.kernel_weights.tolist()) == ("lattice", 3, [4, 1])
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ('{"kernel_weights": [1.0]}', "error: bad value for kernel_weights: "),
+        ('{"backend": "magic"}', "error: bad value for backend: "),
+        ('{"iterations": 2.5}', "error: bad value for iterations: "),
+        ('{"nonsense": 1}', "error: unknown override keys "),
+    ],
+)
+def test_cli_segment_bad_config_exits_1_with_one_line(scene, tmp_path, capsys, settings, message):
+    path = tmp_path / "bad.json"
+    path.write_text(settings)
+    rec = load_manifest(scene)[0][0]
+    out = tmp_path / "seg"
+    args = ["--unary", rec.unary_path, "--rgb", rec.rgb_path, "--out", str(out)]
+    assert cli_main(["segment", *args, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_synth_passes_only_the_flags_given(tmp_path, monkeypatch):
     """Every synth default is SyntheticSceneSpec's: with no flags the CLI
     writes the bytes of the default spec's scene."""
