@@ -15,6 +15,8 @@ the unary and the softmax in the output of the compatibility GEMM.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from typing import NoReturn
@@ -110,6 +112,18 @@ def potts_matrix(labels: int) -> np.ndarray:
     return np.ones((labels, labels)) - np.eye(labels)
 
 
+def integer_setting(name: str, value) -> int:
+    """``value`` as an int when it is a whole, finite real number (``2.0``,
+    ``np.int64(2)``); ``ConfigError`` naming ``name`` otherwise (``2.7``,
+    nan, a bool, a string)."""
+    whole = not isinstance(value, bool) and isinstance(value, numbers.Real)
+    if whole and not isinstance(value, numbers.Integral):
+        whole = math.isfinite(value) and float(value).is_integer()
+    if not whole:
+        raise ConfigError(f"{name} must be an integer, got {value!r:.80}")
+    return int(value)
+
+
 @dataclass
 class CrfParams:
     """Kernel weights, label compatibility, kernel scales and iteration count.
@@ -141,9 +155,9 @@ class CrfParams:
             v = float(getattr(self, name))
             if not np.isfinite(v) or v <= 0:
                 raise ConfigError(f"{name} must be positive, got {v}")
-        if int(self.iterations) < 1:
+        self.iterations = integer_setting("iterations", self.iterations)
+        if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        self.iterations = int(self.iterations)
 
     def compatibility_for(self, labels: int) -> np.ndarray:
         if self.compatibility is None:

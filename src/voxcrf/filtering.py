@@ -14,7 +14,8 @@ permutohedral lattice in near-linear time.
 Each plan is one linear operator: with N the unnormalized (numerator)
 message matrix and D = diag(d), ``apply = M v`` and ``apply_transpose =
 M^T g`` for M = D^-1 N (d depends only on the features, so M^T is the exact
-adjoint of apply).  ``exact`` has N = K - I, symmetric, and three paths:
+adjoint of apply).  ``exact`` holds N = K - I, which is symmetric, so
+apply is N v / d and apply_transpose N (g / d), in one of three forms:
 
 - grid Kronecker: 2-D features on a row-major product grid (an image's
   spatial kernel, x = tile(xs, h), y = repeat(ys, w)) with h and w up to
@@ -23,12 +24,10 @@ adjoint of apply).  ``exact`` has N = K - I, symmetric, and three paths:
   d = s_y + s_x + s_y s_x from the factors' row sums and
   N v = T + A_y (T + V) over an (h, w, C) view with T = A_x V, in
   O(N (h + w)) time and O(h^2 + w^2) memory beside the values, at any N;
-  apply is N v / d and apply_transpose N (g / d);
-- mirrored cached: other features, up to _KERNEL_CACHE_LIMIT points, have
-  the kernel built a block of rows at a time against the columns right of
-  the block only, the part right of the diagonal mirrored into the rows
-  below, and stored as M (each row divided by d_i);
-- chunked: above the limit, apply recomputes the kernel rows chunk by chunk.
+- mirrored dense: other features, up to _KERNEL_CACHE_LIMIT points, keep N,
+  built a block of rows at a time against the columns right of the block
+  only, with the part right of the diagonal mirrored into the rows below;
+- chunked: above the limit, N v recomputes N's rows chunk by chunk.
 
 ``lattice`` is stored pre-scaled as M, with no separate normalization pass
 and no ``g / d`` copy.  It has N = P_ns (L - D_L) + P_s F, with L the
@@ -162,8 +161,8 @@ class FilterPlan:
     # -- exact backend ------------------------------------------------------
 
     def _init_exact(self) -> None:
-        # the three paths of the module docstring: grid factors, M up to
-        # _KERNEL_CACHE_LIMIT points, or neither (apply recomputes the rows)
+        # the three forms of N in the module docstring: grid factors, N up to
+        # _KERNEL_CACHE_LIMIT points, or neither (_numerator recomputes its rows)
         self._kernel = self._factors = None
         axes = _grid_axes(self.features)
         if axes is not None:
@@ -183,8 +182,6 @@ class FilterPlan:
             for s, e in self._chunks():
                 d[s:e] = _kernel_rows(self.features, s, e).sum(axis=1)
         self.normalizers = np.maximum(d, NORMALIZER_FLOOR)
-        if self._kernel is not None:
-            self._kernel /= self.normalizers[:, None]
 
     def _chunks(self):
         step = max(1, (1 << 22) // (self.n * self.dim))
@@ -241,24 +238,10 @@ class FilterPlan:
         if self.n == 1:
             out = np.zeros_like(vals)
         elif self.backend == "exact":
-            if self._factors is not None:
-                d = self.normalizers[:, None]
-                out = self._grid_numerator(vals / d if transpose else vals)
-                if not transpose:
-                    out /= d
-            elif self._kernel is not None:
-                # M v = (v^T M^T)^T and M^T g = (g^T M)^T: with C << N,
-                # OpenBLAS runs the (C, N) products about 1.5x faster
-                m = self._kernel if transpose else self._kernel.T
-                out = np.ascontiguousarray((vals.T @ m).T)
-            else:
-                out = np.zeros_like(vals)
-                for s, e in self._chunks():
-                    rows = _kernel_rows(self.features, s, e) / self.normalizers[s:e, None]
-                    if transpose:
-                        out += rows.T @ vals[s:e]
-                    else:
-                        out[s:e] = rows @ vals
+            d = self.normalizers[:, None]
+            out = self._numerator(vals / d if transpose else vals)
+            if not transpose:
+                out /= d
         else:
             # diag(r) L - diag(r D_L), with zero starved rows, then F's rows
             out = self._lattice.filter(vals, reverse=transpose)
@@ -271,14 +254,24 @@ class FilterPlan:
                     out[starved] = self._fallback @ vals
         return out[:, 0] if squeeze else out
 
-    def _grid_numerator(self, vals: np.ndarray) -> np.ndarray:
-        """N v = T + A_y (T + V) with T = A_x V, over an (h, w, C) view."""
-        ax, ay = self._factors
-        v = vals.reshape(len(ay), len(ax), -1)
-        t = ax @ v
-        out = ay @ (t + v).reshape(len(ay), -1)
-        out += t.reshape(len(ay), -1)
-        return out.reshape(vals.shape)
+    def _numerator(self, vals: np.ndarray) -> np.ndarray:
+        """N v for the exact backend, in the form the plan holds."""
+        if self._factors is not None:
+            # N v = T + A_y (T + V) with T = A_x V, over an (h, w, C) view
+            ax, ay = self._factors
+            v = vals.reshape(len(ay), len(ax), -1)
+            t = ax @ v
+            out = ay @ (t + v).reshape(len(ay), -1)
+            out += t.reshape(len(ay), -1)
+            return out.reshape(vals.shape)
+        if self._kernel is not None:
+            # N v = (v^T N)^T, N being symmetric: with C << N, OpenBLAS runs
+            # the (C, N) product about 1.5x faster than N v
+            return np.ascontiguousarray((vals.T @ self._kernel).T)
+        out = np.empty_like(vals)
+        for s, e in self._chunks():
+            out[s:e] = _kernel_rows(self.features, s, e) @ vals
+        return out
 
     # -- public API -----------------------------------------------------------
 

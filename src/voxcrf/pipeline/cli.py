@@ -48,9 +48,13 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     if args.energy_report and n > ENERGY_PIXEL_LIMIT:  # fail before writing anything
         raise SizeLimitError(f"energy evaluation is O(N^2); {n} > {ENERGY_PIXEL_LIMIT} pixels")
     config = _BASES[PipelineConfig]
-    if args.config:  # its compatibility must fit the unary's label count
+    if args.config:  # its labels and compatibility must fit the unary's label count
         overrides = load_config_overrides(args.config)
         config = apply_overrides(replace(config, labels=probs.labels), overrides)
+        if config.labels != probs.labels:
+            raise ConfigError(
+                f"bad value for labels: the unary has {probs.labels} labels, got {config.labels}"
+            )
     # a flag given wins over the config; replace copies the shared defaults
     flags = {} if args.iterations is None else {"iterations": args.iterations}
     params = replace(config.crf, **flags)

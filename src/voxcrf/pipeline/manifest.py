@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..crf import CrfParams
+from ..crf import CrfParams, integer_setting
 from ..errors import ConfigError, FormatError, InputError
 from ..projection import CameraIntrinsics, Pose
 
@@ -60,6 +60,8 @@ class PipelineConfig:
     min_confidence: float = 0.0
 
     def __post_init__(self):
+        self.labels = integer_setting("labels", self.labels)
+        self.min_observations = integer_setting("min_observations", self.min_observations)
         if not 2 <= self.labels <= 255:  # 255 is IGNORE in 8-bit truth images
             raise ConfigError(f"labels must be in [2, 255], got {self.labels}")
         self.crf.compatibility_for(self.labels)  # a given μ must be labels x labels
@@ -77,12 +79,6 @@ def _real(value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValueError("expected a finite number")
     return float(value)
-
-
-def _integer(value) -> int:
-    if not _real(value).is_integer():
-        raise ValueError("expected an integer")
-    return int(value)
 
 
 def _text(value) -> str:
@@ -115,11 +111,11 @@ _KEYS = {
     "theta_alpha": (CrfParams, _real),
     "theta_beta": (CrfParams, _real),
     "theta_gamma": (CrfParams, _real),
-    "iterations": (CrfParams, _integer),
-    "labels": (PipelineConfig, _integer),
+    "iterations": (CrfParams, _real),
+    "labels": (PipelineConfig, _real),
     "backend": (PipelineConfig, _text),
     "voxel_resolution": (PipelineConfig, _real),
-    "min_observations": (PipelineConfig, _integer),
+    "min_observations": (PipelineConfig, _real),
     "min_confidence": (PipelineConfig, _real),
 }
 _INTRINSICS = [k for k, (owner, _) in _KEYS.items() if owner is CameraIntrinsics]
@@ -134,8 +130,9 @@ _BASES = {
 
 def _coerce(key: str, value):
     """The value of ``key`` through its coercion, checked on its own by the
-    dataclass that owns the key; every rejection is a ConfigError naming
-    the key.  Checks across fields (a ``compatibility`` that is not labels
+    dataclass that owns the key and returned as that dataclass holds it (an
+    integer field's 2.0 as 2); every rejection is a ConfigError naming the
+    key.  Checks across fields (a ``compatibility`` that is not labels
     x labels) are left to the caller's combined ``replace``."""
     if key not in _KEYS:
         raise ConfigError(f"unknown config key {key!r}")
@@ -145,10 +142,9 @@ def _coerce(key: str, value):
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad value for {key}: {e}, got {value!r:.80}") from e
     try:
-        replace(_BASES[owner], **{key: value})
+        return getattr(replace(_BASES[owner], **{key: value}), key)
     except (ConfigError, InputError) as e:
         raise ConfigError(f"bad value for {key}: {e}") from e
-    return value
 
 
 def _number(text: str) -> float | str:

@@ -66,6 +66,11 @@ def test_params_validation():
         CrfParams(theta_alpha=0.0)
     with pytest.raises(ConfigError):
         CrfParams(iterations=0)
+    for iterations in (2.7, float("nan"), float("inf"), True, "3"):
+        with pytest.raises(ConfigError, match="^iterations must be an integer"):
+            CrfParams(iterations=iterations)
+    assert CrfParams(iterations=np.float64(2.0)).iterations == 2
+    assert type(CrfParams(iterations=np.int64(2)).iterations) is int
     p = CrfParams()
     assert np.array_equal(p.compatibility_for(3), potts_matrix(3))
 

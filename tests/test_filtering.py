@@ -141,8 +141,8 @@ def test_exact_grid_plan_matches_dense_kernel(kind, rng):
 
 @pytest.mark.parametrize("n, dim", [(200, 5), (64, 5), (130, 2), (2, 3)])
 def test_exact_mirrored_kernel_is_bit_equal_to_row_build(n, dim, rng):
-    """The cached kernel, built against the columns right of each block and
-    mirrored, equals a build one row at a time bit for bit."""
+    """The dense numerator N, built against the columns right of each block
+    and mirrored, equals a build one row at a time bit for bit."""
     from voxcrf.filtering import NORMALIZER_FLOOR, _kernel_rows
 
     feats = rng.uniform(0, 4, (n, dim))
@@ -151,7 +151,32 @@ def test_exact_mirrored_kernel_is_bit_equal_to_row_build(n, dim, rng):
     rows = np.vstack([_kernel_rows(feats, i, i + 1) for i in range(n)])
     d = np.maximum(rows.sum(axis=1), NORMALIZER_FLOOR)
     np.testing.assert_array_equal(plan.normalizers, d)
-    np.testing.assert_array_equal(plan._kernel, rows / d[:, None])
+    np.testing.assert_array_equal(plan._kernel, rows)
+
+
+def test_exact_forms_agree_on_a_grid(rng, monkeypatch):
+    """The grid, mirrored dense and chunked forms of N give one operator on
+    the same product-grid features."""
+    from voxcrf import filtering
+
+    feats = _grid_features(np.arange(13) / 2.0, np.arange(9) / 3.0)
+    grid = plan_filter(feats, "exact")
+    with monkeypatch.context() as m:
+        m.setattr(filtering, "_grid_axes", lambda features: None)
+        dense = plan_filter(feats, "exact")
+        m.setattr(filtering, "_KERNEL_CACHE_LIMIT", 10)
+        chunked = plan_filter(feats, "exact")
+    assert grid._factors is not None and grid._kernel is None
+    assert dense._factors is None and dense._kernel is not None
+    assert chunked._factors is None and chunked._kernel is None
+    v = rng.normal(size=(len(feats), 3))
+    for plan in (dense, chunked):
+        np.testing.assert_allclose(plan.normalizers, grid.normalizers, rtol=1e-13, atol=0)
+        for out, expected in (
+            (plan.apply(v), grid.apply(v)),
+            (plan.apply_transpose(v), grid.apply_transpose(v)),
+        ):
+            assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_exact_grid_path_only_for_product_grids(rng):

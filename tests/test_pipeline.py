@@ -227,6 +227,22 @@ def test_pipeline_config_rejects_non_finite_settings(key, value):
         PipelineConfig(CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0), **{key: value})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("labels", 2.5),
+        ("labels", float("nan")),
+        ("labels", True),
+        ("min_observations", 0.5),
+        ("min_observations", float("inf")),
+        ("min_observations", "2"),
+    ],
+)
+def test_pipeline_config_integer_fields_reject_non_integers(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be an integer"):
+        PipelineConfig(CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0), **{key: value})
+
+
 def test_manifest_reads_a_comma_list(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("fx=10\nfy=10\ncx=1\ncy=1\nkernel_weights=0.5,2\niterations=2\n")
@@ -689,6 +705,7 @@ def test_cli_segment_flags_given_beat_the_config(scene, tmp_path, monkeypatch):
         ('{"kernel_weights": [1.0]}', "error: bad value for kernel_weights: "),
         ('{"backend": "magic"}', "error: bad value for backend: "),
         ('{"iterations": 2.5}', "error: bad value for iterations: "),
+        ('{"labels": 5}', "error: bad value for labels: the unary has 4 labels, got 5"),
         ('{"nonsense": 1}', "error: unknown override keys "),
     ],
 )
