@@ -111,7 +111,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     flags = dict(seed=args.seed, frame_count=args.frames, noise=args.noise,
-                 confidence=args.confidence, width=args.width, height=args.height)
+                 confidence=args.confidence, width=args.width, height=args.height,
+                 jitter=args.jitter)
     # only the flags given, so every default is SyntheticSceneSpec's
     spec = default_scene_spec(**{k: v for k, v in flags.items() if v is not None})
     manifest = generate_synthetic(spec, args.out)
@@ -180,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--confidence", type=float, default=None)
     p.add_argument("--width", type=int, default=None)
     p.add_argument("--height", type=int, default=None)
+    p.add_argument("--jitter", type=float, default=None)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train-crf", help="train kernel weights and compatibility")

@@ -145,7 +145,7 @@ def save_unary(path: str | Path, image: LabelDistributionImage) -> None:
     with open(path, "wb") as f:
         f.write(UNARY_MAGIC)
         f.write(struct.pack("<III", image.height, image.width, image.labels))
-        f.write(image.data.astype("<f4").tobytes())
+        f.write(np.ascontiguousarray(image.data, dtype="<f4"))  # the buffer, no bytes copy
 
 
 def load_unary(path: str | Path) -> LabelDistributionImage:

@@ -5,7 +5,8 @@ camera orbit renders depth by ray casting (slab intersection tests), labels,
 flat-shaded RGB with bounded per-pixel jitter for bilateral contrast, and
 unaries corrupted by replacing the true label with a random wrong one at a
 given rate.  All randomness derives from the scene seed, so outputs are
-bit-identical for identical specs.
+bit-identical for identical specs.  Rays are cast one axis at a time over a
+(3, N) array, one contiguous row per axis, so no step reduces a short axis.
 
 ``SyntheticSceneSpec`` holds every default of ``voxcrf synth``.  Its camera,
 ``spec.intrinsics``, casts the rays and writes the manifest's intrinsics header.
@@ -95,6 +96,24 @@ class SyntheticSceneSpec:
             lo, hi = np.asarray(b.lo), np.asarray(b.hi)
             if np.any(lo >= hi) or np.any(lo < 0) or np.any(hi > room):
                 raise ConfigError(f"box {b} not inside the room")
+        self._check_orbit(room)
+
+    def _check_orbit(self, room: np.ndarray) -> None:
+        """Every eye strictly inside the room, outside every box and off the
+        look-at target; a bad orbit once wrote an all-wall or NaN-pose scene."""
+        for name in ("orbit_radius", "orbit_height"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        orbit = f"orbit_radius={self.orbit_radius}, orbit_height={self.orbit_height}"
+        eyes, target = _orbit(self)
+        for eye in eyes:
+            if np.any(eye <= 0) or np.any(eye >= room):
+                raise ConfigError(f"{orbit} puts the camera at {eye}, not inside the room")
+            for b in self.boxes:
+                if np.all(eye >= b.lo) and np.all(eye <= b.hi):
+                    raise ConfigError(f"{orbit} puts the camera at {eye}, inside box {b}")
+            if np.array_equal(eye, target):
+                raise ConfigError(f"{orbit} puts the camera on its look-at target {target}")
 
     @property
     def intrinsics(self) -> CameraIntrinsics:
@@ -147,17 +166,20 @@ def look_at_pose(eye: np.ndarray, target: np.ndarray) -> np.ndarray:
     return pose
 
 
-def _ray_box(origin: np.ndarray, dirs: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Slab test: (t_hit, hit mask) for rays origin + t*dirs against a box.
+def _ray_box(origin: np.ndarray, inv: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Slab test, one axis at a time: (t_hit, hit mask) for rays origin + t*d
+    against a box, given ``inv`` = 1/d as a (3, N) array.
 
-    Entry distance when the origin is outside, exit distance when inside.
+    Entry distance when the origin is outside, exit distance when inside.  A
+    zero direction component gives an infinite slab (Williams et al., JGT
+    2005), and a NaN from an origin on that slab's plane propagates to a miss.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs
-    t1 = (np.asarray(lo) - origin) * inv
-    t2 = (np.asarray(hi) - origin) * inv
-    tmin = np.minimum(t1, t2).max(axis=-1)
-    tmax = np.maximum(t1, t2).min(axis=-1)
+    tmin, tmax = -np.inf, np.inf
+    for k in range(3):
+        t1 = (lo[k] - origin[k]) * inv[k]
+        t2 = (hi[k] - origin[k]) * inv[k]
+        tmin = np.maximum(tmin, np.minimum(t1, t2))
+        tmax = np.minimum(tmax, np.maximum(t1, t2))
     hit = (tmax >= tmin) & (tmax > _DEPTH_EPS)
     t = np.where(tmin > _DEPTH_EPS, tmin, tmax)
     return np.where(hit, t, np.inf), hit
@@ -175,12 +197,14 @@ def render_frame(
     )
     r = pose[:3, :3]
     eye = pose[:3, 3]
-    dirs = dirs_cam.reshape(-1, 3) @ r.T
+    dirs = dirs_cam.reshape(-1, 3) @ r.T  # not r @ dirs: BLAS may sum that differently
+    with np.errstate(divide="ignore"):
+        inv = np.ascontiguousarray((1.0 / dirs).T)  # (3, N): one row per axis
 
-    t_best, _ = _ray_box(eye, dirs, (0.0, 0.0, 0.0), spec.room)
-    labels = np.full(dirs.shape[0], spec.room_label, dtype=np.int64)
+    t_best, _ = _ray_box(eye, inv, (0.0, 0.0, 0.0), spec.room)
+    labels = np.full(inv.shape[1], spec.room_label, dtype=np.int64)
     for box in spec.boxes:
-        t, hit = _ray_box(eye, dirs, box.lo, box.hi)
+        t, hit = _ray_box(eye, inv, box.lo, box.hi)
         closer = hit & (t < t_best)
         t_best = np.where(closer, t, t_best)
         labels[closer] = box.label
@@ -272,21 +296,22 @@ def run_budget_benchmark(
 # ---------------------------------------------------------------------------
 
 
-def orbit_poses(spec: SyntheticSceneSpec) -> list[np.ndarray]:
+def _orbit(spec: SyntheticSceneSpec) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each frame's camera eye and the look-at target they share."""
     center = np.asarray(spec.room) / 2.0
     target = np.array([center[0], center[1], min(0.8, spec.room[2] / 2.0)])
-    poses = []
+    eyes = []
     for k in range(spec.frame_count):
         angle = 2.0 * np.pi * k / spec.frame_count
-        eye = np.array(
-            [
-                center[0] + spec.orbit_radius * np.cos(angle),
-                center[1] + spec.orbit_radius * np.sin(angle),
-                spec.orbit_height,
-            ]
-        )
-        poses.append(look_at_pose(eye, target))
-    return poses
+        x = center[0] + spec.orbit_radius * np.cos(angle)
+        y = center[1] + spec.orbit_radius * np.sin(angle)
+        eyes.append(np.array([x, y, spec.orbit_height]))
+    return eyes, target
+
+
+def orbit_poses(spec: SyntheticSceneSpec) -> list[np.ndarray]:
+    eyes, target = _orbit(spec)
+    return [look_at_pose(eye, target) for eye in eyes]
 
 
 def generate_synthetic(spec: SyntheticSceneSpec, out_dir: str | Path) -> Path:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import re
 from dataclasses import FrozenInstanceError
 
@@ -9,7 +11,7 @@ from voxcrf.crf import CrfParams, map_labeling
 from voxcrf.errors import ConfigError, FormatError, InputError
 from voxcrf.pipeline import cli, runner
 from voxcrf.pipeline.cli import main as cli_main
-from voxcrf.pipeline.formats import load_unary, read_label_image, read_ply
+from voxcrf.pipeline.formats import load_unary, read_label_image, read_ply, read_ppm
 from voxcrf.pipeline.labels import MATERIAL_NAMES, label_names, label_palette
 from voxcrf.pipeline.manifest import PipelineConfig, apply_overrides, load_manifest
 from voxcrf.pipeline.runner import run_frame, run_pipeline
@@ -19,6 +21,9 @@ from voxcrf.pipeline.synthetic import (
     corrupt_unaries,
     default_scene_spec,
     generate_synthetic,
+    look_at_pose,
+    orbit_poses,
+    render_frame,
 )
 from voxcrf.projection import CameraIntrinsics
 
@@ -322,6 +327,21 @@ def test_spec_validation():
     for room in ((float("nan"), 3.2, 2.4), (3.2, float("inf"), 2.4)):  # NaN once gave no depth
         with pytest.raises(ConfigError, match="room extents"):
             small_spec(room=room)
+    # an orbit above the room once rendered only its outer face, label 12 everywhere
+    for orbit in (dict(orbit_height=3.0), dict(orbit_height=0.0), dict(orbit_radius=1.7)):
+        with pytest.raises(ConfigError, match="orbit_radius=.* not inside the room"):
+            small_spec(**orbit)
+    for name in ("orbit_radius", "orbit_height"):  # NaN once wrote every file, then failed to load
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                small_spec(**{name: value})
+    with pytest.raises(ConfigError, match="orbit_radius=0, orbit_height=0.3 .* inside box"):
+        small_spec(orbit_radius=0, orbit_height=0.3)  # inside the table
+    with pytest.raises(ConfigError, match="orbit_height=0.8 puts the camera on its look-at target"):
+        small_spec(orbit_radius=0, orbit_height=0.8)  # once NaN poses in the manifest
+    small_spec(orbit_radius=0, orbit_height=2.0)  # straight down is a valid view
+    for size, frames in (((640, 480), 3), ((160, 120), 12), ((64, 48), 4)):  # benchmark scenes
+        default_scene_spec(width=size[0], height=size[1], frame_count=frames, noise=0.25)
     with pytest.raises(FrozenInstanceError):  # a checked spec cannot be made invalid
         small_spec().seed = -1
     assert isinstance(small_spec().boxes, tuple)  # no box appended after the checks
@@ -354,6 +374,149 @@ def test_same_seed_bit_identical(tmp_path):
             assert open(pa, "rb").read() == open(pb, "rb").read()
 
 
+def _slab_oracle(eye, d, lo, hi):
+    """Kay & Kajiya's slab test for one ray in Python floats: (t, hit).  A
+    zero direction component is an infinite slab: a ray inside it passes, a
+    ray outside or on one of its planes (0 * inf is NaN) misses."""
+    tmin, tmax = -math.inf, math.inf
+    for k in range(3):
+        if d[k] == 0.0:
+            if not lo[k] < eye[k] < hi[k]:
+                return math.inf, False
+            continue
+        t1 = (lo[k] - eye[k]) * (1.0 / d[k])
+        t2 = (hi[k] - eye[k]) * (1.0 / d[k])
+        tmin, tmax = max(tmin, min(t1, t2)), min(tmax, max(t1, t2))
+    if tmax >= tmin and tmax > 1e-9:
+        return (tmin if tmin > 1e-9 else tmax), True
+    return math.inf, False
+
+
+def _render_oracle(spec, pose):
+    """render_frame one ray at a time: the closest box hit, else the room."""
+    cam = spec.intrinsics
+    dirs_cam = np.array(
+        [((u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, 1.0)
+         for v in range(spec.height) for u in range(spec.width)]
+    )
+    dirs = dirs_cam @ pose[:3, :3].T  # the renderer's product, so both cast the same rays
+    eye = pose[:3, 3].tolist()
+    depth, labels = [], []
+    for d in dirs.tolist():
+        t_best, _ = _slab_oracle(eye, d, (0.0, 0.0, 0.0), spec.room)
+        label = spec.room_label
+        for box in spec.boxes:
+            t, hit = _slab_oracle(eye, d, box.lo, box.hi)
+            if hit and t < t_best:
+                t_best, label = t, box.label
+        raw = round(t_best / spec.depth_scale) if math.isfinite(t_best) else 0
+        depth.append(raw if 1 <= raw <= 65535 else 0)
+        labels.append(label)
+    shape = (spec.height, spec.width)
+    return np.array(depth, dtype=np.uint16).reshape(shape), np.array(labels).reshape(shape)
+
+
+@pytest.mark.parametrize("size", [(16, 12), (17, 13)], ids=["16x12", "17x13"])
+def test_render_frame_matches_per_ray_oracle(size):
+    """Depth and labels bit-equal to a scalar slab test on the orbit, a
+    straight-down view, an axis-aligned view and an eye on the table's x = 0.9
+    slab plane.  At 17x13 the centre row and column have exactly zero
+    direction components, so the infinite-slab and NaN cases run too."""
+    spec = default_scene_spec(width=size[0], height=size[1])
+    poses = orbit_poses(spec) + [
+        look_at_pose([1.6, 1.6, 2.0], [1.6, 1.6, 0.8]),  # straight down
+        look_at_pose([0.2, 1.6, 1.0], [1.2, 1.6, 1.0]),  # along +x
+        look_at_pose([0.9, 0.3, 0.5], [0.9, 1.3, 0.5]),  # in the table's x = 0.9 plane
+    ]
+    with np.errstate(invalid="ignore"):  # 0 * inf on the slab plane
+        for pose in poses:
+            depth, labels = render_frame(spec, pose)
+            want_depth, want_labels = _render_oracle(spec, pose)
+            np.testing.assert_array_equal(depth, want_depth)
+            np.testing.assert_array_equal(labels, want_labels)
+            assert depth.dtype == np.uint16 and (depth > 0).all()
+
+
+_DEFAULT_SCENE_SHA256 = {
+    "depth/frame0000.pgm": "3c2dfaa27e53aaaed8960bd9a843d88b089baec9ce25382895eca2eec26d8786",
+    "depth/frame0001.pgm": "653c0bc7d88269d054e096f813ad1782301eaf7713c2bd399f636ad45187baec",
+    "depth/frame0002.pgm": "ae4956cc6bf931047422dc02fa3c5469aa6dc8502fbd1b283020b537f03137b8",
+    "depth/frame0003.pgm": "cce9a8685b26296b8c3df2431a543ae10218813a63ad4e8b2199683ad490106d",
+    "depth/frame0004.pgm": "b827211b9b631fb35edc122b0a0f147aca36fa10f5fdb30d6f890097d586a37c",
+    "depth/frame0005.pgm": "b65be44720f336d3ac0ca208fc815e0f1389332d33399a7cf6382ddb46c25153",
+    "depth/frame0006.pgm": "fbe9c424402bd97f1777cf46a0618d46a595b1c14dce873167a24968ee7445e4",
+    "depth/frame0007.pgm": "fc51654f1aa1f5f7526057c7b3a458d5d0dd9b2670be958562240fa5cf6b095f",
+    "depth/frame0008.pgm": "d54da683d40188f77273c23c754a14179b052391eadb5bad5a26245388eb69bb",
+    "depth/frame0009.pgm": "eff91dc2bdff8a81955a4f490853a584cd9e658cd0adf47a83bc481d95003658",
+    "depth/frame0010.pgm": "5ac3c7190f1fe7ce1a3e739f3154c449f96ba260af3866f27f384e527ffa77ef",
+    "depth/frame0011.pgm": "d11dedddd40f4e24676eaff8cc2ee3166594833aa15dbbde49594c4ad2d2cbb9",
+    "manifest.txt": "8dd3a6333eff374e675c33c6bf61768c9d722db31e8b7244afda58dc62fa8085",
+    "rgb/frame0000.ppm": "a9a269d49b10c6444929047736629b929aae1787a5de9d1301e1589b68b1d839",
+    "rgb/frame0001.ppm": "ded61011abc8d307ab5e2f062fa99b2501d4027c09132ed303ca704b0eb09705",
+    "rgb/frame0002.ppm": "f173c089bbc85759cbdcfd3af7f70ee0b601f190a47cc5949935473adb83c5da",
+    "rgb/frame0003.ppm": "55517fd8b39ade6420821f0fe34a3b205e0aeda2a684830357f7f18f4d01e98b",
+    "rgb/frame0004.ppm": "d08af617b83f25e045d35342b6a9f0481299bb432ccab6d74c95d971ba5cee30",
+    "rgb/frame0005.ppm": "fd21d2655af2bb7700aa17850b319394d42935ecf2c1c806a22c25af030a33c0",
+    "rgb/frame0006.ppm": "21b4b0a088fa2463901321ab10e84f7f6419054f6696ce69bd30d5ea0e45b964",
+    "rgb/frame0007.ppm": "c5e6db34af42abfbaf6f02739bf917a69607aef5479db3c0a00119289a013b36",
+    "rgb/frame0008.ppm": "a75dc6292e8b6e0ee51daf791a9740e479c50aaa890e23cb9bd6de8a356f2e65",
+    "rgb/frame0009.ppm": "8d7ac4ebecbc0d97f4a0b8b878c4c257382a4d1f5f3499cb2683529ec4957206",
+    "rgb/frame0010.ppm": "91bb87a9d88aeee7e48e0a5d08210bea127a440877b8c2e85cff2b944f8d83ad",
+    "rgb/frame0011.ppm": "3b986584d5b0d75e6ddec47f21a08e1acec7c547ce17ec6de54556e728de0896",
+    "truth/frame0000.pgm": "1f01cf915d43fd38c02cd85c725008f9a3fbb82be6c3b7c683038b44636d8c52",
+    "truth/frame0001.pgm": "8e12c20ddf8399f858f136c8237a3176693fcdd48624134e608b01ba417ed736",
+    "truth/frame0002.pgm": "91cf6d000b01e797a60c9eb9967f1db3b91fa29b2252cf7dcc37b6e8c4f08292",
+    "truth/frame0003.pgm": "dc6bf5b53d1ebd8fd9617043f74dfeb0a2a131e9b4fee3bcc037d3972970794c",
+    "truth/frame0004.pgm": "8e3c3db12356c1a780419b70692b22ff7bc2f4b2900f4ca67b86689788877a31",
+    "truth/frame0005.pgm": "ef8ae701226b0bb635fa80aabc2ea1919233b7c25ae4ec437a67edd6e5eb856a",
+    "truth/frame0006.pgm": "e89debcf7a7f7a5d51ca853fed78ed51f4578fd975f0328ff99829e925a8eb6e",
+    "truth/frame0007.pgm": "2eec02eb3392f0c32efcefc29a0714b15ed63837e38cd43123b2f9d5dbb7477e",
+    "truth/frame0008.pgm": "cb237865fe65088b3641ee42c7c23c4e866acaf62d1a5b271f247901b1e81486",
+    "truth/frame0009.pgm": "3433e167453caf9e1947419c48fa836209b0434e21184920f5bc967eb8746c5a",
+    "truth/frame0010.pgm": "c52add905840710f50875c9764ee7b97e8eda73acb7fcd2944febb588d8361db",
+    "truth/frame0011.pgm": "833a3425e32b94f9cdf26d7aa40d835ee4c83fe59b6d487ca62df95c80331b28",
+    "unary/frame0000.unry": "5d20741a942c0d7a560288d1c72bab39c76e597b7d050ba7a194c141b821f9c3",
+    "unary/frame0001.unry": "623047958042b6678a4fe0ed36c1fd0994c844230115d31c5e603d8c71559de0",
+    "unary/frame0002.unry": "43b0fdfa884e410d5cf8d6e31c9291649481582712de9317ca4ea1997f3ed2a0",
+    "unary/frame0003.unry": "795c30923896543da42f53d82f1ca11c3ac52991f54a0cb77faf2b39773d7236",
+    "unary/frame0004.unry": "87b2cbc2f52e865cff1c960a8c7f1354b3451fff925b59de1cb71fbbae638116",
+    "unary/frame0005.unry": "a9f7b652325450d1857a5126fda42686cd5e20faf67b794192cd0dd49a8c6066",
+    "unary/frame0006.unry": "7da3f921775930871188fbcd27ce6f320dcd7454c5bac6d2b41cddfa17b4b007",
+    "unary/frame0007.unry": "ed1b8eefd0ee1c399bf7b2900fba34f35d04076ff4dbdf2bf373b6ee22cc9045",
+    "unary/frame0008.unry": "1f48289e23be80bc4739e6625f1390eb8d1f0d247ca84690f31f763b92a7fff6",
+    "unary/frame0009.unry": "5e3c2cc8ad3259289d918f591834c0c292efa362ecce0dcb99bd489c00644bbb",
+    "unary/frame0010.unry": "0fb0b7e7506e74c02840436274ada5009cf960c658a7c6db9d0ef9c34ab79e96",
+    "unary/frame0011.unry": "d1376fb7cdab78a7eb7fee21ff31e4946b1a40f3520b766173204b1f305b9787",
+}
+_VGA_SCENE_SHA256 = {
+    "depth/frame0000.pgm": "bef8cb470de5eed643d52de046bf5f9f365cf3de8a0d28c082a1781b160da489",
+    "manifest.txt": "cd85834f03c295333389f9a11cabb1593d468081fb70716e365e9af078de6921",
+    "rgb/frame0000.ppm": "78c8156f37fd4732dfe1a8fd1a4b50ffed9971762cd63137501af6ffe6e69d87",
+    "truth/frame0000.pgm": "989a222e95049bbd4a4aa2658802c0de072330195d064465250a4df1b16a638f",
+    "unary/frame0000.unry": "e3b0bb235552366c530344e97a729eaa07e0b90fa0386e005d59090f9d19affe",
+}
+
+
+@pytest.mark.parametrize(
+    "kwargs, pinned",
+    [
+        ({}, _DEFAULT_SCENE_SHA256),
+        (dict(width=640, height=480, frame_count=1, noise=0.25, seed=0), _VGA_SCENE_SHA256),
+    ],
+    ids=["default", "vga-1-frame"],
+)
+def test_synthetic_scene_bytes_are_pinned(tmp_path, kwargs, pinned):
+    """The scenes are the benchmark's inputs: a renderer or writer change that
+    moves one byte shows here, file by file.  The digests come from one numpy
+    and BLAS build; a float library that rounds a ray differently moves them."""
+    generate_synthetic(default_scene_spec(**kwargs), tmp_path)
+    got = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.rglob("*")) if p.is_file()
+    }
+    assert got == pinned
+
+
 def test_depth_is_valid_everywhere_inside_room(scene):
     records, _ = load_manifest(scene)
     from voxcrf.pipeline.formats import read_pgm16
@@ -380,8 +543,12 @@ def test_synthetic_manifest_carries_the_spec_camera(tmp_path):
         (dict(depth_scale=0.0), "depth_scale must be positive"),  # once wrote all-zero depth
         (dict(depth_scale=float("nan")), "intrinsics must be finite"),
         (dict(seed=-1), r"seed must be >= 0, got -1"),  # once a numpy traceback
+        (dict(orbit_radius=float("nan")), "orbit_radius must be finite"),  # once NaN poses
+        (dict(orbit_radius=0, orbit_height=0.8), "on its look-at target"),
+        (dict(orbit_height=3.0), "not inside the room"),  # once an all-wall scene
     ],
-    ids=["depth_scale-zero", "depth_scale-nan", "seed-negative"],
+    ids=["depth_scale-zero", "depth_scale-nan", "seed-negative", "orbit-nan", "orbit-on-target",
+         "orbit-above-room"],
 )
 def test_spec_rejects_bad_camera_and_seed_before_writing(tmp_path, kwargs, message):
     with pytest.raises(ConfigError, match=message):
@@ -747,6 +914,28 @@ def test_cli_synth_passes_only_the_flags_given(tmp_path, monkeypatch):
 def test_cli_synth_negative_seed_exits_1_writing_nothing(tmp_path, capsys):
     assert cli_main(["synth", "--out", str(tmp_path / "s"), "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "s").exists()
+
+
+def test_cli_synth_jitter_zero_gives_palette_colours(tmp_path, monkeypatch):
+    passed = []
+
+    def recording_spec(**kwargs):
+        passed.append(kwargs)
+        return default_scene_spec(**kwargs)
+
+    monkeypatch.setattr(cli, "default_scene_spec", recording_spec)
+    args = ["synth", "--out", str(tmp_path / "s"), "--frames", "1", "--jitter", "0"]
+    assert cli_main(args) == 0
+    assert passed == [{"frame_count": 1, "jitter": 0.0}]
+    rgb = read_ppm(tmp_path / "s" / "rgb" / "frame0000.ppm")
+    truth = read_label_image(tmp_path / "s" / "truth" / "frame0000.pgm").data
+    np.testing.assert_array_equal(rgb, label_palette(23)[truth].reshape(rgb.shape))
+
+
+def test_cli_synth_negative_jitter_exits_1_writing_nothing(tmp_path, capsys):
+    assert cli_main(["synth", "--out", str(tmp_path / "s"), "--jitter", "-1"]) == 1
+    assert capsys.readouterr().err == "error: jitter must be finite and >= 0, got -1.0\n"
     assert not (tmp_path / "s").exists()
 
 
