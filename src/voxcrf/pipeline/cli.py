@@ -111,8 +111,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     flags = dict(seed=args.seed, frame_count=args.frames, noise=args.noise,
-                 confidence=args.confidence, width=args.width, height=args.height,
-                 jitter=args.jitter)
+                 confidence=args.confidence, width=args.width, height=args.height)
     # only the flags given, so every default is SyntheticSceneSpec's
     spec = default_scene_spec(**{k: v for k, v in flags.items() if v is not None})
     manifest = generate_synthetic(spec, args.out)
@@ -181,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--confidence", type=float, default=None)
     p.add_argument("--width", type=int, default=None)
     p.add_argument("--height", type=int, default=None)
-    p.add_argument("--jitter", type=float, default=None)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train-crf", help="train kernel weights and compatibility")

@@ -11,7 +11,7 @@ from voxcrf.crf import CrfParams, map_labeling
 from voxcrf.errors import ConfigError, FormatError, InputError
 from voxcrf.pipeline import cli, runner
 from voxcrf.pipeline.cli import main as cli_main
-from voxcrf.pipeline.formats import load_unary, read_label_image, read_ply, read_ppm
+from voxcrf.pipeline.formats import load_unary, read_label_image, read_ply
 from voxcrf.pipeline.labels import MATERIAL_NAMES, label_names, label_palette
 from voxcrf.pipeline.manifest import PipelineConfig, apply_overrides, load_manifest
 from voxcrf.pipeline.runner import run_frame, run_pipeline
@@ -450,7 +450,7 @@ _DEFAULT_SCENE_SHA256 = {
     "depth/frame0009.pgm": "eff91dc2bdff8a81955a4f490853a584cd9e658cd0adf47a83bc481d95003658",
     "depth/frame0010.pgm": "5ac3c7190f1fe7ce1a3e739f3154c449f96ba260af3866f27f384e527ffa77ef",
     "depth/frame0011.pgm": "d11dedddd40f4e24676eaff8cc2ee3166594833aa15dbbde49594c4ad2d2cbb9",
-    "manifest.txt": "8dd3a6333eff374e675c33c6bf61768c9d722db31e8b7244afda58dc62fa8085",
+    "manifest.txt": "48d67f0b8c7b7eb2a96bab592e929d24d3fd39a1673311007fbcd770954cbe0a",
     "rgb/frame0000.ppm": "a9a269d49b10c6444929047736629b929aae1787a5de9d1301e1589b68b1d839",
     "rgb/frame0001.ppm": "ded61011abc8d307ab5e2f062fa99b2501d4027c09132ed303ca704b0eb09705",
     "rgb/frame0002.ppm": "f173c089bbc85759cbdcfd3af7f70ee0b601f190a47cc5949935473adb83c5da",
@@ -490,7 +490,7 @@ _DEFAULT_SCENE_SHA256 = {
 }
 _VGA_SCENE_SHA256 = {
     "depth/frame0000.pgm": "bef8cb470de5eed643d52de046bf5f9f365cf3de8a0d28c082a1781b160da489",
-    "manifest.txt": "cd85834f03c295333389f9a11cabb1593d468081fb70716e365e9af078de6921",
+    "manifest.txt": "7a91a839348bb8b3696ae8132854577a9cdbaebbac2b67424fcd5b48a7311bc3",
     "rgb/frame0000.ppm": "78c8156f37fd4732dfe1a8fd1a4b50ffed9971762cd63137501af6ffe6e69d87",
     "truth/frame0000.pgm": "989a222e95049bbd4a4aa2658802c0de072330195d064465250a4df1b16a638f",
     "unary/frame0000.unry": "e3b0bb235552366c530344e97a729eaa07e0b90fa0386e005d59090f9d19affe",
@@ -507,13 +507,23 @@ _VGA_SCENE_SHA256 = {
 )
 def test_synthetic_scene_bytes_are_pinned(tmp_path, kwargs, pinned):
     """The scenes are the benchmark's inputs: a renderer or writer change that
-    moves one byte shows here, file by file.  The digests come from one numpy
-    and BLAS build; a float library that rounds a ray differently moves them."""
-    generate_synthetic(default_scene_spec(**kwargs), tmp_path)
+    moves one byte shows here, file by file.  Depth is rounded to the
+    millimetre and truth holds labels, so a last-bit difference in a float
+    library leaves them be; rgb and unary are pinned as numpy 2.4's Generator
+    draws them.  The manifest's poses, printed to 17 digits from cos, sin and
+    norm, must round-trip to ``orbit_poses`` and are left out of its digest."""
+    spec = default_scene_spec(**kwargs)
+    manifest = generate_synthetic(spec, tmp_path)
+    records, _ = load_manifest(manifest)
+    assert len(records) == spec.frame_count
+    for rec, pose in zip(records, orbit_poses(spec)):
+        np.testing.assert_array_equal(rec.pose.matrix, pose)
     got = {
         p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(tmp_path.rglob("*")) if p.is_file()
     }
+    without_poses = re.sub(r"( \S+){16}$", "", manifest.read_text(), flags=re.M)
+    got["manifest.txt"] = hashlib.sha256(without_poses.encode()).hexdigest()
     assert got == pinned
 
 
@@ -544,11 +554,8 @@ def test_synthetic_manifest_carries_the_spec_camera(tmp_path):
         (dict(depth_scale=float("nan")), "intrinsics must be finite"),
         (dict(seed=-1), r"seed must be >= 0, got -1"),  # once a numpy traceback
         (dict(orbit_radius=float("nan")), "orbit_radius must be finite"),  # once NaN poses
-        (dict(orbit_radius=0, orbit_height=0.8), "on its look-at target"),
-        (dict(orbit_height=3.0), "not inside the room"),  # once an all-wall scene
     ],
-    ids=["depth_scale-zero", "depth_scale-nan", "seed-negative", "orbit-nan", "orbit-on-target",
-         "orbit-above-room"],
+    ids=["depth_scale-zero", "depth_scale-nan", "seed-negative", "orbit-nan"],
 )
 def test_spec_rejects_bad_camera_and_seed_before_writing(tmp_path, kwargs, message):
     with pytest.raises(ConfigError, match=message):
@@ -914,28 +921,6 @@ def test_cli_synth_passes_only_the_flags_given(tmp_path, monkeypatch):
 def test_cli_synth_negative_seed_exits_1_writing_nothing(tmp_path, capsys):
     assert cli_main(["synth", "--out", str(tmp_path / "s"), "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
-    assert not (tmp_path / "s").exists()
-
-
-def test_cli_synth_jitter_zero_gives_palette_colours(tmp_path, monkeypatch):
-    passed = []
-
-    def recording_spec(**kwargs):
-        passed.append(kwargs)
-        return default_scene_spec(**kwargs)
-
-    monkeypatch.setattr(cli, "default_scene_spec", recording_spec)
-    args = ["synth", "--out", str(tmp_path / "s"), "--frames", "1", "--jitter", "0"]
-    assert cli_main(args) == 0
-    assert passed == [{"frame_count": 1, "jitter": 0.0}]
-    rgb = read_ppm(tmp_path / "s" / "rgb" / "frame0000.ppm")
-    truth = read_label_image(tmp_path / "s" / "truth" / "frame0000.pgm").data
-    np.testing.assert_array_equal(rgb, label_palette(23)[truth].reshape(rgb.shape))
-
-
-def test_cli_synth_negative_jitter_exits_1_writing_nothing(tmp_path, capsys):
-    assert cli_main(["synth", "--out", str(tmp_path / "s"), "--jitter", "-1"]) == 1
-    assert capsys.readouterr().err == "error: jitter must be finite and >= 0, got -1.0\n"
     assert not (tmp_path / "s").exists()
 
 
