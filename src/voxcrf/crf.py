@@ -534,13 +534,21 @@ def train_crf_params(
     The state is one ``CrfParams``, replaced by each step (a non-finite step
     raises ``ConfigError``); the best seen (by full-dataset loss) is
     returned, so the result never has higher training loss than ``params``.
+
+    Memory: one bilateral plan is held at a time (on the exact backend an
+    N x N kernel), reused while inferences stay on one image and dropped
+    before the next image's is built; each step's trace, which holds its
+    plans, is freed when the step ends.  ``epochs`` and ``seed`` must be
+    whole numbers (``ConfigError`` otherwise, before any inference).
     """
     if not dataset:
         raise ConfigError("empty training dataset")
     if not 0 < learning_rate < np.inf:  # NaN and inf would fail only after a step
         raise ConfigError(f"learning rate must be positive and finite, got {learning_rate}")
+    epochs = integer_setting("epochs", epochs)
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
+    seed = integer_setting("seed", seed)
     if seed < 0:  # numpy's seeding would fail only after the first loss pass
         raise ConfigError(f"seed must be >= 0, got {seed}")
     labels = dataset[0][1].labels
@@ -554,8 +562,6 @@ def train_crf_params(
 
     # Spatial features depend only on the image size, so images of one size
     # share one spatial plan, held in the pool every inference gets.
-    # Bilateral plans are rebuilt per inference: caching them per image would
-    # hold an exact-backend N x N kernel for every image at once.
     spatial_plans: list[FilterPlan] = []
     prepared = []
     for rgb, probs, truth in dataset:
@@ -566,33 +572,67 @@ def train_crf_params(
             spatial_plans.append(spatial)
         prepared.append((u, feats, truth.data))
 
-    def dataset_loss(p: CrfParams) -> float:
+    # One bilateral plan is held: one per image would keep every image's
+    # exact N x N kernel alive at once.
+    bilateral: FilterPlan | None = None
+
+    def infer(i: int, p: CrfParams, cache_gradients: bool = False):
+        nonlocal bilateral
+        u, feats, _ = prepared[i]
+        if bilateral is None or not np.array_equal(bilateral.features, feats.bilateral):
+            bilateral = None  # dropped before the build, not replaced after it
+            bilateral = plan_filter(feats.bilateral, backend)
+        plans = (bilateral, *spatial_plans)
+        return mean_field_infer(u, feats, p, backend, cache_gradients, plans=plans)
+
+    def step(i: int, p: CrfParams) -> CrfParams:
+        # the trace holds this image's plans; it dies when the step returns
+        qf, trace = infer(i, p, cache_gradients=True)
+        _, grad = _cross_entropy_and_grad(qf.data, prepared[i][2])
+        if grad is None:
+            return p
+        _, dw, dmu = mean_field_backward(trace, grad)
+        return replace(
+            p,
+            kernel_weights=np.maximum(p.kernel_weights - learning_rate * dw, 0.0),
+            compatibility=p.compatibility - learning_rate * dmu,
+        )
+
+    def dataset_loss(p: CrfParams, first: int | None, upcoming: np.ndarray | None) -> float:
+        # Visits image ``first`` (the one the last step ended on, whose plan
+        # is held) first and the next epoch's first image last, so each
+        # boundary between a pass and an epoch reuses the held plan.  The
+        # losses are added left to right in index order, whatever the
+        # visiting order (``sum`` compensates its float adds from Python 3.12).
+        last = None if upcoming is None else upcoming[0]
+        visits = sorted(
+            range(len(prepared)), key=lambda i: 0 if i == first else 2 if i == last else 1
+        )
+        losses = [0.0] * len(prepared)
+        for i in visits:
+            qf, _ = infer(i, p)
+            losses[i] = _cross_entropy_and_grad(qf.data, prepared[i][2])[0]
         total = 0.0
-        for u, feats, truth in prepared:
-            qf, _ = mean_field_infer(u, feats, p, backend, plans=spatial_plans)
-            total += _cross_entropy_and_grad(qf.data, truth)[0]
+        for loss in losses:
+            total += loss
         return total / len(prepared)
 
-    best, best_loss = p, dataset_loss(p)
-    rng = np.random.default_rng(seed)
-    order = np.arange(len(prepared))
-    for _ in range(int(epochs)):
-        rng.shuffle(order)
-        for i in order:
-            u, feats, truth = prepared[i]
-            qf, trace = mean_field_infer(
-                u, feats, p, backend, cache_gradients=True, plans=spatial_plans
-            )
-            _, grad = _cross_entropy_and_grad(qf.data, truth)
-            if grad is None:
-                continue
-            _, dw, dmu = mean_field_backward(trace, grad)
-            p = replace(
-                p,
-                kernel_weights=np.maximum(p.kernel_weights - learning_rate * dw, 0.0),
-                compatibility=p.compatibility - learning_rate * dmu,
-            )
-        loss = dataset_loss(p)
+    def shuffles():
+        # each epoch's order is drawn before the loss pass that precedes it
+        rng = np.random.default_rng(seed)
+        order = np.arange(len(prepared))
+        for _ in range(epochs):
+            rng.shuffle(order)
+            yield order.copy()
+
+    orders = shuffles()
+    upcoming = next(orders, None)
+    best, best_loss = p, dataset_loss(p, None, upcoming)
+    while upcoming is not None:
+        current, upcoming = upcoming, next(orders, None)
+        for i in current:
+            p = step(i, p)
+        loss = dataset_loss(p, current[-1], upcoming)
         if loss < best_loss:
             best, best_loss = p, loss
     return best

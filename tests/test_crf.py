@@ -624,9 +624,19 @@ def test_train_deterministic_given_seed(rng):
 def test_train_builds_each_spatial_plan_once(rng, plan_builds):
     dataset = make_training_set(rng, n_images=3)
     train_crf_params(dataset, learning_rate=0.05, epochs=1, seed=0)
-    # 3 loss inferences, 3 steps, 3 loss inferences: 9 bilateral plans
-    assert [s for s in plan_builds if s[1] == 5] == [(36, 5)] * 9
+    # one bilateral plan is held: the loss pass builds 3 and ends on the
+    # epoch's first image, the epoch builds 2 and ends on the final loss
+    # pass's first image, which builds 2 more
+    assert [s for s in plan_builds if s[1] == 5] == [(36, 5)] * 7
     assert [s for s in plan_builds if s[1] == 2] == [(36, 2)]
+
+    del plan_builds[:]
+    train_crf_params(dataset, learning_rate=0.05, epochs=3, seed=0)
+    # seed 0 orders the epochs [2 0 1], [1 0 2], [2 1 0]: each later epoch
+    # starts on the image the one before ended on, which the loss pass
+    # between them can reuse at one end only, so those epochs build all 3:
+    # 3 + 2 + (2 + 3) * 2 + 2
+    assert [s for s in plan_builds if s[1] == 5] == [(36, 5)] * 17
 
     del plan_builds[:]
     mixed = make_training_set(rng, n_images=2) + make_training_set(rng, 1, h=5, w=7)
@@ -634,20 +644,78 @@ def test_train_builds_each_spatial_plan_once(rng, plan_builds):
     assert sorted(s for s in plan_builds if s[1] == 2) == [(35, 2), (36, 2)]
 
 
+def train_with_fresh_plans(dataset, learning_rate, epochs, seed, backend):
+    """``train_crf_params`` as it was before it held plans: every inference
+    builds its own, and each loss pass runs in index order."""
+    from voxcrf.crf import _cross_entropy_and_grad
+
+    p = CrfParams(compatibility=potts_matrix(dataset[0][1].labels))
+    prepared = [
+        (unary_from_probabilities(probs), build_features(rgb, p), truth.data)
+        for rgb, probs, truth in dataset
+    ]
+
+    def dataset_loss(p):
+        total = 0.0
+        for u, feats, truth in prepared:
+            q, _ = mean_field_infer(u, feats, p, backend)
+            total += _cross_entropy_and_grad(q.data, truth)[0]
+        return total / len(prepared)
+
+    best, best_loss = p, dataset_loss(p)
+    rng = np.random.default_rng(seed)
+    order = np.arange(len(prepared))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for i in order:
+            u, feats, truth = prepared[i]
+            q, trace = mean_field_infer(u, feats, p, backend, cache_gradients=True)
+            _, grad = _cross_entropy_and_grad(q.data, truth)
+            if grad is None:
+                continue
+            _, dw, dmu = mean_field_backward(trace, grad)
+            p = replace(
+                p,
+                kernel_weights=np.maximum(p.kernel_weights - learning_rate * dw, 0.0),
+                compatibility=p.compatibility - learning_rate * dmu,
+            )
+        loss = dataset_loss(p)
+        if loss < best_loss:
+            best, best_loss = p, loss
+    return best
+
+
 @pytest.mark.parametrize("backend", ["exact", "lattice"])
-def test_train_shared_plans_bit_equal_to_fresh_plans(rng, monkeypatch, backend):
-    import voxcrf.crf as crf
-    from conftest import build_fresh_plan
+def test_train_shared_plans_bit_equal_to_fresh_plans(rng, backend):
+    dataset = make_training_set(rng, n_images=2) + make_training_set(rng, 2, h=5, w=7)
+    rgb, probs, truth = dataset[1]
+    ignored = np.full_like(truth.data, IGNORE_LABEL)
+    dataset[1] = (rgb, probs, LabelImage(truth.height, truth.width, ignored))
+    for epochs in (0, 1, 3):
+        held = train_crf_params(dataset, 0.05, epochs, seed=1, backend=backend)
+        fresh = train_with_fresh_plans(dataset, 0.05, epochs, seed=1, backend=backend)
+        assert held.to_dict() == fresh.to_dict()
 
-    dataset = make_training_set(rng, n_images=3)
-    shared = train_crf_params(dataset, learning_rate=0.05, epochs=2, seed=1, backend=backend)
-    monkeypatch.setattr(crf, "reuse_plan", build_fresh_plan)
-    fresh = train_crf_params(dataset, learning_rate=0.05, epochs=2, seed=1, backend=backend)
-    assert np.array_equal(shared.kernel_weights, fresh.kernel_weights)
-    assert np.array_equal(shared.compatibility, fresh.compatibility)
+
+def test_train_holds_one_exact_kernel(rng):
+    import tracemalloc
+
+    h, w = 30, 40
+    dataset = make_training_set(rng, n_images=3, h=h, w=w)
+    kernel_bytes = (h * w) ** 2 * 8
+    tracemalloc.start()
+    try:
+        train_crf_params(dataset, learning_rate=0.05, epochs=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one kernel plus a build's block of row differences (64 x N x 5 floats,
+    # 0.27 of the kernel at N = 1200); two kernels alive at once, as when a
+    # step's trace is kept while the next image's plan is built, exceed it
+    assert peak < 1.5 * kernel_bytes
 
 
-def test_train_config_errors(rng):
+def test_train_config_errors(rng, plan_builds):
     dataset = make_training_set(rng)
     with pytest.raises(ConfigError):
         train_crf_params([], learning_rate=0.1, epochs=1)
@@ -658,6 +726,18 @@ def test_train_config_errors(rng):
             train_crf_params(dataset, learning_rate=lr, epochs=1)
     with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):  # once numpy's error
         train_crf_params(dataset, learning_rate=0.1, epochs=1, seed=-3)
+    # once: 2.5 ran 2 epochs and True 1, nan and a fractional seed failed
+    # only after a full loss pass
+    for epochs in (2.5, True, float("nan")):
+        with pytest.raises(ConfigError, match="epochs must be an integer"):
+            train_crf_params(dataset, learning_rate=0.1, epochs=epochs)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        train_crf_params(dataset, learning_rate=0.1, epochs=1, seed=1.5)
+    assert plan_builds == []
+    whole = train_crf_params(dataset, learning_rate=0.1, epochs=2, seed=2).to_dict()
+    for epochs, seed in ((2.0, np.int64(2)), (np.int64(2), 2.0)):
+        params = train_crf_params(dataset, learning_rate=0.1, epochs=epochs, seed=seed)
+        assert params.to_dict() == whole
 
 
 # ---------------------------------------------------------------------------
