@@ -9,8 +9,10 @@ message passing (self-excluded, normalized per pixel), weighting, the
 compatibility transform, adding the unary, and a softmax renormalization.
 Message passing runs on a ``FilterPlan`` (exact or lattice backend); all
 other stages are dense (N, L) array operations, done in place where no
-trace keeps their inputs: the weighted sum in the first message buffer, and
-the unary and the softmax in the output of the compatibility GEMM.
+trace keeps their inputs: the first kernel's message buffer takes the
+weighted sum (the other kernels add theirs into it a block of rows at a
+time), and the compatibility GEMM, the unary and the softmax are formed
+over it, the GEMM a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, NumericalError, SizeLimitError
 from .filtering import FilterPlan, _kernel_rows, plan_filter
+from .lattice import row_blocks
 
 IGNORE_LABEL = 255
 PROB_FLOOR = 1e-8  # probabilities clamped here before taking logs
@@ -292,7 +295,7 @@ def _raise_non_finite(
     msgs = [plan.apply(q) for plan in plans]
     for m, msg in enumerate(msgs):
         _check_finite(msg, f"message passing (kernel {m})", iteration)
-    pairwise = _weighted_sum(msgs, weights, in_place=True) @ mu.T
+    pairwise = _weighted_sum(msgs, weights) @ mu.T
     _check_finite(pairwise, "compatibility transform", iteration)
     raise NumericalError(f"non-finite value in adding the unary at iteration {iteration}")
 
@@ -306,33 +309,43 @@ def _step(
     iteration: int,
     trace: MeanFieldTrace | None,
 ) -> np.ndarray:
-    msgs = [plan.apply(q) for plan in plans]
-    # Without a trace the first message buffer becomes ``combined`` and the
-    # others are freed before the GEMM; a trace keeps them for backward.
-    keep = trace is not None
-    combined = _weighted_sum(msgs, weights, in_place=not keep)
-    if keep:
+    if trace is None:
+        # the first message becomes ``combined``; the other kernels add
+        # theirs into it, a block of rows at a time on the lattice backend
+        combined = plans[0].apply(q)
+        combined *= weights[0]
+        for plan, w in zip(plans[1:], weights[1:]):
+            plan.accumulate(q, w, combined)
+    else:
+        msgs = [plan.apply(q) for plan in plans]
         trace.messages.append(msgs)
-    del msgs
-    # logits = u - combined mu^T, formed in the GEMM output; one finite
-    # check covers every stage (softmax of finite logits is finite)
-    logits = combined @ mu.T
-    del combined
-    np.subtract(u, logits, out=logits)
-    if not np.all(np.isfinite(logits)):
+        combined = _weighted_sum(msgs, weights)
+    # Q stays intact for the diagnosis; one finite check covers every stage
+    # (softmax of finite logits is finite)
+    if not _logits_into(combined, u, mu):
         _raise_non_finite(q, plans, weights, mu, iteration)
-    q_new = _softmax_into(logits, logits)
-    if keep:
+    q_new = _softmax_into(combined, combined)
+    if trace is not None:
         trace.q_states.append(q_new)
     return q_new
 
 
-def _weighted_sum(msgs: list[np.ndarray], weights: np.ndarray, in_place: bool) -> np.ndarray:
-    """sum_m w_m msg_m; ``in_place`` scales the messages in place and
-    returns the first one's buffer."""
-    combined = np.multiply(msgs[0], weights[0], out=msgs[0] if in_place else None)
+def _logits_into(combined: np.ndarray, u: np.ndarray, mu: np.ndarray) -> bool:
+    """Write the logits u - combined mu^T over ``combined``, a block of rows
+    at a time (bit-equal to the whole product, with no (N, L) temporary);
+    True when every logit is finite."""
+    finite = True
+    for s, e in row_blocks(len(combined)):
+        block = np.subtract(u[s:e], combined[s:e] @ mu.T, out=combined[s:e])
+        finite = finite and bool(np.isfinite(block).all())
+    return finite
+
+
+def _weighted_sum(msgs: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
+    """sum_m w_m msg_m as a new array; the messages are left unchanged."""
+    combined = msgs[0] * weights[0]
     for w, msg in zip(weights[1:], msgs[1:]):
-        combined += np.multiply(msg, w, out=msg if in_place else None)
+        combined += msg * w
     return combined
 
 
@@ -370,10 +383,13 @@ def mean_field_infer(
     new one.  A held plan built on other features is never used.
 
     Memory budget: with held plans for both kernels and no trace, the
-    allocations of one inference peak at no more than five float64 (N, L)
-    arrays above those at entry on image-like features (Q, the combined
-    messages, the message being filtered, and the lattice blur buffers of
-    (m + 1, L) for m vertices, small next to N there).  A non-finite value
+    allocations of one inference peak at no more than three float64 (N, L)
+    arrays above those at entry on image-like features: Q, the combined
+    messages and one lattice's blur buffers, three of (m + 1, L) for m
+    vertices (2.4 arrays in all at 160x120 and at 640x480).  It peaks while
+    a kernel is filtered: the first kernel's message becomes the combined
+    buffer, the second kernel's is added into it a block of rows at a time,
+    and the logits are formed over it the same way.  A non-finite value
     raises ``NumericalError`` naming the stage and iteration.
     """
     _check_dims(u, features)
@@ -415,7 +431,7 @@ def mean_field_backward(
         ds = _softmax_vjp(trace.q_states[t + 1], g)
         du += ds
         dp = -ds
-        dmu += dp.T @ _weighted_sum(trace.messages[t], weights, in_place=False)
+        dmu += dp.T @ _weighted_sum(trace.messages[t], weights)
         dc = dp @ mu
         for m, plan in enumerate(trace.plans):
             dw[m] += float((dc * trace.messages[t][m]).sum())
@@ -540,6 +556,10 @@ def train_crf_params(
     before the next image's is built; each step's trace, which holds its
     plans, is freed when the step ends.  ``epochs`` and ``seed`` must be
     whole numbers (``ConfigError`` otherwise, before any inference).
+
+    An image with no labelled pixel has loss 0.0 and no gradient, so it runs
+    no inference, neither a step nor in a loss pass; a ``NumericalError``
+    its inference would raise is therefore not raised.
     """
     if not dataset:
         raise ConfigError("empty training dataset")
@@ -571,6 +591,7 @@ def train_crf_params(
         if spatial not in spatial_plans:
             spatial_plans.append(spatial)
         prepared.append((u, feats, truth.data))
+    labelled = [bool(np.any(truth != IGNORE_LABEL)) for _, _, truth in prepared]
 
     # One bilateral plan is held: one per image would keep every image's
     # exact N x N kernel alive at once.
@@ -586,11 +607,11 @@ def train_crf_params(
         return mean_field_infer(u, feats, p, backend, cache_gradients, plans=plans)
 
     def step(i: int, p: CrfParams) -> CrfParams:
+        if not labelled[i]:
+            return p
         # the trace holds this image's plans; it dies when the step returns
         qf, trace = infer(i, p, cache_gradients=True)
         _, grad = _cross_entropy_and_grad(qf.data, prepared[i][2])
-        if grad is None:
-            return p
         _, dw, dmu = mean_field_backward(trace, grad)
         return replace(
             p,
@@ -610,8 +631,9 @@ def train_crf_params(
         )
         losses = [0.0] * len(prepared)
         for i in visits:
-            qf, _ = infer(i, p)
-            losses[i] = _cross_entropy_and_grad(qf.data, prepared[i][2])[0]
+            if labelled[i]:
+                qf, _ = infer(i, p)
+                losses[i] = _cross_entropy_and_grad(qf.data, prepared[i][2])[0]
         total = 0.0
         for loss in losses:
             total += loss

@@ -37,7 +37,9 @@ other rows and F exact kernel rows stored for the starved points only
 diag(r) L as one scaled lattice (r_i = 1 / d_i, 0 on starved rows; the
 factor is folded into the slice rows, ``reverse=True`` gives the transpose),
 D_L / d as one vector (0 on starved rows) and F with each row divided by
-its d_s.
+its d_s.  Both directions splat and blur once and then form the rows a block
+at a time (slice, diagonal term, F's rows), bit-equal to one pass; so
+``accumulate`` (``out += w M v``) adds a message with no (N, C) array.
 
 Lattice messages are a ratio of lattice outputs, which cancels the smoothly
 varying splat/blur/slice leakage.  Points with little neighbor mass (below
@@ -57,7 +59,7 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .errors import InputError
-from .lattice import PermutohedralLattice
+from .lattice import PermutohedralLattice, csr_rows, row_blocks
 
 NORMALIZER_FLOOR = 1e-12
 # Fallback thresholds on the lattice's own neighbor-mass estimate, calibrated
@@ -71,7 +73,6 @@ FALLBACK_RADIUS = 7.0
 FALLBACK_NNZ_LIMIT = 1 << 24
 _KERNEL_CACHE_LIMIT = 4096  # exact backend keeps the dense kernel up to this N
 _MIRROR_BLOCK = 64  # rows per block of the mirrored exact kernel build
-_ROW_BLOCK = 2048  # rows per block of the lattice diagonal term
 
 
 def _as_matrix(values: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
@@ -82,18 +83,6 @@ def _as_matrix(values: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
     if vals.ndim != 2 or vals.shape[0] != n:
         raise InputError(f"values must be ({n}, C), got {vals.shape}")
     return vals, squeeze
-
-
-def _subtract_row_scaled(out: np.ndarray, scale: np.ndarray, vals: np.ndarray) -> None:
-    """``out -= scale[:, None] * vals`` a block of rows at a time, so the
-    product needs no (N, C) temporary."""
-    n = out.shape[0]
-    tmp = np.empty((min(n, _ROW_BLOCK), out.shape[1]))
-    for s in range(0, n, _ROW_BLOCK):
-        e = min(s + _ROW_BLOCK, n)
-        block = tmp[: e - s]
-        np.multiply(vals[s:e], scale[s:e, None], out=block)
-        out[s:e] -= block
 
 
 def _kernel_rows(features: np.ndarray, start: int, stop: int, first: int = 0) -> np.ndarray:
@@ -243,16 +232,33 @@ class FilterPlan:
             if not transpose:
                 out /= d
         else:
-            # diag(r) L - diag(r D_L), with zero starved rows, then F's rows
-            out = self._lattice.filter(vals, reverse=transpose)
-            _subtract_row_scaled(out, self._lattice.diagonal, vals)
-            starved = self._starved
-            if len(starved):
-                if transpose:
-                    out += self._fallback.T @ vals[starved]
-                else:
-                    out[starved] = self._fallback @ vals
+            out = np.empty_like(vals)
+            self._lattice_into(vals, out, transpose)
+            if transpose and len(self._starved):
+                out += self._fallback.T @ vals[self._starved]
         return out[:, 0] if squeeze else out
+
+    def _lattice_into(
+        self, vals: np.ndarray, out: np.ndarray, transpose: bool, weight: float | None = None
+    ) -> None:
+        """``out`` = M v, or with ``transpose`` M^T v without its F^T term;
+        with a ``weight``, ``out += weight * M v`` instead.  The lattice
+        splats and blurs once; then _ROW_BLOCK rows at a time are sliced,
+        less their diagonal term diag(r D_L) v, and forward the starved rows
+        among them come from F.  Each row is formed as in one unblocked
+        pass, so the result is bit-equal to it."""
+        lat, starved = self._lattice, self._starved
+        grid = lat.blur(vals, reverse=transpose)
+        for s, e in row_blocks(self.n):
+            rows = lat.slice_rows(grid, s, e, reverse=transpose)
+            block = out[s:e] if weight is None else rows
+            np.subtract(rows, vals[s:e] * lat.diagonal[s:e, None], out=block)
+            a, b = np.searchsorted(starved, (s, e))
+            if b > a and not transpose:
+                block[starved[a:b] - s] = csr_rows(self._fallback, a, b) @ vals
+            if weight is not None:
+                rows *= weight
+                out[s:e] += rows
 
     def _numerator(self, vals: np.ndarray) -> np.ndarray:
         """N v for the exact backend, in the form the plan holds."""
@@ -294,6 +300,17 @@ class FilterPlan:
     def apply(self, values: np.ndarray) -> np.ndarray:
         """M v = D^-1 N v: normalized self-excluded Gaussian messages."""
         return self._operator(values, transpose=False)
+
+    def accumulate(self, values: np.ndarray, weight: float, out: np.ndarray) -> None:
+        """``out += weight * apply(values)`` for (N, C) arrays, in place.  On
+        the lattice backend each block of rows is added as it is formed, so
+        no (N, C) message is allocated; bit-equal to the unblocked form."""
+        if self._lattice is None:
+            msg = self.apply(values)
+            msg *= weight
+            out += msg
+            return
+        self._lattice_into(_as_matrix(values, self.n)[0], out, False, weight)
 
     def apply_transpose(self, grads: np.ndarray) -> np.ndarray:
         """M^T g = N^T D^-1 g: the exact adjoint of apply (D held constant)."""

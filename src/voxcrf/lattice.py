@@ -20,14 +20,22 @@ self-exclusion inside such ratios the lattice also exposes its own diagonal
 response, computed in closed form from the blur restricted to each point's
 enclosing simplex (exact wherever the leak matters, i.e. sparse regions).
 
-The build works on (N, d+1) arrays only.  The d+1 vertex keys of a point are
-never materialized: their first d coordinates (which identify a vertex, as
-all coordinates sum to 0) are packed into one mixed-radix int64 code per
-(point, vertex) straight from the point's remainder-0 corner and ranks, and
-the distinct codes are decoded back into vertex rows.  When the coordinate
-ranges are too wide to pack, whole rows are sorted as structured records
-instead, giving the same vertex order.  The diagonal applies the restricted
-blur to each point's barycentric vector in place, one axis at a time.
+The build works on (N, d+1) arrays only, and drops each one after its last
+read: a built lattice keeps only the slice, the neighbor tables and the
+diagonal.  The d+1 vertex keys of a point are never materialized: their
+first d coordinates (which identify a vertex, as all coordinates sum to 0)
+are packed into one mixed-radix int64 code per (point, vertex) straight from
+the point's remainder-0 corner and ranks; the distinct codes are decoded
+back into vertex rows, and each (point, vertex) finds its vertex index by a
+search of them.  When the coordinate ranges are too wide to pack, whole rows
+are sorted as structured records instead, giving the same vertex order.  The
+diagonal applies the restricted blur to each point's barycentric vector in
+place, one axis at a time, a block of rows at a time.
+
+``filter`` is ``blur`` (splat, then blur, into an (m, C) vertex grid)
+followed by ``slice_rows`` over all N rows.  Each output row is a sum over
+that row's slice weights alone, so a caller may slice a block of rows at a
+time (``row_blocks``) and get the same rows bit for bit.
 
 Vectorized numpy throughout.  Splat and slice share one set of barycentric
 weights, stored once as the (N, m) sparse slice matrix S; the splat is its
@@ -47,6 +55,8 @@ from scipy import sparse
 
 from .errors import InputError
 
+_ROW_BLOCK = 2048  # rows per block of a slice, the diagonal and the mean-field GEMM
+
 # Lattice coordinates are encoded into a single int64 when the per-axis
 # ranges allow it (fast unique + neighbor lookup); otherwise rows are sorted
 # and searched as structured records.
@@ -58,6 +68,30 @@ def _records(rows: np.ndarray) -> np.ndarray:
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     fields = [(f"f{i}", np.int64) for i in range(rows.shape[1])]
     return rows.view(np.dtype(fields)).reshape(-1)
+
+
+def row_blocks(n: int):
+    """(start, stop) of consecutive blocks of _ROW_BLOCK rows covering n rows.
+    A last block of one row joins the one before it: numpy forms a one-row
+    matrix product with gemv, whose sums may round unlike gemm's rows."""
+    s = 0
+    while s < n:
+        e = s + _ROW_BLOCK
+        e = n if e >= n - 1 else e
+        yield s, e
+        s = e
+
+
+def csr_rows(matrix: sparse.csr_matrix, start: int, stop: int) -> sparse.csr_matrix:
+    """Rows start..stop-1 of a CSR matrix over views of its data and index
+    arrays (scipy's row slicing copies them); the whole matrix for all rows."""
+    if start == 0 and stop == matrix.shape[0]:
+        return matrix
+    a, b = matrix.indptr[start], matrix.indptr[stop]
+    return sparse.csr_matrix(
+        (matrix.data[a:b], matrix.indices[a:b], matrix.indptr[start : stop + 1] - a),
+        shape=(stop - start, matrix.shape[1]),
+    )
 
 
 def _embed(features: np.ndarray) -> np.ndarray:
@@ -93,37 +127,49 @@ class PermutohedralLattice:
         d = self.dim
         dp1 = d + 1
 
+        # Each (N, d+1) array is dropped after its last read, so the build
+        # peaks near six of them.
         elevated = _embed(feats)
 
         # Nearest remainder-0 lattice point (coordinates are multiples of d+1).
         v = elevated / dp1
         up = np.ceil(v) * dp1
         down = np.floor(v) * dp1
+        del v
         rem0 = np.where(up - elevated < elevated - down, up, down)
+        del up, down
         sums = np.rint(rem0.sum(axis=1) / dp1).astype(np.int64)
 
         # Rank = position in descending order of the residual, ties by index.
-        diff = elevated - rem0
-        order = np.argsort(-diff, axis=1, kind="stable")
+        order = np.argsort(-(elevated - rem0), axis=1, kind="stable")
         rank = np.empty_like(order)
         np.put_along_axis(rank, order, np.broadcast_to(np.arange(dp1), rank.shape), axis=1)
+        del order
 
         # Walk points whose rounded coordinates left the sum-0 sublattice.
-        rank = rank + sums[:, None]
+        rank += sums[:, None]
         low, high = rank < 0, rank > d
         rank[low] += dp1
         rank[high] -= dp1
         rem0[low] += dp1
         rem0[high] -= dp1
+        del low, high
+
+        # y = (elevated - rem0) / (d+1), formed in elevated's buffer.
+        y = elevated
+        y -= rem0
+        y /= dp1
+        rem0i = np.rint(rem0[:, :d]).astype(np.int64)
+        del rem0
 
         # Barycentric coordinates inside the enclosing simplex.  Each row's
         # column indices d - rank and d + 1 - rank are permutations, so no
         # index repeats within one fancy update.
-        y = (elevated - rem0) / dp1
         bary = np.zeros((self.n, dp1 + 1))
         point = np.arange(self.n)[:, None]
         bary[point, d - rank] += y
         bary[point, dp1 - rank] -= y
+        del y, point
         bary[:, 0] += 1.0 + bary[:, dp1]
         bary = bary[:, :dp1]
 
@@ -133,17 +179,24 @@ class PermutohedralLattice:
         for k in range(dp1):
             canon[k, : dp1 - k] = k
             canon[k, dp1 - k :] = k - dp1
-        rem0i = np.rint(rem0[:, :d]).astype(np.int64)
         vertices, vertex_idx = self._hash_vertices(rem0i, rank[:, :d], canon)
+        del rem0i
         m = vertices.shape[0]
         self.num_vertices = m
 
+        # the slice scale, applied in place after the slice (1.0 once folded
+        # into the slice rows by ``scaled``)
+        self._alpha = 1.0 / (1.0 + 2.0 ** (-d))
+        self._diag = self._diagonal_response(bary, rank)
+        del rank
+
         # Slice S: row i holds point i's d+1 barycentric weights; the splat
         # is S^T.  Each row's indices are sorted so the slice sums run in
-        # vertex order; copy=True because the sort reorders ``data`` in place
-        # and ``bary.ravel()`` is a view of ``bary`` when N = 1.
+        # vertex order; S owns its ``data`` (a copy of ``bary``), which the
+        # sort reorders in place.
         indptr = np.arange(0, self.n * dp1 + 1, dp1)
-        self._slice = sparse.csr_matrix((bary.ravel(), vertex_idx, indptr), (self.n, m), copy=True)
+        self._slice = sparse.csr_matrix((bary.flatten(), vertex_idx, indptr), (self.n, m))
+        del bary, vertex_idx
         self._slice.sort_indices()
         self._out_slice = self._slice  # S', the slice of the output rows
 
@@ -159,11 +212,6 @@ class PermutohedralLattice:
                 e_a[a] = dp1
             self._n1[a] = self._lookup_rows(vertices + 1 - e_a)
             self._n2[a] = self._lookup_rows(vertices - 1 + e_a)
-
-        # the slice scale, applied in place after the slice (1.0 once folded
-        # into the slice rows by ``scaled``)
-        self._alpha = 1.0 / (1.0 + 2.0 ** (-d))
-        self._diag = self._diagonal_response(bary, rank)
 
     # -- vertex hashing ---------------------------------------------------
 
@@ -181,6 +229,7 @@ class PermutohedralLattice:
         low = rem0 - rank
         self._kmin = low.min(axis=0)
         self._ranges = low.max(axis=0) + d - self._kmin + 1
+        del low
         if float(np.prod(self._ranges.astype(np.float64))) < _CODE_LIMIT:
             # Mixed-radix codes, most significant digit first: code order
             # is lexicographic row order.
@@ -189,17 +238,24 @@ class PermutohedralLattice:
                 radix[i] = radix[i + 1] * self._ranges[i + 1]
             self._radix = radix
             base = (rem0 - self._kmin) @ radix
-            codes = np.empty((n, d + 1), dtype=np.int64)
+            keys = np.empty((n, d + 1), dtype=np.int64)
             for k in range(d + 1):
-                codes[:, k] = base + canon[k][rank] @ radix
-            self._codes, inverse = np.unique(codes.ravel(), return_inverse=True)
-            vertices = self._kmin + (self._codes[:, None] // radix) % self._ranges
-            return vertices, inverse.ravel()
-        # Extreme coordinate ranges: sort whole rows as structured records.
-        self._codes = None
-        keys = rem0[:, None, :] + canon[:, rank].transpose(1, 0, 2)
-        self._rows, inverse = np.unique(_records(keys.reshape(-1, d)), return_inverse=True)
-        return self._rows.view(np.int64).reshape(-1, d), inverse.ravel()
+                keys[:, k] = base + canon[k][rank] @ radix
+            del base
+            keys = keys.reshape(-1)
+        else:
+            # Extreme coordinate ranges: sort whole rows as structured records.
+            keys = rem0[:, None, :] + canon[:, rank].transpose(1, 0, 2)
+            keys = _records(keys.reshape(-1, d))
+        # The inverse comes from a search of the sorted distinct keys, which
+        # allocates one index per key (``return_inverse`` sorts them all).
+        unique = np.unique(keys)
+        inverse = np.searchsorted(unique, keys)
+        if keys.dtype.names is None:
+            self._codes = unique
+            return self._kmin + (unique[:, None] // radix) % self._ranges, inverse
+        self._codes, self._rows = None, unique
+        return unique.view(np.int64).reshape(-1, d), inverse
 
     def _lookup_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vertex index of each (first-d) key row, -1 where it is absent."""
@@ -227,22 +283,26 @@ class PermutohedralLattice:
         whose rank is d - k, so the restricted blur G is a product of
         per-axis (I + 0.5 swap) updates.  The response is the quadratic form
         alpha * b . (G b) of the barycentric vector b; G b is formed by
-        applying the updates to an (N, d+1) copy of b in place, one axis at
-        a time (two gathers and two scatters each).  Mass returning through
-        vertices outside the simplex is ignored; that contribution is
-        negligible exactly where the diagonal matters (sparse regions).
+        applying the updates to a copy of b in place, one axis at a time
+        (two gathers and two scatters each), a block of rows at a time.
+        Mass returning through vertices outside the simplex is ignored; that
+        contribution is negligible exactly where the diagonal matters
+        (sparse regions).
         """
         d = self.dim
-        b = bary
-        gb = b.copy()
-        point = np.arange(self.n)
-        for a in range(d + 1):
-            k = d - rank[:, a]
-            kn = (k + 1) % (d + 1)
-            vk, vkn = gb[point, k], gb[point, kn]
-            gb[point, k] = vk + 0.5 * vkn
-            gb[point, kn] = vkn + 0.5 * vk
-        return self._alpha * np.einsum("nk,nk->n", b, gb)
+        diag = np.empty(self.n)
+        for s, e in row_blocks(self.n):
+            b = bary[s:e]
+            gb = b.copy()
+            point = np.arange(e - s)
+            for a in range(d + 1):
+                k = d - rank[s:e, a]
+                kn = (k + 1) % (d + 1)
+                vk, vkn = gb[point, k], gb[point, kn]
+                gb[point, k] = vk + 0.5 * vkn
+                gb[point, kn] = vkn + 0.5 * vk
+            diag[s:e] = self._alpha * np.einsum("nk,nk->n", b, gb)
+        return diag
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -275,19 +335,24 @@ class PermutohedralLattice:
         the lattice is ``scaled``).  With ``reverse=True`` the result is the
         exact transpose: S'^T splats, the blur axes run in the opposite order
         (the blurs along individual axes are symmetric but do not commute)
-        and S slices.
+        and S slices.  It is ``slice_rows`` of ``blur`` over all N rows.
         """
         vals = np.asarray(values, dtype=np.float64)
         squeeze = vals.ndim == 1
-        if squeeze:
-            vals = vals[:, None]
-        if vals.shape[0] != self.n:
-            raise InputError(f"expected {self.n} rows, got {vals.shape[0]}")
+        grid = self.blur(vals[:, None] if squeeze else vals, reverse)
+        out = self.slice_rows(grid, 0, self.n, reverse)
+        return out[:, 0] if squeeze else out
 
+    def blur(self, values: np.ndarray, reverse: bool = False) -> np.ndarray:
+        """The splatted and blurred (m, C) vertex grid of (N, C) ``values``
+        that ``slice_rows`` reads, for ``filter`` in the given direction."""
+        vals = np.asarray(values, dtype=np.float64)
+        if vals.ndim != 2 or vals.shape[0] != self.n:
+            raise InputError(f"expected ({self.n}, C) values, got {vals.shape}")
         if reverse:
-            splat, slice_, axes = self._out_slice.T, self._slice, range(self.dim, -1, -1)
+            splat, axes = self._out_slice.T, range(self.dim, -1, -1)
         else:
-            splat, slice_, axes = self._slice.T, self._out_slice, range(self.dim + 1)
+            splat, axes = self._slice.T, range(self.dim + 1)
         m = self.num_vertices
         lat = np.empty((m + 1, vals.shape[1]))
         lat[m] = 0.0  # the pad row that neighbor index -1 reads
@@ -299,7 +364,15 @@ class PermutohedralLattice:
             v1 += v2
             v1 *= 0.5
             lat[:m] += v1
-        out = slice_ @ lat[:m]
+        return lat[:m]
+
+    def slice_rows(
+        self, grid: np.ndarray, start: int, stop: int, reverse: bool = False
+    ) -> np.ndarray:
+        """Rows start..stop-1 of ``filter`` from its ``blur`` grid.  Each
+        output row is its own sum over that row's slice weights, so a block
+        of rows equals the same rows of the whole output bit for bit."""
+        out = csr_rows(self._slice if reverse else self._out_slice, start, stop) @ grid
         if self._alpha != 1.0:
             out *= self._alpha
-        return out[:, 0] if squeeze else out
+        return out

@@ -148,24 +148,27 @@ def run_pipeline(
     for record in records:
         t0 = time.perf_counter()
         frame = run_frame(record, config, spatial_plan)
-        spatial_plan = frame.spatial_plan
-        t1 = time.perf_counter()
-        integrate_cloud(vmap, frame.cloud)
-        t2 = time.perf_counter()
-        timings["load+crf+project"] += t1 - t0
-        timings["integrate"] += t2 - t1
+        spatial_plan, cloud = frame.spatial_plan, frame.cloud
         if frame.truth is not None:
             eval_frames.append(
                 EvalFrame(frame.truth, frame.depth, config.intrinsics, record.pose)
             )
-        if per_frame_ply:
-            hard, conf = frame.cloud.compact()
-            ply = out / f"{record.frame_id}.ply"
-            write_ply(ply, frame.cloud.points, frame.cloud.colors, hard, conf)
-            outputs[f"ply:{record.frame_id}"] = str(ply)
-        # the frame's Q and its cloud's label_dists are two (N, L) arrays:
-        # free them before the next frame's CRF runs
+        # the cloud holds its own copy of Q's valid rows, so Q, an (N, L)
+        # array nothing reads again, is freed before integrate
         del frame
+        t1 = time.perf_counter()
+        integrate_cloud(vmap, cloud)
+        t2 = time.perf_counter()
+        timings["load+crf+project"] += t1 - t0
+        timings["integrate"] += t2 - t1
+        if per_frame_ply:
+            hard, conf = cloud.compact()
+            ply = out / f"{record.frame_id}.ply"
+            write_ply(ply, cloud.points, cloud.colors, hard, conf)
+            outputs[f"ply:{record.frame_id}"] = str(ply)
+        # the cloud's label_dists, another (N, L) array, goes before the next
+        # frame's CRF runs
+        del cloud
 
     metrics_tuple = None
     coverage = None

@@ -366,6 +366,47 @@ def test_mean_field_memory_budget(rng):
     assert arrays <= 5.0, f"peak of {arrays:.2f} (N, L) arrays"
 
 
+def test_mean_field_peaks_below_three_arrays(rng):
+    """The tighter budget ``mean_field_infer`` states: the second kernel's
+    message is added into the first a block of rows at a time and the
+    logits are formed over them the same way, so one lattice inference with
+    held plans stays within 3 (N, L) arrays above its entry (160x120, L=23,
+    T=5; 3.41 when every message and the logits were whole arrays)."""
+    import tracemalloc
+
+    from conftest import random_flat_rgb
+
+    h, w, labels = 120, 160, 23
+    rgb, _ = random_flat_rgb(rng, h, w)
+    params = CrfParams(iterations=5)
+    u = unary_from_probabilities(dist_image(rng.dirichlet(np.ones(labels), size=h * w), h, w))
+    feats = build_features(rgb, params)
+    plans = tuple(plan_filter(f, "lattice") for f in feats.per_kernel())
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        mean_field_infer(u, feats, params, "lattice", plans=plans)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (peak - entry) / (h * w * labels * 8)
+    assert arrays <= 3.0, f"peak of {arrays:.2f} (N, L) arrays"
+
+
+@pytest.mark.parametrize("n", [1, 5, 2048, 2049, 2050, 2 * 2048 + 777])
+def test_blocked_logits_equal_the_whole_product(rng, n):
+    """The logits u - C mu^T formed over C a block of rows at a time are
+    bit-equal to the whole GEMM, also where a last block would hold one row."""
+    from voxcrf.crf import _logits_into
+
+    combined, u, mu = rng.normal(size=(n, 23)), rng.normal(size=(n, 23)), rng.normal(size=(23, 23))
+    expected = u - combined @ mu.T
+    assert _logits_into(combined, u, mu)
+    np.testing.assert_array_equal(combined, expected)
+    combined[n - 1, 3] = np.nan
+    assert not _logits_into(combined, u, mu)
+
+
 # ---------------------------------------------------------------------------
 # energy and brute force
 # ---------------------------------------------------------------------------
@@ -695,6 +736,32 @@ def test_train_shared_plans_bit_equal_to_fresh_plans(rng, backend):
         held = train_crf_params(dataset, 0.05, epochs, seed=1, backend=backend)
         fresh = train_with_fresh_plans(dataset, 0.05, epochs, seed=1, backend=backend)
         assert held.to_dict() == fresh.to_dict()
+
+
+def test_train_runs_no_inference_on_unlabelled_images(rng, monkeypatch):
+    """An all-IGNORE image has loss 0 and no gradient: neither a step nor a
+    loss pass runs inference on it (3 images, one unlabelled, 2 epochs: 10
+    inferences, 4 of them traced, against 15 and 6 when it ran)."""
+    import voxcrf.crf as crf
+
+    dataset = make_training_set(rng, n_images=3)
+    rgb, probs, truth = dataset[1]
+    dataset[1] = (rgb, probs, LabelImage(6, 6, np.full(36, IGNORE_LABEL)))
+    calls = []
+    original = crf.mean_field_infer
+
+    def counting(u, features, params, backend, cache_gradients=False, plans=()):
+        calls.append((features.bilateral.tobytes(), cache_gradients))
+        return original(u, features, params, backend, cache_gradients, plans)
+
+    monkeypatch.setattr(crf, "mean_field_infer", counting)
+    trained = train_crf_params(dataset, learning_rate=0.05, epochs=2, seed=0)
+    unlabelled = build_features(rgb, CrfParams()).bilateral.tobytes()
+    assert len(calls) == 10 and sum(traced for _, traced in calls) == 4
+    assert all(features != unlabelled for features, _ in calls)
+    monkeypatch.setattr(crf, "mean_field_infer", original)
+    fresh = train_with_fresh_plans(dataset, 0.05, 2, seed=0, backend="exact")
+    assert trained.to_dict() == fresh.to_dict()
 
 
 def test_train_holds_one_exact_kernel(rng):

@@ -546,3 +546,43 @@ def test_apply_and_adjoint_match_dense_numerator(kind, rng, monkeypatch):
         assert np.abs(out_t - expected_t).max() < 1e-12
         np.testing.assert_array_equal(v, v0)  # inputs left unchanged
         np.testing.assert_array_equal(g, g0)
+
+
+def _one_pass_rows(plan, v, transpose):
+    """M v (or M^T v) of a lattice plan in one pass over all rows: the whole
+    filter, its diagonal term, then the fallback rows F."""
+    lat = plan._lattice
+    out = lat.filter(v, reverse=transpose)
+    out -= v * lat.diagonal[:, None]
+    if plan.starved and transpose:
+        out += plan._fallback.T @ v[plan._starved]
+    elif plan.starved:
+        out[plan._starved] = plan._fallback @ v
+    return out
+
+
+@pytest.mark.parametrize("block", [7, 2048])
+@pytest.mark.parametrize("outliers", [0, 9])
+def test_blocked_lattice_rows_are_bit_equal_to_one_pass(rng, monkeypatch, block, outliers):
+    """apply, apply_transpose and accumulate form a lattice plan's rows a
+    block at a time; each is bit-equal to one pass over all rows, with N
+    not a multiple of the block and starved rows spread over the blocks."""
+    from voxcrf import lattice
+
+    monkeypatch.setattr(lattice, "_ROW_BLOCK", block)
+    yy, xx = np.mgrid[0:46, 0:48].astype(np.float64)
+    feats = np.vstack([np.column_stack([xx.ravel(), yy.ravel()]) / 3.0,
+                       rng.uniform(30.0, 90.0, (outliers, 2))])
+    feats = feats[rng.permutation(len(feats))]
+    plan = plan_filter(feats, "lattice")
+    assert plan.n % block and (plan.starved > 0) == (outliers > 0)
+    v = rng.normal(size=(plan.n, 4))
+    np.testing.assert_array_equal(plan.apply(v), _one_pass_rows(plan, v, False))
+    np.testing.assert_array_equal(plan.apply_transpose(v), _one_pass_rows(plan, v, True))
+    out = rng.normal(size=(plan.n, 4))
+    expected = out.copy()
+    msg = plan.apply(v)
+    msg *= 0.7
+    expected += msg
+    plan.accumulate(v, 0.7, out)
+    np.testing.assert_array_equal(out, expected)

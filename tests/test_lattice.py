@@ -99,3 +99,38 @@ def test_one_slice_matrix_per_lattice(rng):
     assert np.shares_memory(out.indices, s.indices)
     assert np.shares_memory(out.indptr, s.indptr)
     assert not np.shares_memory(out.data, s.data)
+
+
+@pytest.mark.parametrize("kernel", ["bilateral", "spatial"])
+def test_build_peaks_below_eight_point_arrays(rng, kernel):
+    """The build frees each (N, d+1) temporary after its last read and takes
+    the vertex index of each key from a search of the distinct keys, so on
+    a 160x120 frame it peaks below 8 x N(d+1) float64s above its input (18.7
+    when every temporary lived until the build returned)."""
+    import tracemalloc
+
+    from conftest import random_flat_rgb
+    from voxcrf.crf import CrfParams, build_features
+
+    rgb, _ = random_flat_rgb(rng, 120, 160)
+    feats = getattr(build_features(rgb, CrfParams()), kernel)
+    n, d = feats.shape
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        PermutohedralLattice(feats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (peak - entry) / (n * (d + 1) * 8)
+    assert arrays <= 8.0, f"peak of {arrays:.2f} (N, d+1) arrays"
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 2047, 2048, 2049, 2050, 4097, 6144])
+def test_row_blocks_cover_the_rows_without_a_one_row_block(n):
+    blocks = list(lattice_mod.row_blocks(n))
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
+    assert all(e == s2 for (_, e), (s2, _) in zip(blocks, blocks[1:]))
+    sizes = [e - s for s, e in blocks]
+    assert max(sizes) <= lattice_mod._ROW_BLOCK + 1
+    assert min(sizes) >= min(n, 2)

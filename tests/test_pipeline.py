@@ -437,6 +437,8 @@ def test_render_frame_matches_per_ray_oracle(size):
             assert depth.dtype == np.uint16 and (depth > 0).all()
 
 
+# the numpy series whose Generator streams drew the pinned rgb and unary bytes
+_PINNED_NUMPY = "2.4"
 _DEFAULT_SCENE_SHA256 = {
     "depth/frame0000.pgm": "3c2dfaa27e53aaaed8960bd9a843d88b089baec9ce25382895eca2eec26d8786",
     "depth/frame0001.pgm": "653c0bc7d88269d054e096f813ad1782301eaf7713c2bd399f636ad45187baec",
@@ -509,9 +511,10 @@ def test_synthetic_scene_bytes_are_pinned(tmp_path, kwargs, pinned):
     """The scenes are the benchmark's inputs: a renderer or writer change that
     moves one byte shows here, file by file.  Depth is rounded to the
     millimetre and truth holds labels, so a last-bit difference in a float
-    library leaves them be; rgb and unary are pinned as numpy 2.4's Generator
-    draws them.  The manifest's poses, printed to 17 digits from cos, sin and
-    norm, must round-trip to ``orbit_poses`` and are left out of its digest."""
+    library leaves them be; rgb and unary are pinned as numpy's Generator
+    draws them in _PINNED_NUMPY (CI installs that series).  The manifest's
+    poses, printed to 17 digits from cos, sin and norm, must round-trip to
+    ``orbit_poses`` and are left out of its digest."""
     spec = default_scene_spec(**kwargs)
     manifest = generate_synthetic(spec, tmp_path)
     records, _ = load_manifest(manifest)
@@ -524,7 +527,9 @@ def test_synthetic_scene_bytes_are_pinned(tmp_path, kwargs, pinned):
     }
     without_poses = re.sub(r"( \S+){16}$", "", manifest.read_text(), flags=re.M)
     got["manifest.txt"] = hashlib.sha256(without_poses.encode()).hexdigest()
-    assert got == pinned
+    assert got == pinned, (
+        f"digests pinned with numpy {_PINNED_NUMPY}, running numpy {np.__version__}"
+    )
 
 
 def test_depth_is_valid_everywhere_inside_room(scene):
@@ -715,6 +720,31 @@ def test_run_pipeline_frees_each_frame_before_the_next(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "run_frame", checked_run_frame)
     result = run_pipeline(manifest, out_dir=tmp_path / "out")
     assert result.frame_count == len(earlier) == 3
+
+
+def test_run_pipeline_frees_q_before_integrate(tmp_path, monkeypatch):
+    """The cloud holds its own copy of Q's valid rows, so a frame's Q, an
+    (N, L) array, is freed before its cloud is integrated."""
+    import weakref
+
+    manifest = generate_synthetic(small_spec(frame_count=2), tmp_path / "s")
+    run_frame_original, integrate_original = runner.run_frame, runner.integrate_cloud
+    refs, checked = [], []
+
+    def recording_run_frame(*args, **kwargs):
+        frame = run_frame_original(*args, **kwargs)
+        refs.append(weakref.ref(frame.q.data))
+        return frame
+
+    def checked_integrate(vmap, cloud):
+        assert refs[-1]() is None, "the frame's Q is alive in integrate_cloud"
+        checked.append(True)
+        return integrate_original(vmap, cloud)
+
+    monkeypatch.setattr(runner, "run_frame", recording_run_frame)
+    monkeypatch.setattr(runner, "integrate_cloud", checked_integrate)
+    run_pipeline(manifest, out_dir=tmp_path / "out")
+    assert len(checked) == len(refs) == 2
 
 
 def test_run_frame_frees_the_probabilities_before_inference(tmp_path, monkeypatch):
