@@ -64,7 +64,7 @@ class LabelDistributionImage:
         self.data = _grid_data(self.height, self.width, self.labels, self.data)
 
     def validate(self) -> "LabelDistributionImage":
-        if np.any(self.data < 0):
+        if self.data.min() < 0:
             raise InputError("negative probability entry")
         sums = self.data.sum(axis=1)
         if np.abs(sums - 1.0).max() > 1e-6:
@@ -83,7 +83,8 @@ class UnaryField:
 
     def __post_init__(self):
         self.data = _grid_data(self.height, self.width, self.labels, self.data)
-        if not np.all(np.isfinite(self.data)):
+        # min and max carry any NaN or inf, with no (N, L) bool
+        if not np.isfinite(self.data.min()) or not np.isfinite(self.data.max()):
             raise InputError("non-finite unary potential")
 
 
@@ -230,7 +231,8 @@ def _softmax_vjp(q: np.ndarray, grad: np.ndarray) -> np.ndarray:
 def unary_from_probabilities(probs: LabelDistributionImage) -> UnaryField:
     """Log-potentials U = log(clamped probabilities); softmax(U) recovers the input."""
     probs.validate()
-    u = np.log(np.maximum(probs.data, PROB_FLOOR))
+    u = np.maximum(probs.data, PROB_FLOOR)
+    np.log(u, out=u)
     return UnaryField(probs.height, probs.width, probs.labels, u)
 
 

@@ -47,16 +47,19 @@ a dimension-dependent threshold) are where that cancellation degrades —
 much of their true kernel mass sits in the Gaussian mid-tail, outside the
 lattice's compact support — so these starved points, worst first while their
 7-sigma ball sizes sum to under FALLBACK_NNZ_LIMIT, take exact sparse kernel
-rows (truncation below exp(-24.5)); scipy counts the balls, worst first and
-only until the budget is full, and enumerates only the kept pairs, so time
-and memory follow the kept entries, not every ball.
+rows (truncation below exp(-24.5)).  One scan forms the rows, worst first
+and only until the budget is full, a block of rows at a time (1, 2, 4, ...
+rows, at most _SCAN_DISTANCES distances): ||a||^2 + ||b||^2 - 2 a.b from one
+GEMM screens the columns with a margin far above its rounding, and only the
+candidates' squared distances are formed from their differences, in
+ascending column order.  Time and memory follow the kept entries, not every
+ball; starved points past the budget keep lattice rows (``past_budget``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
 
 from .errors import InputError
 from .lattice import PermutohedralLattice, csr_rows, row_blocks
@@ -73,6 +76,7 @@ FALLBACK_RADIUS = 7.0
 FALLBACK_NNZ_LIMIT = 1 << 24
 _KERNEL_CACHE_LIMIT = 4096  # exact backend keeps the dense kernel up to this N
 _MIRROR_BLOCK = 64  # rows per block of the mirrored exact kernel build
+_SCAN_DISTANCES = 1 << 20  # most distances one block of the fallback scan forms
 
 
 def _as_matrix(values: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
@@ -92,6 +96,68 @@ def _kernel_rows(features: np.ndarray, start: int, stop: int, first: int = 0) ->
     rows = np.exp(-0.5 * np.einsum("rjd,rjd->rj", diff, diff))
     rows[np.arange(stop - start), np.arange(start - first, stop - first)] = 0.0
     return rows
+
+
+def _ball_pairs(
+    features: np.ndarray, screen: np.ndarray, rows: np.ndarray, margin: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, j, d2): the pairs with d2 = ||f[rows[r]] - f[j]||^2 within
+    FALLBACK_RADIUS^2, self pairs included, by r and then j ascending.
+
+    ``screen`` is [f, -||f||^2 / 2], so one GEMM forms a.b - ||b||^2 / 2
+    for each row a and column b; d2 = ||a||^2 + ||b||^2 - 2 a.b is within
+    the radius, widened by ``margin``, where that is at least
+    (||a||^2 - FALLBACK_RADIUS^2 - margin) / 2.  Only these candidates'
+    d2 are formed, from their differences."""
+    n = len(features)
+    a = screen[rows]
+    low = -(a[:, -1] + 0.5 * (FALLBACK_RADIUS**2 + margin))
+    a[:, -1] = 1.0
+    flat = np.flatnonzero(a @ screen.T >= low[:, None])
+    r = flat // n
+    j = flat - r * n
+    diff = np.take(features, rows[r], axis=0)  # take: faster than fancy indexing
+    diff -= np.take(features, j, axis=0)
+    d2 = np.einsum("nd,nd->n", diff, diff)
+    near = d2 <= FALLBACK_RADIUS**2
+    return r[near], j[near], d2[near]
+
+
+def _fallback_rows(
+    features: np.ndarray, order: np.ndarray
+) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """The exact fallback rows F: of the starved points ``order`` (worst
+    first), the prefix whose balls, each counted with its point, sum to
+    under FALLBACK_NNZ_LIMIT.  Returns the kept points ascending and F's
+    rows for them, self-excluded, with ascending columns."""
+    n = len(features)
+    sq = np.einsum("nd,nd->n", features, features)
+    margin = 1e-9 * (1.0 + sq.max())
+    screen = np.column_stack([features, -0.5 * sq])
+    cap = max(1, _SCAN_DISTANCES // n)
+    index = np.int32 if n < 2**31 else np.int64  # scipy's CSR index type
+    cols, vals = [], []
+    lengths = [np.zeros(1, dtype=np.int64)]  # indptr's leading 0
+    s, total, step = 0, 0, 1
+    while s < len(order):
+        rows = order[s : s + min(step, cap)]
+        r, j, d2 = _ball_pairs(features, screen, rows, margin)
+        sizes = np.bincount(r, minlength=len(rows))  # ball sizes, self included
+        fit = int(np.searchsorted(total + np.cumsum(sizes), FALLBACK_NNZ_LIMIT))
+        keep = (r < fit) & (j != rows[r])  # the self term is analytic
+        cols.append(j[keep].astype(index))
+        vals.append(np.exp(-0.5 * d2[keep]))
+        lengths.append(sizes[:fit] - 1)
+        total += int(sizes[:fit].sum())
+        s += fit
+        if fit < len(rows):
+            break
+        step *= 2
+    indptr = np.cumsum(np.concatenate(lengths))
+    f = sparse.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr), (s, n))
+    del cols, vals  # f holds the rows now; one more copy puts them in point order
+    rank = np.argsort(order[:s])
+    return order[:s][rank], f[rank]
 
 
 def _grid_axes(features: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -136,6 +202,7 @@ class FilterPlan:
         self._lattice = None
         self._starved = np.zeros(0, dtype=np.int64)
         self._fallback = None
+        self._past_budget = 0
 
         if self.n == 1:
             # no neighbors: zero messages, normalizer defined as 1
@@ -186,30 +253,15 @@ class FilterPlan:
         threshold = (
             STARVED_THRESHOLD_HIGH_DIM if self.dim >= 3 else STARVED_THRESHOLD_LOW_DIM
         )
-        starved = np.flatnonzero(raw < threshold)
-        if len(starved):
-            # worst points first keep exact rows while their balls fit the
-            # budget; the balls are counted in chunks of 1, 2, 4, ... points
-            # only until their sum reaches it
-            starved = starved[np.argsort(raw[starved], kind="stable")]
-            tree = cKDTree(self.features)
-            lens = np.zeros(0, dtype=np.intp)
-            while len(lens) < len(starved) and lens.sum() < FALLBACK_NNZ_LIMIT:
-                chunk = self.features[starved[len(lens) : 2 * len(lens) + 1]]
-                balls = tree.query_ball_point(chunk, FALLBACK_RADIUS, return_length=True)
-                lens = np.append(lens, balls)
-            starved = np.sort(starved[: np.searchsorted(np.cumsum(lens), FALLBACK_NNZ_LIMIT)])
-            pairs = cKDTree(self.features[starved]).sparse_distance_matrix(
-                tree, FALLBACK_RADIUS, output_type="ndarray"
+        under = np.flatnonzero(raw < threshold)
+        starved = under
+        if len(under):
+            starved, fallback = _fallback_rows(
+                self.features, under[np.argsort(raw[under], kind="stable")]
             )
-            pairs = pairs[pairs["j"] != starved[pairs["i"]]]  # self term is analytic
-            rows, cols = pairs["i"], pairs["j"]
-            diff = self.features[starved[rows]] - self.features[cols]
-            vals = np.exp(-0.5 * np.einsum("nd,nd->n", diff, diff))
-            fallback = sparse.csr_matrix((vals, (rows, cols)), (len(starved), self.n))
-            fallback.sort_indices()  # row sums and products run in column order
             raw[starved] = np.asarray(fallback.sum(axis=1)).ravel()
             self._starved = starved
+        self._past_budget = len(under) - len(starved)
         self.normalizers = np.maximum(raw, NORMALIZER_FLOOR)
         scale = 1.0 / self.normalizers
         if len(starved):
@@ -291,6 +343,12 @@ class FilterPlan:
     def starved(self) -> int:
         """Points whose messages come from exact fallback rows."""
         return len(self._starved)
+
+    @property
+    def past_budget(self) -> int:
+        """Points under the starved threshold that FALLBACK_NNZ_LIMIT left
+        on lattice rows."""
+        return self._past_budget
 
     @property
     def fallback_nnz(self) -> int:

@@ -239,9 +239,10 @@ def corrupt_unaries(
     confidence: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """(N, L) unary probabilities: with probability ``noise`` the argmax moves
-    to a uniformly random wrong label; the chosen label gets ``confidence``
-    and the rest share the remainder evenly."""
+    """(N, L) float32 unary probabilities, as a UNRY file stores them: with
+    probability ``noise`` the argmax moves to a uniformly random wrong label;
+    the chosen label gets ``confidence`` and the rest share the remainder
+    evenly (each value rounded once from float64)."""
     flat = np.asarray(truth, dtype=np.int64).reshape(-1)
     n = flat.shape[0]
     chosen = flat.copy()
@@ -250,7 +251,7 @@ def corrupt_unaries(
     if n_flip:
         offsets = rng.integers(1, label_count, size=n_flip)
         chosen[flip] = (chosen[flip] + offsets) % label_count
-    probs = np.full((n, label_count), (1.0 - confidence) / (label_count - 1))
+    probs = np.full((n, label_count), (1.0 - confidence) / (label_count - 1), np.float32)
     probs[np.arange(n), chosen] = confidence
     return probs
 

@@ -7,6 +7,7 @@ production modules.
 
 import numpy as np
 from scipy import sparse
+from scipy.spatial import cKDTree
 
 
 def reference_kernel(features: np.ndarray) -> np.ndarray:
@@ -158,6 +159,50 @@ class ReferenceVoxelMap:
                 counts[truth[i], int(np.argmax(cell[0]))] += 1
                 hits += 1
         return counts, hits, missing
+
+
+# ---------------------------------------------------------------------------
+# Starved-point fallback: the k-d tree form the screened scan replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_fallback(
+    features: np.ndarray, mass: np.ndarray, threshold: float, radius: float, limit: int
+) -> tuple[np.ndarray, np.ndarray, sparse.csr_matrix | None]:
+    """(starved, normalizers, F) of a lattice plan whose lattice neighbor
+    mass is ``mass``: the points under ``threshold``, worst first, whose
+    ``radius`` balls (self included) sum to under ``limit`` take exact
+    self-excluded kernel rows F, each divided by its normalizer.  The balls
+    are counted with scipy's cKDTree in chunks of 1, 2, 4, ... points until
+    their sum reaches ``limit``; the kept pairs come from one
+    ``sparse_distance_matrix``.  F is None when no point is kept."""
+    raw = np.array(mass, dtype=np.float64)
+    starved = np.flatnonzero(raw < threshold)
+    fallback = None
+    if len(starved):
+        starved = starved[np.argsort(raw[starved], kind="stable")]
+        tree = cKDTree(features)
+        lens = np.zeros(0, dtype=np.intp)
+        while len(lens) < len(starved) and lens.sum() < limit:
+            chunk = features[starved[len(lens) : 2 * len(lens) + 1]]
+            lens = np.append(lens, tree.query_ball_point(chunk, radius, return_length=True))
+        starved = np.sort(starved[: np.searchsorted(np.cumsum(lens), limit)])
+        pairs = cKDTree(features[starved]).sparse_distance_matrix(
+            tree, radius, output_type="ndarray"
+        )
+        pairs = pairs[pairs["j"] != starved[pairs["i"]]]
+        rows, cols = pairs["i"], pairs["j"]
+        diff = features[starved[rows]] - features[cols]
+        vals = np.exp(-0.5 * np.einsum("nd,nd->n", diff, diff))
+        fallback = sparse.csr_matrix((vals, (rows, cols)), (len(starved), len(features)))
+        fallback.sort_indices()
+        raw[starved] = np.asarray(fallback.sum(axis=1)).ravel()
+    normalizers = np.maximum(raw, 1e-12)
+    if len(starved):
+        fallback.data *= np.repeat(1.0 / normalizers[starved], np.diff(fallback.indptr))
+    else:
+        fallback = None
+    return starved, normalizers, fallback
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from voxcrf.crf import (
     IGNORE_LABEL,
+    PROB_FLOOR,
     CrfParams,
     LabelDistributionImage,
     LabelImage,
@@ -122,6 +123,36 @@ def test_unary_softmax_recovers_probabilities(seed):
     back = softmax(u.data)
     mask = probs >= 1e-6
     assert np.abs(back[mask] - probs[mask]).max() < 1e-6
+
+
+def test_unary_field_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        data = np.zeros((6, 3))
+        data[4, 1] = bad
+        with pytest.raises(InputError, match="non-finite unary potential"):
+            UnaryField(2, 3, 3, data)
+
+
+def test_unary_peaks_at_one_array(rng):
+    """U is clamped into one new (N, L) array and logged in place, and the
+    validation tests the minimum, not an (N, L) bool: the call peaks near
+    the one array it returns (160x120, L=23), bit-equal to log(max(p, floor))."""
+    import tracemalloc
+
+    h, w, labels = 120, 160, 23
+    probs = dist_image(rng.dirichlet(np.ones(labels), size=h * w), h, w)
+    probs.data[::7, 3] = 0.0  # clamped entries
+    probs.data /= probs.data.sum(axis=1, keepdims=True)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        u = unary_from_probabilities(probs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (peak - entry) / (h * w * labels * 8)
+    assert arrays <= 1.1, f"peak of {arrays:.2f} (N, L) arrays"
+    np.testing.assert_array_equal(u.data, np.log(np.maximum(probs.data, PROB_FLOOR)))
 
 
 # ---------------------------------------------------------------------------

@@ -423,20 +423,21 @@ def test_fallback_memory_follows_the_budget(monkeypatch):
 
 
 def test_starved_balls_are_counted_only_until_the_budget_is_full(monkeypatch):
-    """Every point is starved, and the budget keeps few of them.  The plan
-    counts the 7-sigma balls of a worst-first prefix at most about twice the
-    kept rows long, not the balls of every starved point."""
+    """Every point is starved, and the budget keeps few of them.  The scan
+    forms the balls of a worst-first prefix in blocks of 1, 2, 4, ... rows,
+    so it visits at most one block past the kept rows (about twice their
+    count), not the balls of every starved point."""
     from voxcrf import filtering
     from voxcrf.lattice import PermutohedralLattice
 
-    counted = []
+    visited = []
+    ball_pairs = filtering._ball_pairs
 
-    class CountingTree(filtering.cKDTree):
-        def query_ball_point(self, x, *args, **kwargs):
-            counted.append(len(x))
-            return super().query_ball_point(x, *args, **kwargs)
+    def counting(features, screen, rows, margin):
+        visited.append(len(rows))
+        return ball_pairs(features, screen, rows, margin)
 
-    monkeypatch.setattr(filtering, "cKDTree", CountingTree)
+    monkeypatch.setattr(filtering, "_ball_pairs", counting)
     monkeypatch.setattr(filtering, "FALLBACK_NNZ_LIMIT", 64)
     feats = np.random.default_rng(0).uniform(0.0, 400.0, (2000, 3))  # isolated points
     lat = PermutohedralLattice(feats)
@@ -445,8 +446,137 @@ def test_starved_balls_are_counted_only_until_the_budget_is_full(monkeypatch):
 
     plan = plan_filter(feats, "lattice")
     assert 0 < plan.starved and plan.fallback_nnz < 64
-    assert sum(counted) <= 2 * plan.starved + 1
-    assert sum(counted) < len(feats) // 10
+    assert sum(visited) - plan.starved <= visited[-1] <= plan.starved + 1
+    assert sum(visited) <= 2 * plan.starved + 1
+    assert sum(visited) < len(feats) // 10
+
+
+def _starved_mass(feats):
+    from voxcrf.lattice import PermutohedralLattice
+
+    lat = PermutohedralLattice(feats)
+    return lat.filter(np.ones(len(feats))) - lat.diagonal
+
+
+def _frame0_bilateral(**spec_kwargs):
+    """Bilateral features of frame 0 of the default scene made with
+    ``spec_kwargs``, shaded as ``generate_synthetic`` shades it."""
+    from voxcrf.crf import CrfParams, build_features
+    from voxcrf.pipeline.labels import label_palette
+    from voxcrf.pipeline.synthetic import (
+        default_scene_spec,
+        orbit_poses,
+        render_frame,
+        shade_labels,
+    )
+
+    spec = default_scene_spec(**spec_kwargs)
+    _, labels = render_frame(spec, orbit_poses(spec)[0])
+    palette = label_palette(spec.label_count)
+    rgb = shade_labels(labels, palette, spec.jitter, np.random.default_rng(spec.seed))
+    return build_features(rgb, CrfParams()).bilateral
+
+
+# frame 0 of the 12-frame 160x120 orbit scene (seed 0) has 16 starved points;
+# colour jitter 60 starves many
+_ORBIT_FRAME = dict(seed=0, frame_count=12, width=160, height=120, label_count=23)
+_TEXTURED_FRAME = dict(width=80, height=60, jitter=60.0)
+
+
+@pytest.mark.parametrize("case", ["orbit", "all_starved_budget", "textured", "textured_budget"])
+def test_fallback_rows_match_kd_tree_reference(case, rng, monkeypatch):
+    """The screened scan keeps the same starved points, rows, columns and
+    values as the k-d tree form it replaced, bit for bit, so the
+    normalizers are equal too: on an orbit frame with a few starved points,
+    with every point starved and a budget that keeps some, and on a
+    textured frame with the full and a reduced budget."""
+    from voxcrf import filtering
+
+    from _reference import reference_fallback
+
+    limit = {"all_starved_budget": 400, "textured_budget": 1 << 16}.get(case)
+    if limit is not None:
+        monkeypatch.setattr(filtering, "FALLBACK_NNZ_LIMIT", limit)
+    if case == "all_starved_budget":
+        feats = rng.uniform(0, 5, (40, 3))
+    else:
+        feats = _frame0_bilateral(**(_ORBIT_FRAME if case == "orbit" else _TEXTURED_FRAME))
+    plan = plan_filter(feats, "lattice")
+    starved, normalizers, fallback = reference_fallback(
+        feats,
+        _starved_mass(feats),
+        filtering.STARVED_THRESHOLD_HIGH_DIM,
+        filtering.FALLBACK_RADIUS,
+        filtering.FALLBACK_NNZ_LIMIT,
+    )
+    assert plan.starved > 0
+    if limit is not None:
+        assert plan.past_budget > 0
+    np.testing.assert_array_equal(plan._starved, starved)
+    np.testing.assert_array_equal(plan.normalizers, normalizers)
+    for part in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(plan._fallback, part), getattr(fallback, part))
+
+
+def test_past_budget_counts_the_starved_points_left_on_lattice_rows(rng, monkeypatch):
+    """Every point is starved and the budget keeps some: the kept points and
+    the ones past the budget add up to every point under the threshold.
+    With the full budget nothing is past it, and the counter is read-only."""
+    from voxcrf import filtering
+
+    feats = rng.uniform(0, 5, (40, 3))
+    under = np.count_nonzero(_starved_mass(feats) < filtering.STARVED_THRESHOLD_HIGH_DIM)
+    assert under == len(feats)
+    for backend in ("lattice", "exact"):
+        assert plan_filter(feats, backend).past_budget == 0
+
+    monkeypatch.setattr(filtering, "FALLBACK_NNZ_LIMIT", 400)
+    plan = plan_filter(feats, "lattice")
+    assert 0 < plan.past_budget < under
+    assert plan.starved + plan.past_budget == under
+    with pytest.raises(AttributeError):
+        plan.past_budget = 0
+
+
+def test_fallback_build_peak_per_kept_entry(monkeypatch):
+    """A textured 160x120 frame fills a reduced budget of 2^20 fallback
+    entries.  The plan build peaks under 48 bytes per kept entry: the scan
+    holds the kept rows' columns and values, and the rows once more while
+    it puts them in point order (the k-d tree form peaked near 108)."""
+    import tracemalloc
+
+    from voxcrf import filtering
+
+    feats = _frame0_bilateral(width=160, height=120, jitter=60.0)
+    monkeypatch.setattr(filtering, "FALLBACK_NNZ_LIMIT", 1 << 20)
+    tracemalloc.start()
+    try:
+        plan = plan_filter(feats, "lattice")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1 << 19 < plan.fallback_nnz < 1 << 20
+    per_entry = peak / plan.fallback_nnz
+    assert per_entry < 48, f"plan build peaked at {per_entry:.1f} B per kept entry"
+
+
+def test_cli_import_loads_no_kd_tree():
+    """The fallback rows need no spatial index: importing the CLI in a fresh
+    interpreter leaves no scipy.spatial module loaded."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys; import voxcrf.pipeline.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def _dense_numerator(plan):
