@@ -8,11 +8,12 @@ One mean-field iteration is the usual five-stage stack: per-kernel Gaussian
 message passing (self-excluded, normalized per pixel), weighting, the
 compatibility transform, adding the unary, and a softmax renormalization.
 Message passing runs on a ``FilterPlan`` (exact or lattice backend); all
-other stages are dense (N, L) array operations, done in place where no
-trace keeps their inputs: the first kernel's message buffer takes the
-weighted sum (the other kernels add theirs into it a block of rows at a
-time), and the compatibility GEMM, the unary and the softmax are formed
-over it, the GEMM a block of rows at a time.
+other stages are dense (N, L) array operations, done in place: the first
+kernel's message buffer takes the weighted sum (the other kernels add
+theirs into it a block of rows at a time), and the compatibility GEMM, the
+unary and the softmax are formed over it, the GEMM a block of rows at a
+time.  Traced inference runs the same step and copies the weighted sum into
+its trace before the logits overwrite it.
 """
 
 from __future__ import annotations
@@ -268,14 +269,15 @@ def map_labeling(q: LabelDistributionImage) -> LabelImage:
 
 @dataclass
 class MeanFieldTrace:
-    """Cached intermediates of an unrolled inference, consumed by backward;
-    each iteration's weighted message sum is recomputed from ``messages``."""
+    """Cached intermediates of an unrolled inference, consumed by backward:
+    2T + 1 (N, L) arrays, Q before each iteration and after the last, and
+    each iteration's combined message sum_m w_m M_m Q."""
 
     plans: tuple[FilterPlan, ...]
     weights: np.ndarray
     compatibility: np.ndarray
     q_states: list[np.ndarray]  # T+1 entries; [0] is softmax(U)
-    messages: list[list[np.ndarray]]  # per iteration, per kernel
+    combined: list[np.ndarray]  # T entries; [t] is sum_m w_m M_m q_states[t]
 
 
 def _check_finite(arr: np.ndarray, stage: str, iteration: int) -> None:
@@ -297,7 +299,7 @@ def _raise_non_finite(
     msgs = [plan.apply(q) for plan in plans]
     for m, msg in enumerate(msgs):
         _check_finite(msg, f"message passing (kernel {m})", iteration)
-    pairwise = _weighted_sum(msgs, weights) @ mu.T
+    pairwise = sum(w * msg for w, msg in zip(weights, msgs)) @ mu.T
     _check_finite(pairwise, "compatibility transform", iteration)
     raise NumericalError(f"non-finite value in adding the unary at iteration {iteration}")
 
@@ -311,17 +313,14 @@ def _step(
     iteration: int,
     trace: MeanFieldTrace | None,
 ) -> np.ndarray:
-    if trace is None:
-        # the first message becomes ``combined``; the other kernels add
-        # theirs into it, a block of rows at a time on the lattice backend
-        combined = plans[0].apply(q)
-        combined *= weights[0]
-        for plan, w in zip(plans[1:], weights[1:]):
-            plan.accumulate(q, w, combined)
-    else:
-        msgs = [plan.apply(q) for plan in plans]
-        trace.messages.append(msgs)
-        combined = _weighted_sum(msgs, weights)
+    # the first message becomes ``combined``; the other kernels add theirs
+    # into it, a block of rows at a time on the lattice backend
+    combined = plans[0].apply(q)
+    combined *= weights[0]
+    for plan, w in zip(plans[1:], weights[1:]):
+        plan.accumulate(q, w, combined)
+    if trace is not None:
+        trace.combined.append(combined.copy())
     # Q stays intact for the diagnosis; one finite check covers every stage
     # (softmax of finite logits is finite)
     if not _logits_into(combined, u, mu):
@@ -341,14 +340,6 @@ def _logits_into(combined: np.ndarray, u: np.ndarray, mu: np.ndarray) -> bool:
         block = np.subtract(u[s:e], combined[s:e] @ mu.T, out=combined[s:e])
         finite = finite and bool(np.isfinite(block).all())
     return finite
-
-
-def _weighted_sum(msgs: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    """sum_m w_m msg_m as a new array; the messages are left unchanged."""
-    combined = msgs[0] * weights[0]
-    for w, msg in zip(weights[1:], msgs[1:]):
-        combined += msg * w
-    return combined
 
 
 def reuse_plan(features: np.ndarray, backend: str, plans: Sequence[FilterPlan]) -> FilterPlan:
@@ -384,14 +375,15 @@ def mean_field_infer(
     plan :func:`reuse_plan` finds for its features and ``backend``, or on a
     new one.  A held plan built on other features is never used.
 
-    Memory budget: with held plans for both kernels and no trace, the
-    allocations of one inference peak at no more than three float64 (N, L)
-    arrays above those at entry on image-like features: Q, the combined
-    messages and one lattice's blur buffers, three of (m + 1, L) for m
-    vertices (2.4 arrays in all at 160x120 and at 640x480).  It peaks while
-    a kernel is filtered: the first kernel's message becomes the combined
-    buffer, the second kernel's is added into it a block of rows at a time,
-    and the logits are formed over it the same way.  A non-finite value
+    Memory budget: with held plans for both kernels, the allocations of one
+    inference peak at no more than three float64 (N, L) arrays above those
+    at entry on image-like features: Q, the combined messages and one
+    lattice's blur buffers, three of (m + 1, L) for m vertices (2.4 arrays
+    in all at 160x120 and at 640x480).  It peaks while a kernel is
+    filtered: the first kernel's message becomes the combined buffer, the
+    second kernel's is added into it a block of rows at a time, and the
+    logits are formed over it the same way.  A traced inference runs the
+    same step, plus the 2T + 1 arrays its trace keeps.  A non-finite value
     raises ``NumericalError`` naming the stage and iteration.
     """
     _check_dims(u, features)
@@ -416,7 +408,7 @@ def mean_field_backward(
     exact adjoint of ``apply`` with its normalizers held constant; gradients
     for the shared parameters accumulate across iterations.
     """
-    if not trace.q_states or not trace.messages:
+    if not trace.q_states or not trace.combined:
         raise InputError("trace was not recorded with cache_gradients=True")
     q_final = trace.q_states[-1]
     g = np.asarray(dloss_dq, dtype=np.float64)
@@ -424,7 +416,7 @@ def mean_field_backward(
         raise InputError(f"loss gradient shape {g.shape} != Q shape {q_final.shape}")
 
     weights, mu = trace.weights, trace.compatibility
-    num_iters = len(trace.messages)
+    num_iters = len(trace.combined)
     du = np.zeros_like(q_final)
     dw = np.zeros_like(weights)
     dmu = np.zeros_like(mu)
@@ -433,11 +425,12 @@ def mean_field_backward(
         ds = _softmax_vjp(trace.q_states[t + 1], g)
         du += ds
         dp = -ds
-        dmu += dp.T @ _weighted_sum(trace.messages[t], weights)
+        dmu += dp.T @ trace.combined[t]
         dc = dp @ mu
-        for m, plan in enumerate(trace.plans):
-            dw[m] += float((dc * trace.messages[t][m]).sum())
-        g = sum(w * plan.apply_transpose(dc) for w, plan in zip(weights, trace.plans))
+        # <dc, M_m Q> = <M_m^T dc, Q>: one transpose per kernel gives dw and g
+        back = [plan.apply_transpose(dc) for plan in trace.plans]
+        dw += [float((b * trace.q_states[t]).sum()) for b in back]
+        g = sum(w * b for w, b in zip(weights, back))
     du += _softmax_vjp(trace.q_states[0], g)
     return du, dw, dmu
 

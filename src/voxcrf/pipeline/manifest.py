@@ -164,10 +164,11 @@ def _header_value(key: str, text: str):
 def load_manifest(path: str | Path) -> tuple[list[FrameRecord], PipelineConfig]:
     """Parse a manifest; validates poses and referenced-file presence.
 
-    Frames keep their listed order.  Malformed lines and bad header values
-    (``fx=0``, ``labels=1``) raise FormatError naming the line number,
-    missing intrinsics FormatError naming the manifest, and missing files
-    InputError naming the path.
+    Frames keep their listed order; ids may repeat.  Malformed lines, bad
+    header values (``fx=0``, ``labels=1``) and frame ids that are not plain
+    file names (holding a slash or backslash, or ``.`` or ``..``) raise
+    FormatError naming the line number, missing intrinsics FormatError
+    naming the manifest, and missing files InputError naming the path.
     """
     path = Path(path)
     base = path.parent
@@ -199,6 +200,9 @@ def load_manifest(path: str | Path) -> tuple[list[FrameRecord], PipelineConfig]:
         except ValueError as e:
             raise FormatError(f"{where}: bad pose float") from e
         frame_id, *rel_paths = names
+        # the runner writes <frame_id>.ply into --out
+        if "/" in frame_id or "\\" in frame_id or frame_id in (".", ".."):
+            raise FormatError(f"{where}: frame id {frame_id!r} is not a plain file name")
         paths = []
         for kind, rel in zip(("rgb", "depth", "unary", "truth"), rel_paths):
             p = base / rel

@@ -24,6 +24,7 @@ from ..crf import (
     CrfParams,
     LabelDistributionImage,
     build_features,
+    integer_setting,
     mean_field_infer,
     unary_from_probabilities,
 )
@@ -42,6 +43,9 @@ class MaterialBox:
     lo: tuple[float, float, float]
     hi: tuple[float, float, float]
     label: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "label", integer_setting("box label", self.label))
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,8 @@ class SyntheticSceneSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "boxes", tuple(self.boxes))
+        for name in ("width", "height", "frame_count", "label_count", "room_label", "seed"):
+            object.__setattr__(self, name, integer_setting(name, getattr(self, name)))
         if not 2 <= self.label_count <= 255:  # 255 is IGNORE in the truth images
             raise ConfigError(f"label count must be in [2, 255], got {self.label_count}")
         room = np.asarray(self.room, dtype=np.float64)

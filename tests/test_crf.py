@@ -424,6 +424,70 @@ def test_mean_field_peaks_below_three_arrays(rng):
     assert arrays <= 3.0, f"peak of {arrays:.2f} (N, L) arrays"
 
 
+def test_traced_mean_field_peaks_at_its_trace(rng):
+    """Traced inference runs the untraced step and copies Q and the combined
+    message into the trace, which keeps 2T + 1 (N, L) arrays: one lattice
+    inference with held plans peaks within 2T + 2 arrays above its entry
+    (160x120, L=23, T=5; 17.01 when the trace kept every kernel's message)."""
+    import tracemalloc
+
+    from conftest import random_flat_rgb
+
+    h, w, labels = 120, 160, 23
+    rgb, _ = random_flat_rgb(rng, h, w)
+    params = CrfParams(iterations=5)
+    u = unary_from_probabilities(dist_image(rng.dirichlet(np.ones(labels), size=h * w), h, w))
+    feats = build_features(rgb, params)
+    plans = tuple(plan_filter(f, "lattice") for f in feats.per_kernel())
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        _, trace = mean_field_infer(u, feats, params, "lattice", True, plans=plans)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (peak - entry) / (h * w * labels * 8)
+    assert arrays <= 2 * params.iterations + 2, f"peak of {arrays:.2f} (N, L) arrays"
+    assert (len(trace.q_states), len(trace.combined)) == (6, 5)
+
+
+def _scene_instance(rng, labels=23):
+    """A T = 5 instance on frame 0 of the default scene at 64x48, shaded as
+    ``generate_synthetic`` shades it; its lattice plan takes exact fallback
+    rows for 118 starved points."""
+    from voxcrf.pipeline.labels import label_palette
+    from voxcrf.pipeline.synthetic import (
+        default_scene_spec,
+        orbit_poses,
+        render_frame,
+        shade_labels,
+    )
+
+    spec = default_scene_spec(width=64, height=48)
+    _, truth = render_frame(spec, orbit_poses(spec)[0])
+    palette = label_palette(spec.label_count)
+    rgb = shade_labels(truth, palette, spec.jitter, np.random.default_rng(spec.seed))
+    h, w = rgb.shape[:2]
+    params = CrfParams(compatibility=rng.normal(0, 0.5, (labels, labels)))
+    u = unary_from_probabilities(dist_image(rng.dirichlet(np.ones(labels), size=h * w), h, w))
+    return u, build_features(rgb, params), params
+
+
+@pytest.mark.parametrize("backend", ["exact", "lattice"])
+def test_traced_and_untraced_inference_are_bit_equal(rng, backend):
+    """Traced and untraced inference run one step, so their Q is bit-equal,
+    on a frame of two row blocks whose lattice plan has starved points."""
+    u, feats, params = _scene_instance(rng)
+    plans = tuple(plan_filter(f, backend) for f in feats.per_kernel())
+    assert u.height * u.width > 2048
+    if backend == "lattice":
+        assert 0 < plans[0].starved < u.height * u.width
+    q, _ = mean_field_infer(u, feats, params, backend, plans=plans)
+    traced, trace = mean_field_infer(u, feats, params, backend, True, plans=plans)
+    np.testing.assert_array_equal(traced.data, q.data)
+    np.testing.assert_array_equal(trace.q_states[-1], q.data)
+
+
 @pytest.mark.parametrize("n", [1, 5, 2048, 2049, 2050, 2 * 2048 + 777])
 def test_blocked_logits_equal_the_whole_product(rng, n):
     """The logits u - C mu^T formed over C a block of rows at a time are
@@ -620,6 +684,35 @@ def test_backward_requires_cached_trace(rng):
     _, trace = mean_field_infer(u, feats, params, "exact", cache_gradients=True)
     with pytest.raises(InputError):
         mean_field_backward(trace, np.zeros((5, 2)))
+
+
+def _dw_from_messages(trace, dloss_dq):
+    """dw as sum_t <dc_t, M_m Q_t>, each kernel's message formed by its
+    plan's ``apply``; the reverse sweep is that of ``mean_field_backward``."""
+    weights, mu = trace.weights, trace.compatibility
+    g, dw = dloss_dq, np.zeros_like(weights)
+    for t in range(len(trace.combined) - 1, -1, -1):
+        q_next = trace.q_states[t + 1]
+        dp = -q_next * (g - (g * q_next).sum(axis=1, keepdims=True))
+        dc = dp @ mu
+        for m, plan in enumerate(trace.plans):
+            dw[m] += float((dc * plan.apply(trace.q_states[t])).sum())
+        g = sum(w * plan.apply_transpose(dc) for w, plan in zip(weights, trace.plans))
+    return dw
+
+
+@pytest.mark.parametrize("backend", ["exact", "lattice"])
+def test_weight_gradient_matches_message_oracle(rng, backend):
+    """dw formed from each kernel's transpose, <M_m^T dc, Q>, equals
+    <dc, M_m Q> formed from its messages: apply_transpose is the exact
+    adjoint of apply, so the two differ by rounding only (8.4e-16 relative
+    on exact and 3.3e-16 on lattice, whose plan has starved points, here)."""
+    u, feats, params = _scene_instance(rng)
+    _, trace = mean_field_infer(u, feats, params, backend, cache_gradients=True)
+    g = rng.normal(size=trace.q_states[0].shape)
+    _, dw, _ = mean_field_backward(trace, g)
+    expected = _dw_from_messages(trace, g)
+    assert np.abs(dw - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,24 @@ def test_manifest_missing_file(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("frame_id", ["../../escaped", "frame0001/x", "a\\b", ".", ".."])
+def test_manifest_rejects_a_frame_id_that_is_not_a_file_name(tmp_path, frame_id):
+    # --per-frame-ply writes <frame_id>.ply into --out; "../../escaped" once
+    # wrote two directories above it
+    path = tmp_path / "m.txt"
+    pose = " ".join("%g" % v for v in np.eye(4).reshape(-1))
+    path.write_text(f"fx=10\nfy=10\ncx=1\ncy=1\n{frame_id} a.ppm b.pgm c.unry {pose}\n")
+    with pytest.raises(FormatError, match=r"m\.txt:5: frame id .* is not a plain file name"):
+        load_manifest(path)
+
+
+def test_manifest_keeps_plain_frame_ids(scene):
+    text = scene.read_text().replace("frame0001 ", "frame.0001-b_2 ", 1)
+    scene.write_text(text)
+    records, _ = load_manifest(scene)
+    assert [r.frame_id for r in records] == ["frame0000", "frame.0001-b_2", "frame0002"]
+
+
 def test_manifest_missing_intrinsics_names_path(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("fy=10\ncx=1\ncy=1\n")
@@ -566,6 +584,35 @@ def test_spec_rejects_bad_camera_and_seed_before_writing(tmp_path, kwargs, messa
     with pytest.raises(ConfigError, match=message):
         generate_synthetic(small_spec(**kwargs), tmp_path / "s")
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("frame_count", 2.5),  # once a raw TypeError
+        ("width", 32.5),  # width, height, label_count and seed: once a
+        ("height", 24.5),  # TypeError after the four directories were made
+        ("label_count", 23.5),
+        ("seed", 1.5),
+        ("room_label", 0.5),  # once a scene whose walls were truncated to label 0
+        ("frame_count", True),  # once a 1-frame scene
+        ("width", "48"),
+    ],
+)
+def test_spec_rejects_a_non_integer_count_before_writing(tmp_path, name, value):
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+        generate_synthetic(small_spec(**{name: value}), tmp_path / "s")
+    assert not (tmp_path / "s").exists()
+
+
+def test_spec_takes_whole_numbers_as_ints():
+    box = MaterialBox((0.9, 0.9, 0.10), (2.3, 1.7, 0.72), np.int64(1))
+    spec = small_spec(boxes=[box], width=48.0, frame_count=np.int64(3), seed=3.0)
+    assert (spec.width, spec.frame_count, spec.seed, spec.boxes[0].label) == (48, 3, 3, 1)
+    assert all(type(v) is int for v in (spec.width, spec.frame_count, spec.seed, box.label))
+    for label in (1.5, True):
+        with pytest.raises(ConfigError, match="box label must be an integer"):
+            MaterialBox((0.9, 0.9, 0.10), (2.3, 1.7, 0.72), label)
 
 
 # ---------------------------------------------------------------------------
