@@ -54,15 +54,26 @@ GEMM screens the columns with a margin far above its rounding, and only the
 candidates' squared distances are formed from their differences, in
 ascending column order.  Time and memory follow the kept entries, not every
 ball; starved points past the budget keep lattice rows (``past_budget``).
+
+The lattice backend's sparse matrices (the lattice slice and F) are formed
+by ``lattice.csr_from_arrays``, so scipy is loaded on the first lattice plan
+build, not when this module is imported; the exact backend never loads it.
+``PermutohedralLattice`` stays imported at module level: the benchmark
+tracer (``perfbench/tracing.py``) patches ``filtering.PermutohedralLattice``
+by name.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
 
 from .errors import InputError
-from .lattice import PermutohedralLattice, csr_rows, row_blocks
+from .lattice import PermutohedralLattice, csr_from_arrays, csr_rows, row_blocks
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 NORMALIZER_FLOOR = 1e-12
 # Fallback thresholds on the lattice's own neighbor-mass estimate, calibrated
@@ -154,7 +165,7 @@ def _fallback_rows(
             break
         step *= 2
     indptr = np.cumsum(np.concatenate(lengths))
-    f = sparse.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr), (s, n))
+    f = csr_from_arrays(np.concatenate(vals), np.concatenate(cols), indptr, (s, n))
     del cols, vals  # f holds the rows now; one more copy puts them in point order
     rank = np.argsort(order[:s])
     return order[:s][rank], f[rank]

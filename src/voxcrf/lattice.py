@@ -44,16 +44,28 @@ transpose S^T, so a built lattice can filter any number of value channels.
 folded into a second slice S' (with the 1 / (1 + 2^-d) correction), for
 callers that normalize the filter output per point; S' has its own weights
 and shares S's index arrays.
+
+S and S' are scipy.sparse CSR matrices.  scipy is imported in
+``csr_from_arrays`` alone, the one place a CSR matrix is formed from arrays
+(``csr_rows`` and ``scaled`` build theirs with the type of the matrix they
+are given), so a process loads scipy on its first lattice build, and code
+that never builds one (the exact backend, scene generation, metrics) never
+does.  ``filtering`` imports ``PermutohedralLattice`` at module level: the
+benchmark tracer (``perfbench/tracing.py``) patches
+``filtering.PermutohedralLattice`` by name, so that import must stay there.
 """
 
 from __future__ import annotations
 
 import copy
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InputError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 _ROW_BLOCK = 2048  # rows per block of a slice, the diagonal and the mean-field GEMM
 
@@ -82,13 +94,23 @@ def row_blocks(n: int):
         s = e
 
 
+def csr_from_arrays(
+    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]
+) -> sparse.csr_matrix:
+    """The CSR matrix over the given arrays; the one import of scipy.sparse
+    (module docstring)."""
+    from scipy import sparse
+
+    return sparse.csr_matrix((data, indices, indptr), shape=shape)
+
+
 def csr_rows(matrix: sparse.csr_matrix, start: int, stop: int) -> sparse.csr_matrix:
     """Rows start..stop-1 of a CSR matrix over views of its data and index
     arrays (scipy's row slicing copies them); the whole matrix for all rows."""
     if start == 0 and stop == matrix.shape[0]:
         return matrix
     a, b = matrix.indptr[start], matrix.indptr[stop]
-    return sparse.csr_matrix(
+    return type(matrix)(
         (matrix.data[a:b], matrix.indices[a:b], matrix.indptr[start : stop + 1] - a),
         shape=(stop - start, matrix.shape[1]),
     )
@@ -195,7 +217,7 @@ class PermutohedralLattice:
         # vertex order; S owns its ``data`` (a copy of ``bary``), which the
         # sort reorders in place.
         indptr = np.arange(0, self.n * dp1 + 1, dp1)
-        self._slice = sparse.csr_matrix((bary.flatten(), vertex_idx, indptr), (self.n, m))
+        self._slice = csr_from_arrays(bary.flatten(), vertex_idx, indptr, (self.n, m))
         del bary, vertex_idx
         self._slice.sort_indices()
         self._out_slice = self._slice  # S', the slice of the output rows
@@ -321,7 +343,7 @@ class PermutohedralLattice:
         s = self._out_slice
         per_entry = np.repeat(self._alpha * rows, np.diff(s.indptr))
         out = copy.copy(self)
-        out._out_slice = sparse.csr_matrix((s.data * per_entry, s.indices, s.indptr), shape=s.shape)
+        out._out_slice = type(s)((s.data * per_entry, s.indices, s.indptr), shape=s.shape)
         out._alpha = 1.0
         out._diag = rows * self._diag
         return out

@@ -120,6 +120,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_crf(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)  # fail before training, not after
     records, config = load_manifest(args.manifest)
     if not records:
         raise InputError("training manifest lists no frames")
@@ -137,7 +139,7 @@ def _cmd_train_crf(args: argparse.Namespace) -> int:
         params=config.crf,
         backend=args.backend,
     )
-    Path(args.out).write_text(json.dumps(params.to_dict(), indent=2) + "\n")
+    out.write_text(json.dumps(params.to_dict(), indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0
 

@@ -141,11 +141,17 @@ def write_label_image(path: str | Path, image: LabelImage) -> None:
 # ---------------------------------------------------------------------------
 
 
-def save_unary(path: str | Path, image: LabelDistributionImage) -> None:
+def write_unary(path: str | Path, height: int, width: int, probs: np.ndarray) -> None:
+    """Write (height * width, L) probabilities as a UNRY file.  A float32
+    array is written from its own buffer; any other is rounded to float32."""
     with open(path, "wb") as f:
         f.write(UNARY_MAGIC)
-        f.write(struct.pack("<III", image.height, image.width, image.labels))
-        f.write(np.ascontiguousarray(image.data, dtype="<f4"))  # the buffer, no bytes copy
+        f.write(struct.pack("<III", height, width, probs.shape[1]))
+        f.write(np.ascontiguousarray(probs, dtype="<f4"))  # the buffer, no bytes copy
+
+
+def save_unary(path: str | Path, image: LabelDistributionImage) -> None:
+    write_unary(path, image.height, image.width, image.data)
 
 
 def load_unary(path: str | Path) -> LabelDistributionImage:

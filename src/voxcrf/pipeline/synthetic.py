@@ -30,7 +30,7 @@ from ..crf import (
 )
 from ..errors import ConfigError, InputError
 from ..projection import CameraIntrinsics
-from .formats import save_unary, write_pgm8, write_pgm16, write_ppm
+from .formats import write_pgm8, write_pgm16, write_ppm, write_unary
 from .labels import label_palette
 
 _DEPTH_EPS = 1e-9
@@ -342,12 +342,10 @@ def generate_synthetic(spec: SyntheticSceneSpec, out_dir: str | Path) -> Path:
         probs = corrupt_unaries(
             labels, spec.label_count, spec.noise, spec.confidence, rng
         )
-        unary = LabelDistributionImage(spec.height, spec.width, spec.label_count, probs)
-
         fid = f"frame{k:04d}"
         write_ppm(out / "rgb" / f"{fid}.ppm", rgb)
         write_pgm16(out / "depth" / f"{fid}.pgm", raw)
-        save_unary(out / "unary" / f"{fid}.unry", unary)
+        write_unary(out / "unary" / f"{fid}.unry", spec.height, spec.width, probs)
         write_pgm8(out / "truth" / f"{fid}.pgm", labels)
         pose_str = " ".join("%.17g" % v for v in pose.reshape(-1))
         lines.append(

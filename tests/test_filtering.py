@@ -560,23 +560,69 @@ def test_fallback_build_peak_per_kept_entry(monkeypatch):
     assert per_entry < 48, f"plan build peaked at {per_entry:.1f} B per kept entry"
 
 
-def test_cli_import_loads_no_kd_tree():
-    """The fallback rows need no spatial index: importing the CLI in a fresh
-    interpreter leaves no scipy.spatial module loaded."""
+_SCIPY_STAGES = """
+import contextlib, json, sys
+
+sys.path.insert(0, sys.argv[1])
+out = sys.argv[2]
+loaded = {}
+
+
+def scipy_after(stage):
+    loaded[stage] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+def run(*argv):
+    with contextlib.redirect_stdout(sys.stderr):
+        if main(list(argv)) != 0:
+            sys.exit(f"voxcrf {argv[0]} failed")
+    scipy_after(f"voxcrf {argv[0]}")
+
+
+import voxcrf
+
+scipy_after("import voxcrf")
+from voxcrf.pipeline.cli import main
+
+scipy_after("import voxcrf.pipeline.cli")
+scene = f"{out}/scene"
+run("synth", "--frames", "2", "--width", "32", "--height", "24", "--out", scene)
+run("train-crf", "--backend", "exact", "--epochs", "1", "--manifest", f"{scene}/manifest.txt",
+    "--out", f"{out}/p.json")
+run("segment", "--backend", "exact", "--unary", f"{scene}/unary/frame0000.unry",
+    "--rgb", f"{scene}/rgb/frame0000.ppm", "--out", f"{out}/seg")
+import numpy as np
+from voxcrf.filtering import plan_filter
+
+plan_filter(np.random.default_rng(0).uniform(0, 5, (40, 3)), "lattice")
+scipy_after("plan_filter lattice")
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loads_on_the_first_lattice_plan_build(tmp_path):
+    """In a fresh interpreter, importing voxcrf and its CLI and running
+    synth, and train-crf and segment on the exact backend, load no scipy
+    module (so no scipy.spatial: the fallback rows need no k-d tree); the
+    first lattice plan build loads scipy.sparse."""
+    import json
     import subprocess
     import sys
     from pathlib import Path
 
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = (
-        "import sys; import voxcrf.pipeline.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_STAGES, src, str(tmp_path)],
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    stages = json.loads(done.stdout)
+    lattice = stages.pop("plan_filter lattice")
+    assert list(stages) == [
+        "import voxcrf", "import voxcrf.pipeline.cli", "voxcrf synth", "voxcrf train-crf",
+        "voxcrf segment",
+    ]
+    assert {stage: mods for stage, mods in stages.items() if mods} == {}
+    assert "scipy.sparse" in lattice
 
 
 def _dense_numerator(plan):

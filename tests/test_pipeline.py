@@ -1021,6 +1021,24 @@ def test_cli_train_crf(tmp_path, scene, capsys):
     assert len(payload["compatibility"]) == 4
 
 
+def test_cli_train_crf_makes_the_out_directory_before_training(tmp_path, scene, capsys, monkeypatch):
+    """train-crf creates the parent of --out, as segment and fuse create
+    theirs; a parent that cannot be created fails with one error line
+    before any frame is loaded, so no training is thrown away."""
+    out = tmp_path / "missing" / "deeper" / "params.json"
+    assert _train(scene, out) == 0
+    assert len(json.loads(out.read_text())["kernel_weights"]) == 2
+
+    loaded = []
+    monkeypatch.setattr(cli, "load_frame", lambda *a: loaded.append(a))
+    (tmp_path / "file").write_text("")
+    capsys.readouterr()
+    assert _train(scene, tmp_path / "file" / "params.json") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path / "file") in err[0]
+    assert loaded == []
+
+
 def test_cli_train_crf_output_feeds_fuse_config(tmp_path, monkeypatch):
     scene_dir, params_path = tmp_path / "scene", tmp_path / "params.json"
     args = ["--frames", "2", "--width", "32", "--height", "24", "--noise", "0.25"]
