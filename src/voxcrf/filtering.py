@@ -15,7 +15,7 @@ Each plan is one linear operator: with N the unnormalized (numerator)
 message matrix and D = diag(d), ``apply = M v`` and ``apply_transpose =
 M^T g`` for M = D^-1 N (d depends only on the features, so M^T is the exact
 adjoint of apply).  ``exact`` holds N = K - I, which is symmetric, so
-apply is N v / d and apply_transpose N (g / d), in one of three forms:
+apply is N v / d and apply_transpose N (g / d), in one of two forms:
 
 - grid Kronecker: 2-D features on a row-major product grid (an image's
   spatial kernel, x = tile(xs, h), y = repeat(ys, w)) with h and w up to
@@ -24,10 +24,11 @@ apply is N v / d and apply_transpose N (g / d), in one of three forms:
   d = s_y + s_x + s_y s_x from the factors' row sums and
   N v = T + A_y (T + V) over an (h, w, C) view with T = A_x V, in
   O(N (h + w)) time and O(h^2 + w^2) memory beside the values, at any N;
-- mirrored dense: other features, up to _KERNEL_CACHE_LIMIT points, keep N,
-  built a block of rows at a time against the columns right of the block
-  only, with the part right of the diagonal mirrored into the rows below;
-- chunked: above the limit, N v recomputes N's rows chunk by chunk.
+- block walk: other features form N's upper triangle _MIRROR_BLOCK rows at
+  a time, each entry once.  Up to _KERNEL_CACHE_LIMIT points N is kept,
+  each block mirrored into the rows below; above it each N v replays the
+  walk, each block serving its own rows and, transposed, the rows below,
+  and d is the walk applied to ones.
 
 ``lattice`` is stored pre-scaled as M, with no separate normalization pass
 and no ``g / d`` copy.  It has N = P_ns (L - D_L) + P_s F, with L the
@@ -86,7 +87,7 @@ STARVED_THRESHOLD_LOW_DIM = 4.0
 FALLBACK_RADIUS = 7.0
 FALLBACK_NNZ_LIMIT = 1 << 24
 _KERNEL_CACHE_LIMIT = 4096  # exact backend keeps the dense kernel up to this N
-_MIRROR_BLOCK = 64  # rows per block of the mirrored exact kernel build
+_MIRROR_BLOCK = 64  # rows per block of the exact kernel's upper-triangle walk
 _SCAN_DISTANCES = 1 << 20  # most distances one block of the fallback scan forms
 
 
@@ -107,6 +108,14 @@ def _kernel_rows(features: np.ndarray, start: int, stop: int, first: int = 0) ->
     rows = np.exp(-0.5 * np.einsum("rjd,rjd->rj", diff, diff))
     rows[np.arange(stop - start), np.arange(start - first, stop - first)] = 0.0
     return rows
+
+
+def _upper_blocks(features: np.ndarray):
+    """(s, e, rows): rows s..e-1 of N over columns s.., _MIRROR_BLOCK at a time."""
+    n = len(features)
+    for s in range(0, n, _MIRROR_BLOCK):
+        e = min(s + _MIRROR_BLOCK, n)
+        yield s, e, _kernel_rows(features, s, e, s)
 
 
 def _ball_pairs(
@@ -228,8 +237,7 @@ class FilterPlan:
     # -- exact backend ------------------------------------------------------
 
     def _init_exact(self) -> None:
-        # the three forms of N in the module docstring: grid factors, N up to
-        # _KERNEL_CACHE_LIMIT points, or neither (_numerator recomputes its rows)
+        # the two forms of N in the module docstring: grid factors or block walk
         self._kernel = self._factors = None
         axes = _grid_axes(self.features)
         if axes is not None:
@@ -239,21 +247,13 @@ class FilterPlan:
             d = (sy + sx + sy * sx).ravel()
         elif self.n <= _KERNEL_CACHE_LIMIT:
             k = self._kernel = np.empty((self.n, self.n))
-            for s in range(0, self.n, _MIRROR_BLOCK):
-                e = min(s + _MIRROR_BLOCK, self.n)
-                k[s:e, s:] = _kernel_rows(self.features, s, e, s)
-                k[e:, s:e] = k[s:e, e:].T
+            for s, e, rows in _upper_blocks(self.features):
+                k[s:e, s:] = rows
+                k[e:, s:e] = rows[:, e - s :].T
             d = k.sum(axis=1)
         else:
-            d = np.empty(self.n)
-            for s, e in self._chunks():
-                d[s:e] = _kernel_rows(self.features, s, e).sum(axis=1)
+            d = self._numerator(np.ones((self.n, 1)))[:, 0]
         self.normalizers = np.maximum(d, NORMALIZER_FLOOR)
-
-    def _chunks(self):
-        step = max(1, (1 << 22) // (self.n * self.dim))
-        for s in range(0, self.n, step):
-            yield s, min(s + step, self.n)
 
     # -- lattice backend -----------------------------------------------------
 
@@ -295,33 +295,31 @@ class FilterPlan:
             if not transpose:
                 out /= d
         else:
-            out = np.empty_like(vals)
-            self._lattice_into(vals, out, transpose)
+            out = np.zeros(vals.shape)
+            self._lattice_into(vals, out, transpose, 1.0)
             if transpose and len(self._starved):
                 out += self._fallback.T @ vals[self._starved]
         return out[:, 0] if squeeze else out
 
     def _lattice_into(
-        self, vals: np.ndarray, out: np.ndarray, transpose: bool, weight: float | None = None
+        self, vals: np.ndarray, out: np.ndarray, transpose: bool, weight: float
     ) -> None:
-        """``out`` = M v, or with ``transpose`` M^T v without its F^T term;
-        with a ``weight``, ``out += weight * M v`` instead.  The lattice
-        splats and blurs once; then _ROW_BLOCK rows at a time are sliced,
-        less their diagonal term diag(r D_L) v, and forward the starved rows
-        among them come from F.  Each row is formed as in one unblocked
-        pass, so the result is bit-equal to it."""
+        """``out += weight * M v``, or with ``transpose`` ``weight`` times
+        M^T v without its F^T term.  The lattice splats and blurs once; then
+        _ROW_BLOCK rows at a time are sliced, less their diagonal term
+        diag(r D_L) v, and forward the starved rows among them come from F.
+        Each row is formed as in one unblocked pass, so the result is
+        bit-equal to it."""
         lat, starved = self._lattice, self._starved
         grid = lat.blur(vals, reverse=transpose)
         for s, e in row_blocks(self.n):
             rows = lat.slice_rows(grid, s, e, reverse=transpose)
-            block = out[s:e] if weight is None else rows
-            np.subtract(rows, vals[s:e] * lat.diagonal[s:e, None], out=block)
+            rows -= vals[s:e] * lat.diagonal[s:e, None]
             a, b = np.searchsorted(starved, (s, e))
             if b > a and not transpose:
-                block[starved[a:b] - s] = csr_rows(self._fallback, a, b) @ vals
-            if weight is not None:
-                rows *= weight
-                out[s:e] += rows
+                rows[starved[a:b] - s] = csr_rows(self._fallback, a, b) @ vals
+            rows *= weight
+            out[s:e] += rows
 
     def _numerator(self, vals: np.ndarray) -> np.ndarray:
         """N v for the exact backend, in the form the plan holds."""
@@ -337,9 +335,10 @@ class FilterPlan:
             # N v = (v^T N)^T, N being symmetric: with C << N, OpenBLAS runs
             # the (C, N) product about 1.5x faster than N v
             return np.ascontiguousarray((vals.T @ self._kernel).T)
-        out = np.empty_like(vals)
-        for s, e in self._chunks():
-            out[s:e] = _kernel_rows(self.features, s, e) @ vals
+        out = np.zeros_like(vals)
+        for s, e, rows in _upper_blocks(self.features):
+            out[s:e] += rows @ vals[s:]
+            out[e:] += rows[:, e - s :].T @ vals[s:e]
         return out
 
     # -- public API -----------------------------------------------------------

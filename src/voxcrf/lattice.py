@@ -20,6 +20,10 @@ self-exclusion inside such ratios the lattice also exposes its own diagonal
 response, computed in closed form from the blur restricted to each point's
 enclosing simplex (exact wherever the leak matters, i.e. sparse regions).
 
+Features whose embedded coordinates pass +-2^48 (``_ELEVATED_LIMIT``) raise
+InputError: nearer 2^53 the float64 residuals elevated - rem0 lose the
+fraction that ranks a point's simplex and gives its barycentric weights.
+
 The build works on (N, d+1) arrays only, and drops each one after its last
 read: a built lattice keeps only the slice, the neighbor tables and the
 diagonal.  The d+1 vertex keys of a point are never materialized: their
@@ -73,6 +77,10 @@ _ROW_BLOCK = 2048  # rows per block of a slice, the diagonal and the mean-field 
 # ranges allow it (fast unique + neighbor lookup); otherwise rows are sorted
 # and searched as structured records.
 _CODE_LIMIT = 2**62
+# Largest elevated coordinate magnitude the build accepts (module docstring).
+# Lattice messages matched the exact ones as well at 2^52 as near 0 on
+# clustered 2-D points, and degraded past it, so 2^48 leaves a factor of 16.
+_ELEVATED_LIMIT = 2.0**48
 
 
 def _records(rows: np.ndarray) -> np.ndarray:
@@ -152,6 +160,13 @@ class PermutohedralLattice:
         # Each (N, d+1) array is dropped after its last read, so the build
         # peaks near six of them.
         elevated = _embed(feats)
+        reach = max(elevated.max(), -elevated.min())
+        if reach > _ELEVATED_LIMIT:
+            raise InputError(
+                f"feature values too large for the lattice: its coordinates reach "
+                f"{reach:.3g}, past the bound 2^{np.log2(_ELEVATED_LIMIT):.0f} = "
+                f"{_ELEVATED_LIMIT:.3g} within which it ranks them; raise the theta scales"
+            )
 
         # Nearest remainder-0 lattice point (coordinates are multiples of d+1).
         v = elevated / dp1

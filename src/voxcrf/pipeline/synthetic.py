@@ -100,6 +100,8 @@ class SyntheticSceneSpec:
             raise ConfigError("scene labels must lie in [0, label_count)")
         for b in self.boxes:
             lo, hi = np.asarray(b.lo), np.asarray(b.hi)
+            if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+                raise ConfigError(f"box {b} corners must be finite")  # NaN fails every test below
             if np.any(lo >= hi) or np.any(lo < 0) or np.any(hi > room):
                 raise ConfigError(f"box {b} not inside the room")
         self._check_orbit(room)

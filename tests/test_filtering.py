@@ -179,6 +179,41 @@ def test_exact_forms_agree_on_a_grid(rng, monkeypatch):
             assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
+def test_exact_large_plan_forms_each_kernel_entry_once(rng, monkeypatch):
+    """Above _KERNEL_CACHE_LIMIT the build and each apply walk N's upper
+    triangle: at most N(N + 64) / 2 kernel entries each, not N^2, and the
+    same operator as the kept kernel."""
+    from voxcrf import filtering
+
+    n = 300  # not a multiple of _MIRROR_BLOCK
+    feats = rng.uniform(0, 4, (n, 5))
+    v = rng.normal(size=(n, 3))
+    kept = plan_filter(feats, "exact")
+    formed = []
+    kernel_rows = filtering._kernel_rows
+
+    def counting(*args):
+        rows = kernel_rows(*args)
+        formed.append(rows.size)
+        return rows
+
+    monkeypatch.setattr(filtering, "_KERNEL_CACHE_LIMIT", 10)
+    monkeypatch.setattr(filtering, "_kernel_rows", counting)
+    walked = plan_filter(feats, "exact")
+    assert walked._kernel is None and walked._factors is None
+    built = sum(formed)
+    formed.clear()
+    out = walked.apply(v)
+    bound = n * (n + filtering._MIRROR_BLOCK) / 2
+    assert 0 < built <= bound and 0 < sum(formed) <= bound, (built, sum(formed), n * n)
+    np.testing.assert_allclose(walked.normalizers, kept.normalizers, rtol=1e-13, atol=0)
+    for out, expected in (
+        (out, kept.apply(v)),
+        (walked.apply_transpose(v), kept.apply_transpose(v)),
+    ):
+        assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 def test_exact_grid_path_only_for_product_grids(rng):
     """Only 2-D features in row-major product grid order skip the dense
     kernel: a permuted or column-major grid, random 2-D points and 5-D
@@ -292,6 +327,29 @@ def test_lattice_approximates_exact_messages(rng):
     lattice = plan_filter(feats, "lattice").apply(vals)
     rel = np.abs(lattice - exact).max() / np.abs(exact).max()
     assert rel <= 5e-2
+
+
+def test_lattice_coordinates_past_the_bound_fail(rng):
+    """Near 2^53 the lattice's float64 residuals lose their fractional part,
+    which once gave wrong messages and then an IndexError.  Just inside the
+    bound the lattice still matches the exact messages; just outside, the
+    build raises InputError naming the bound."""
+    from voxcrf.lattice import _embed
+
+    limit = 2.0**48
+    clusters = [c + rng.uniform(0, 2, (80, 2)) for c in rng.uniform(0, 30, (5, 2))]
+    base = np.vstack(clusters)
+    step = np.abs(_embed(np.ones((1, 2)))).max()  # per unit shift along (1, 1)
+    reach = np.abs(_embed(base)).max()
+    vals = rng.uniform(0, 1, (len(base), 3))
+    inside = base + (0.999 * limit - reach) / step
+    assert 0.99 * limit < np.abs(_embed(inside)).max() <= limit
+    exact = plan_filter(inside, "exact").apply(vals)
+    lattice = plan_filter(inside, "lattice").apply(vals)
+    assert np.abs(lattice - exact).max() / np.abs(exact).max() <= 5e-2
+    outside = base + (1.001 * limit + reach) / step
+    with pytest.raises(InputError, match=r"past the bound 2\^48 .* raise the theta scales"):
+        plan_filter(outside, "lattice")
 
 
 def test_plan_reusable_across_channel_counts(backend, rng):

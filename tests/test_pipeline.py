@@ -336,6 +336,14 @@ def test_spec_validation():
         small_spec(frame_count=0)
     with pytest.raises(ConfigError):
         small_spec(boxes=[MaterialBox((0, 0, 0), (9, 9, 9), 1)])  # outside room
+    nan, inf = float("nan"), float("inf")
+    for lo, hi in (
+        ((nan, 1.0, 0.1), (2.0, 2.0, 0.7)),  # once passed, and no frame showed the box
+        ((0.5, 1.0, 0.1), (2.0, nan, 0.7)),
+        ((0.5, 1.0, 0.1), (inf, 2.0, 0.7)),  # once failed only as "not inside the room"
+    ):
+        with pytest.raises(ConfigError, match=r"box MaterialBox\(.*\) corners must be finite"):
+            default_scene_spec(boxes=[MaterialBox(lo, hi, 5)])
     for jitter in (-1.0, float("nan"), float("inf")):  # once flat shading, silently
         with pytest.raises(ConfigError, match="jitter"):
             small_spec(jitter=jitter)
@@ -971,6 +979,26 @@ def test_cli_segment_bad_config_exits_1_with_one_line(scene, tmp_path, capsys, s
     assert err.startswith(message) and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["segment", "fuse"])
+def test_cli_theta_too_small_for_the_lattice_exits_1_with_one_line(
+    scene, tmp_path, capsys, command
+):
+    """theta_beta = 1e-17 puts the bilateral features past the lattice's
+    coordinate bound; that once ended in an IndexError traceback."""
+    path = tmp_path / "tiny_theta.json"
+    path.write_text('{"theta_beta": 1e-17}')
+    rec = load_manifest(scene)[0][0]
+    if command == "segment":
+        args = ["--unary", rec.unary_path, "--rgb", rec.rgb_path]
+    else:
+        args = ["--manifest", str(scene)]
+    rc = cli_main([command, *args, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "2^48" in err and "raise the theta scales" in err
 
 
 def test_cli_synth_passes_only_the_flags_given(tmp_path, monkeypatch):
