@@ -614,13 +614,12 @@ def train_crf_params(
             compatibility=p.compatibility - learning_rate * dmu,
         )
 
-    def dataset_loss(p: CrfParams, first: int | None, upcoming: np.ndarray | None) -> float:
+    def dataset_loss(p: CrfParams, first: int | None, last: int | None) -> float:
         # Visits image ``first`` (the one the last step ended on, whose plan
-        # is held) first and the next epoch's first image last, so each
-        # boundary between a pass and an epoch reuses the held plan.  The
+        # is held) first and image ``last`` (the next epoch's first) last, so
+        # each boundary between a pass and an epoch reuses the held plan.  The
         # losses are added left to right in index order, whatever the
         # visiting order (``sum`` compensates its float adds from Python 3.12).
-        last = None if upcoming is None else upcoming[0]
         visits = sorted(
             range(len(prepared)), key=lambda i: 0 if i == first else 2 if i == last else 1
         )
@@ -634,19 +633,16 @@ def train_crf_params(
             total += loss
         return total / len(prepared)
 
-    def shuffles():
-        # each epoch's order is drawn before the loss pass that precedes it
-        rng = np.random.default_rng(seed)
-        order = np.arange(len(prepared))
-        for _ in range(epochs):
-            rng.shuffle(order)
-            yield order.copy()
-
-    orders = shuffles()
-    upcoming = next(orders, None)
-    best, best_loss = p, dataset_loss(p, None, upcoming)
-    while upcoming is not None:
-        current, upcoming = upcoming, next(orders, None)
+    # every epoch's order is drawn before the first loss pass
+    rng = np.random.default_rng(seed)
+    order = np.arange(len(prepared))
+    orders = []
+    for _ in range(epochs):
+        rng.shuffle(order)
+        orders.append(order.copy())
+    firsts = [o[0] for o in orders] + [None]
+    best, best_loss = p, dataset_loss(p, None, firsts[0])
+    for current, upcoming in zip(orders, firsts[1:]):
         for i in current:
             p = step(i, p)
         loss = dataset_loss(p, current[-1], upcoming)

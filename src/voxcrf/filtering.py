@@ -39,8 +39,15 @@ diag(r) L as one scaled lattice (r_i = 1 / d_i, 0 on starved rows; the
 factor is folded into the slice rows, ``reverse=True`` gives the transpose),
 D_L / d as one vector (0 on starved rows) and F with each row divided by
 its d_s.  Both directions splat and blur once and then form the rows a block
-at a time (slice, diagonal term, F's rows), bit-equal to one pass; so
-``accumulate`` (``out += w M v``) adds a message with no (N, C) array.
+at a time (slice, diagonal term, forward F's rows), bit-equal to one pass,
+and transposed add F^T's term last; so ``accumulate`` adds a message with
+no (N, C) array.
+
+Both backends form a message in one routine, ``out += w M v`` (w M^T v
+transposed): ``apply`` and ``apply_transpose`` run it into a zeroed array
+with w = 1, and ``accumulate`` into the caller's.  A single point has no
+neighbors, so on either backend it takes the exact form, a 1 x 1 zero
+kernel, with its normalizer defined as 1.
 
 Lattice messages are a ratio of lattice outputs, which cancels the smoothly
 varying splat/blur/slice leakage.  Points with little neighbor mass (below
@@ -201,8 +208,9 @@ class FilterPlan:
     """Precomputed filtering structure, reusable across value channels.
 
     The plan is the operator M = D^-1 N (module docstring):
-    ``apply = M v`` and ``apply_transpose = M^T g`` share one method,
-    ``_operator``.  ``normalizers`` holds d.
+    ``apply = M v``, ``apply_transpose = M^T g`` and ``accumulate``
+    (``out += w M v``) add through one routine, ``_add_message``.
+    ``normalizers`` holds d.
 
     Immutable after construction; apply/apply_transpose allocate their own
     scratch, so one plan may serve concurrent calls.
@@ -224,15 +232,10 @@ class FilterPlan:
         self._fallback = None
         self._past_budget = 0
 
-        if self.n == 1:
-            # no neighbors: zero messages, normalizer defined as 1
-            self.normalizers = np.ones(1)
-            return
-
-        if backend == "exact":
-            self._init_exact()
-        else:
+        if backend == "lattice" and self.n > 1:
             self._init_lattice()
+        else:  # one point, on either backend, takes a 1 x 1 zero kernel
+            self._init_exact()
 
     # -- exact backend ------------------------------------------------------
 
@@ -253,7 +256,8 @@ class FilterPlan:
             d = k.sum(axis=1)
         else:
             d = self._numerator(np.ones((self.n, 1)))[:, 0]
-        self.normalizers = np.maximum(d, NORMALIZER_FLOOR)
+        # one point has no neighbors: its normalizer is defined as 1
+        self.normalizers = np.maximum(d, NORMALIZER_FLOOR) if self.n > 1 else np.ones(1)
 
     # -- lattice backend -----------------------------------------------------
 
@@ -283,33 +287,25 @@ class FilterPlan:
 
     # -- the operator -------------------------------------------------------
 
-    def _operator(self, values: np.ndarray, transpose: bool) -> np.ndarray:
-        """M v, or M^T v with ``transpose``, as a new array of the shape of
-        ``values``; ``values`` is left unchanged."""
-        vals, squeeze = _as_matrix(values, self.n)
-        if self.n == 1:
-            out = np.zeros_like(vals)
-        elif self.backend == "exact":
-            d = self.normalizers[:, None]
-            out = self._numerator(vals / d if transpose else vals)
-            if not transpose:
-                out /= d
-        else:
-            out = np.zeros(vals.shape)
-            self._lattice_into(vals, out, transpose, 1.0)
-            if transpose and len(self._starved):
-                out += self._fallback.T @ vals[self._starved]
-        return out[:, 0] if squeeze else out
-
-    def _lattice_into(
+    def _add_message(
         self, vals: np.ndarray, out: np.ndarray, transpose: bool, weight: float
     ) -> None:
-        """``out += weight * M v``, or with ``transpose`` ``weight`` times
-        M^T v without its F^T term.  The lattice splats and blurs once; then
-        _ROW_BLOCK rows at a time are sliced, less their diagonal term
-        diag(r D_L) v, and forward the starved rows among them come from F.
-        Each row is formed as in one unblocked pass, so the result is
-        bit-equal to it."""
+        """``out += weight * M v``, or ``weight * M^T v`` with ``transpose``,
+        for (N, C) ``vals`` and ``out``: the one routine apply,
+        apply_transpose and accumulate run.  The exact form adds N v / d
+        (N (v / d) transposed) as one array.  The lattice splats and blurs
+        once; then _ROW_BLOCK rows at a time are sliced, less their diagonal
+        term diag(r D_L) v, and forward the starved rows among them come
+        from F; transposed, F^T's term is added last.  Each row is formed as
+        in one unblocked pass, so the result is bit-equal to it."""
+        if self._lattice is None:
+            d = self.normalizers[:, None]
+            msg = self._numerator(vals / d if transpose else vals)
+            if not transpose:
+                msg /= d
+            msg *= weight
+            out += msg
+            return
         lat, starved = self._lattice, self._starved
         grid = lat.blur(vals, reverse=transpose)
         for s, e in row_blocks(self.n):
@@ -320,6 +316,10 @@ class FilterPlan:
                 rows[starved[a:b] - s] = csr_rows(self._fallback, a, b) @ vals
             rows *= weight
             out[s:e] += rows
+        if transpose and len(starved):
+            msg = self._fallback.T @ vals[starved]
+            msg *= weight
+            out += msg
 
     def _numerator(self, vals: np.ndarray) -> np.ndarray:
         """N v for the exact backend, in the form the plan holds."""
@@ -334,7 +334,7 @@ class FilterPlan:
         if self._kernel is not None:
             # N v = (v^T N)^T, N being symmetric: with C << N, OpenBLAS runs
             # the (C, N) product about 1.5x faster than N v
-            return np.ascontiguousarray((vals.T @ self._kernel).T)
+            return (vals.T @ self._kernel).T
         out = np.zeros_like(vals)
         for s, e, rows in _upper_blocks(self.features):
             out[s:e] += rows @ vals[s:]
@@ -367,22 +367,27 @@ class FilterPlan:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """M v = D^-1 N v: normalized self-excluded Gaussian messages."""
-        return self._operator(values, transpose=False)
+        vals, squeeze = _as_matrix(values, self.n)
+        out = np.zeros(vals.shape)
+        self._add_message(vals, out, False, 1.0)
+        return out[:, 0] if squeeze else out
 
     def accumulate(self, values: np.ndarray, weight: float, out: np.ndarray) -> None:
-        """``out += weight * apply(values)`` for (N, C) arrays, in place.  On
-        the lattice backend each block of rows is added as it is formed, so
-        no (N, C) message is allocated; bit-equal to the unblocked form."""
-        if self._lattice is None:
-            msg = self.apply(values)
-            msg *= weight
-            out += msg
-            return
-        self._lattice_into(_as_matrix(values, self.n)[0], out, False, weight)
+        """``out += weight * apply(values)`` for (N, C) arrays, in place; an
+        ``out`` of another shape raises ``InputError``.  On the lattice
+        backend each block of rows is added as it is formed, so no (N, C)
+        message is allocated; bit-equal to the unblocked form."""
+        vals = _as_matrix(values, self.n)[0]
+        if np.shape(out) != vals.shape:
+            raise InputError(f"out must have the values' shape {vals.shape}, got {np.shape(out)}")
+        self._add_message(vals, out, False, weight)
 
     def apply_transpose(self, grads: np.ndarray) -> np.ndarray:
         """M^T g = N^T D^-1 g: the exact adjoint of apply (D held constant)."""
-        return self._operator(grads, transpose=True)
+        vals, squeeze = _as_matrix(grads, self.n)
+        out = np.zeros(vals.shape)
+        self._add_message(vals, out, True, 1.0)
+        return out[:, 0] if squeeze else out
 
 
 def plan_filter(features: np.ndarray, backend: str = "exact") -> FilterPlan:

@@ -357,7 +357,7 @@ def test_step_dimension_mismatch():
 def test_numerical_error_names_message_passing_kernel(rng):
     u, feats, params = random_instance(rng, 4, 5, 3)
     spatial = plan_filter(feats.spatial, "exact")
-    spatial.apply = lambda values: np.full_like(values, np.nan)
+    spatial._numerator = lambda values: np.full_like(values, np.nan)
     with pytest.raises(NumericalError, match=r"message passing \(kernel 1\) at iteration 0"):
         mean_field_infer(u, feats, params, "exact", plans=(spatial,))
 

@@ -16,8 +16,12 @@ def backend(request):
 def test_single_point_has_unit_normalizer_and_zero_messages(backend):
     plan = plan_filter(np.array([[1.0, 2.0, 3.0]]), backend)
     assert plan.normalizers == pytest.approx([1.0])
-    out = plan.apply(np.array([[5.0, -2.0]]))
-    assert np.all(out == 0.0)
+    v = np.array([[5.0, -2.0]])
+    assert np.all(plan.apply(v) == 0.0)
+    assert np.all(plan.apply_transpose(v) == 0.0)
+    out = np.array([[1.5, -0.25]])
+    plan.accumulate(v, 0.7, out)
+    np.testing.assert_array_equal(out, [[1.5, -0.25]])
 
 
 def test_identical_pair_kernel_value_is_one():
@@ -52,40 +56,44 @@ def test_matches_reference_double_sum(rng):
     assert np.abs(out - reference_messages(feats, vals)).max() < 1e-12
 
 
-def test_exact_chunked_path_matches_cached_path(rng):
+# above _MIRROR_BLOCK and not a multiple of it, n reaches the walk's
+# transposed term (each block's columns serving the rows below it)
+@pytest.mark.parametrize("n", [60, 200])
+def test_exact_block_walk_matches_cached_path(rng, n):
     import voxcrf.filtering as filtering
 
-    feats = rng.uniform(0, 4, (60, 2))
-    vals = rng.normal(size=(60, 2))
+    feats = rng.uniform(0, 4, (n, 2))
+    vals = rng.normal(size=(n, 2))
     small = plan_filter(feats, "exact").apply(vals)
     old = filtering._KERNEL_CACHE_LIMIT
-    filtering._KERNEL_CACHE_LIMIT = 10  # force the chunked path
+    filtering._KERNEL_CACHE_LIMIT = 10  # force the block walk
     try:
-        chunked = plan_filter(feats, "exact").apply(vals)
+        walked = plan_filter(feats, "exact").apply(vals)
     finally:
         filtering._KERNEL_CACHE_LIMIT = old
-    assert np.abs(small - chunked).max() < 1e-12
+    assert np.abs(small - walked).max() < 1e-12
 
 
-def test_exact_chunked_path_keeps_isolated_points(rng):
-    # far-apart points have tiny kernel mass: the chunked path must not
+@pytest.mark.parametrize("n", [40, 150])
+def test_exact_block_walk_keeps_isolated_points(rng, n):
+    # far-apart points have tiny kernel mass: the block walk must not
     # lose it by cancelling k(f_i, f_i) = 1 against itself
     import voxcrf.filtering as filtering
 
-    feats = rng.uniform(0, 60, (40, 2))
-    vals = rng.normal(size=(40, 2))
+    feats = rng.uniform(0, 60, (n, 2))
+    vals = rng.normal(size=(n, 2))
     cached = plan_filter(feats, "exact")
     old = filtering._KERNEL_CACHE_LIMIT
-    filtering._KERNEL_CACHE_LIMIT = 10  # force the chunked path
+    filtering._KERNEL_CACHE_LIMIT = 10  # force the block walk
     try:
-        chunked = plan_filter(feats, "exact")
+        walked = plan_filter(feats, "exact")
     finally:
         filtering._KERNEL_CACHE_LIMIT = old
     assert np.any((cached.normalizers > 1e-12) & (cached.normalizers < 1e-6))
-    np.testing.assert_allclose(chunked.normalizers, cached.normalizers, rtol=1e-12)
-    np.testing.assert_allclose(chunked.apply(vals), cached.apply(vals), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(walked.normalizers, cached.normalizers, rtol=1e-12)
+    np.testing.assert_allclose(walked.apply(vals), cached.apply(vals), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(
-        chunked.apply_transpose(vals), cached.apply_transpose(vals), rtol=1e-12, atol=1e-12
+        walked.apply_transpose(vals), cached.apply_transpose(vals), rtol=1e-12, atol=1e-12
     )
 
 
@@ -155,8 +163,8 @@ def test_exact_mirrored_kernel_is_bit_equal_to_row_build(n, dim, rng):
 
 
 def test_exact_forms_agree_on_a_grid(rng, monkeypatch):
-    """The grid, mirrored dense and chunked forms of N give one operator on
-    the same product-grid features."""
+    """The grid, mirrored dense and block-walk forms of N give one operator
+    on the same product-grid features."""
     from voxcrf import filtering
 
     feats = _grid_features(np.arange(13) / 2.0, np.arange(9) / 3.0)
@@ -165,12 +173,12 @@ def test_exact_forms_agree_on_a_grid(rng, monkeypatch):
         m.setattr(filtering, "_grid_axes", lambda features: None)
         dense = plan_filter(feats, "exact")
         m.setattr(filtering, "_KERNEL_CACHE_LIMIT", 10)
-        chunked = plan_filter(feats, "exact")
+        walked = plan_filter(feats, "exact")
     assert grid._factors is not None and grid._kernel is None
     assert dense._factors is None and dense._kernel is not None
-    assert chunked._factors is None and chunked._kernel is None
+    assert walked._factors is None and walked._kernel is None
     v = rng.normal(size=(len(feats), 3))
-    for plan in (dense, chunked):
+    for plan in (dense, walked):
         np.testing.assert_allclose(plan.normalizers, grid.normalizers, rtol=1e-13, atol=0)
         for out, expected in (
             (plan.apply(v), grid.apply(v)),
@@ -235,7 +243,7 @@ def test_exact_grid_path_only_for_product_grids(rng):
 
 def test_exact_grid_factors_stay_within_the_dense_limit(monkeypatch):
     """A grid side longer than _KERNEL_CACHE_LIMIT would make a dense 1-D
-    factor larger than the dense kernel; such a grid takes the chunked path."""
+    factor larger than the dense kernel; such a grid takes the block walk."""
     from voxcrf import filtering
 
     monkeypatch.setattr(filtering, "_KERNEL_CACHE_LIMIT", 10)
@@ -813,10 +821,44 @@ def test_blocked_lattice_rows_are_bit_equal_to_one_pass(rng, monkeypatch, block,
     v = rng.normal(size=(plan.n, 4))
     np.testing.assert_array_equal(plan.apply(v), _one_pass_rows(plan, v, False))
     np.testing.assert_array_equal(plan.apply_transpose(v), _one_pass_rows(plan, v, True))
-    out = rng.normal(size=(plan.n, 4))
+    _assert_accumulate_adds_apply(plan, v, rng)
+
+
+def _assert_accumulate_adds_apply(plan, v, rng):
+    """``accumulate(v, w, out)`` is ``out + w * apply(v)`` bit for bit."""
+    out = rng.normal(size=v.shape)
     expected = out.copy()
     msg = plan.apply(v)
     msg *= 0.7
     expected += msg
     plan.accumulate(v, 0.7, out)
     np.testing.assert_array_equal(out, expected)
+
+
+@pytest.mark.parametrize("form", ["grid", "kept", "walk"])
+def test_exact_accumulate_is_bit_equal_to_apply(rng, monkeypatch, form):
+    """Each exact form adds its message through the routine apply runs, so
+    accumulate adds bit for bit what apply returns, scaled."""
+    from voxcrf import filtering
+
+    feats = _grid_features(np.arange(13) / 2.0, np.arange(9) / 3.0)
+    if form != "grid":
+        monkeypatch.setattr(filtering, "_grid_axes", lambda features: None)
+    if form == "walk":
+        monkeypatch.setattr(filtering, "_KERNEL_CACHE_LIMIT", 10)
+    plan = plan_filter(feats, "exact")
+    assert (plan._factors is not None, plan._kernel is not None) == (
+        form == "grid",
+        form == "kept",
+    )
+    _assert_accumulate_adds_apply(plan, rng.normal(size=(plan.n, 4)), rng)
+
+
+@pytest.mark.parametrize("shape", [(55, 4), (50, 1), (50,)], ids=["55x4", "50x1", "50"])
+def test_accumulate_rejects_an_out_of_another_shape(backend, rng, shape):
+    plan = plan_filter(rng.uniform(0, 4, (50, 3)), backend)
+    out = np.ones(shape)
+    with pytest.raises(InputError) as err:
+        plan.accumulate(rng.normal(size=(50, 4)), 0.5, out)
+    assert "(50, 4)" in str(err.value) and str(shape) in str(err.value)
+    np.testing.assert_array_equal(out, 1.0)
