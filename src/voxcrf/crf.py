@@ -400,7 +400,7 @@ def mean_field_infer(
 
 
 def mean_field_backward(
-    trace: MeanFieldTrace, dloss_dq: np.ndarray
+    trace: MeanFieldTrace | None, dloss_dq: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reverse-mode gradients (dU, dw, dμ) for a cached inference.
 
@@ -408,7 +408,7 @@ def mean_field_backward(
     exact adjoint of ``apply`` with its normalizers held constant; gradients
     for the shared parameters accumulate across iterations.
     """
-    if not trace.q_states or not trace.combined:
+    if trace is None:  # what mean_field_infer returns without cache_gradients
         raise InputError("trace was not recorded with cache_gradients=True")
     q_final = trace.q_states[-1]
     g = np.asarray(dloss_dq, dtype=np.float64)

@@ -156,8 +156,12 @@ def _fallback_rows(
     """The exact fallback rows F: of the starved points ``order`` (worst
     first), the prefix whose balls, each counted with its point, sum to
     under FALLBACK_NNZ_LIMIT.  Returns the kept points ascending and F's
-    rows for them, self-excluded, with ascending columns."""
+    rows for them, self-excluded, with ascending columns; for an empty
+    ``order``, that order and an empty (0, N) F, with no distance formed."""
     n = len(features)
+    if not len(order):
+        empty = np.zeros(0, dtype=np.int32)
+        return order, csr_from_arrays(np.zeros(0), empty, np.zeros(1, dtype=np.int64), (0, n))
     sq = np.einsum("nd,nd->n", features, features)
     margin = 1e-9 * (1.0 + sq.max())
     screen = np.column_stack([features, -0.5 * sq])
@@ -269,20 +273,16 @@ class FilterPlan:
             STARVED_THRESHOLD_HIGH_DIM if self.dim >= 3 else STARVED_THRESHOLD_LOW_DIM
         )
         under = np.flatnonzero(raw < threshold)
-        starved = under
-        if len(under):
-            starved, fallback = _fallback_rows(
-                self.features, under[np.argsort(raw[under], kind="stable")]
-            )
-            raw[starved] = np.asarray(fallback.sum(axis=1)).ravel()
-            self._starved = starved
+        starved, fallback = _fallback_rows(
+            self.features, under[np.argsort(raw[under], kind="stable")]
+        )
+        raw[starved] = np.asarray(fallback.sum(axis=1)).ravel()
+        self._starved, self._fallback = starved, fallback
         self._past_budget = len(under) - len(starved)
         self.normalizers = np.maximum(raw, NORMALIZER_FLOOR)
         scale = 1.0 / self.normalizers
-        if len(starved):
-            fallback.data *= np.repeat(scale[starved], np.diff(fallback.indptr))
-            self._fallback = fallback
-            scale[starved] = 0.0  # starved rows come from F alone
+        fallback.data *= np.repeat(scale[starved], np.diff(fallback.indptr))
+        scale[starved] = 0.0  # starved rows come from F alone
         self._lattice = lat.scaled(scale)
 
     # -- the operator -------------------------------------------------------

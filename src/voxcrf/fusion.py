@@ -19,8 +19,10 @@ the map by ``searchsorted``: existing voxels add the group sum, unseen ones
 start from the uniform prior (a constant the normalization absorbs).  Only
 the rows it touched are renormalized, so long observation sequences cannot
 underflow.  Likelihoods are floored so one confident wrong observation can
-never zero a label forever.  Readers take the argmax over labels, with ties
-going to the smallest label id.
+never zero a label forever; a non-finite likelihood (NaN, +inf) is rejected
+before the map is touched, by one check of the per-voxel group sums.
+Readers take the argmax over labels, with ties going to the smallest label
+id.
 """
 
 from __future__ import annotations
@@ -106,11 +108,6 @@ class VoxelMap:
         return _readonly(self._keys)
 
     @property
-    def indices(self) -> np.ndarray:
-        """(M, 3) voxel indices in key order."""
-        return unpack_keys(self._keys)
-
-    @property
     def log_posteriors(self) -> np.ndarray:
         return _readonly(self._log_post)
 
@@ -149,10 +146,6 @@ class VoxelMap:
         """(M,) argmax label per voxel, ties to the smallest label id."""
         return np.argmax(self._log_post, axis=1)
 
-    def distribution(self, index: tuple[int, int, int]) -> np.ndarray | None:
-        row = self.find(_pack(np.asarray(index, dtype=np.float64).reshape(1, 3)))[0]
-        return None if row < 0 else np.exp(self._log_post[row])
-
     def _absorb(self, keys, log_sums, counts, color_sums) -> None:
         """Merge per-voxel evidence with unique sorted ``keys`` into the map."""
         pos, hit = self._locate(keys)
@@ -179,8 +172,9 @@ def integrate_cloud(vmap: VoxelMap, cloud: SemanticPointCloud) -> VoxelMap:
 
     Every point updates its voxel; points of one cloud sharing a voxel sum
     their log-likelihoods in point order.  New voxels start from the uniform
-    prior.  A point whose voxel index is outside the packable range raises
-    ``InputError``.
+    prior.  A point whose voxel index is outside the packable range, or
+    whose likelihood row is not finite, raises ``InputError`` and leaves the
+    map unchanged.
     """
     if len(cloud) == 0:
         return vmap
@@ -199,9 +193,13 @@ def integrate_cloud(vmap: VoxelMap, cloud: SemanticPointCloud) -> VoxelMap:
     log_lik = cloud.label_dists[order]
     np.maximum(log_lik, LIKELIHOOD_FLOOR, out=log_lik)
     np.log(log_lik, out=log_lik)
+    log_sums = np.add.reduceat(log_lik, starts, axis=0)
+    if not np.isfinite(log_sums).all():  # NaN or +inf in some point's row
+        bad = np.flatnonzero(~np.isfinite(cloud.label_dists).all(axis=1))[0]
+        raise InputError(f"point {bad} has a non-finite likelihood {cloud.label_dists[bad]}")
     vmap._absorb(
         keys[starts],
-        np.add.reduceat(log_lik, starts, axis=0),
+        log_sums,
         np.diff(np.r_[starts, keys.size]),
         np.add.reduceat(cloud.colors[order].astype(np.float64), starts, axis=0),
     )
@@ -229,11 +227,12 @@ def extract_map(
     if not (min_observations >= 0 and min_confidence >= 0):
         raise InputError("thresholds must be >= 0")
     labels = vmap.hard_labels()
-    conf = np.exp(vmap._log_post[np.arange(len(vmap)), labels])
-    keep = (vmap._observations >= min_observations) & (conf >= min_confidence)
-    mean = vmap._color_sums[keep] / np.maximum(vmap._observations[keep], 1)[:, None]
+    conf = np.exp(vmap.log_posteriors[np.arange(len(vmap)), labels])
+    observations = vmap.observations
+    keep = (observations >= min_observations) & (conf >= min_confidence)
+    mean = vmap.color_sums[keep] / np.maximum(observations[keep], 1)[:, None]
     return ExtractedMap(
-        (unpack_keys(vmap._keys[keep]) + 0.5) * vmap.resolution,
+        (unpack_keys(vmap.keys[keep]) + 0.5) * vmap.resolution,
         labels[keep],
         conf[keep],
         np.clip(np.rint(mean), 0, 255).astype(np.uint8),

@@ -47,10 +47,10 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     n = probs.height * probs.width
     if args.energy_report and n > ENERGY_PIXEL_LIMIT:  # fail before writing anything
         raise SizeLimitError(f"energy evaluation is O(N^2); {n} > {ENERGY_PIXEL_LIMIT} pixels")
-    config = _BASES[PipelineConfig]
+    # the unary's label count must lie in [2, 255] (255 is IGNORE in labels.pgm)
+    config = replace(_BASES[PipelineConfig], labels=probs.labels)
     if args.config:  # its labels and compatibility must fit the unary's label count
-        overrides = load_config_overrides(args.config)
-        config = apply_overrides(replace(config, labels=probs.labels), overrides)
+        config = apply_overrides(config, load_config_overrides(args.config))
         if config.labels != probs.labels:
             raise ConfigError(
                 f"bad value for labels: the unary has {probs.labels} labels, got {config.labels}"

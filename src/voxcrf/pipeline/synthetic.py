@@ -270,10 +270,9 @@ def make_piecewise_labels(
     label_count: int,
     rng: np.random.Generator,
     num_rects: int = 5,
-    background: int = 0,
 ) -> np.ndarray:
-    """Random piecewise-constant (H, W) label image: rectangles over a background."""
-    labels = np.full((height, width), background, dtype=np.int64)
+    """Random piecewise-constant (H, W) label image: rectangles over label 0."""
+    labels = np.zeros((height, width), dtype=np.int64)
     for _ in range(num_rects):
         y0 = int(rng.integers(0, max(1, height - 4)))
         x0 = int(rng.integers(0, max(1, width - 4)))

@@ -52,18 +52,6 @@ class Pose:
         if abs(np.linalg.det(r) - 1.0) > 1e-5:
             raise InputError("pose rotation block must have determinant +1")
 
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.eye(4))
-
-    def inverse(self) -> "Pose":
-        r = self.matrix[:3, :3]
-        t = self.matrix[:3, 3]
-        inv = np.eye(4)
-        inv[:3, :3] = r.T
-        inv[:3, 3] = -r.T @ t
-        return Pose(inv)
-
 
 @dataclass
 class SemanticPointCloud:

@@ -679,11 +679,21 @@ def test_backward_zero_loss_gradient(rng):
     assert np.all(du == 0) and np.all(dw == 0) and np.all(dmu == 0)
 
 
-def test_backward_requires_cached_trace(rng):
+def test_backward_rejects_a_loss_gradient_of_another_shape(rng):
     u, feats, params = random_instance(rng, 3, 3, 2)
     _, trace = mean_field_infer(u, feats, params, "exact", cache_gradients=True)
     with pytest.raises(InputError):
         mean_field_backward(trace, np.zeros((5, 2)))
+
+
+def test_backward_requires_cached_trace(rng):
+    """Without cache_gradients the trace is None, which once raised an
+    AttributeError."""
+    u, feats, params = random_instance(rng, 3, 3, 2)
+    q, trace = mean_field_infer(u, feats, params, "exact")
+    assert trace is None
+    with pytest.raises(InputError, match="cache_gradients=True"):
+        mean_field_backward(trace, np.zeros_like(q.data))
 
 
 def _dw_from_messages(trace, dloss_dq):

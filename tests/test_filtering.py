@@ -604,6 +604,25 @@ def test_past_budget_counts_the_starved_points_left_on_lattice_rows(rng, monkeyp
         plan.past_budget = 0
 
 
+def test_no_starved_point_gives_an_empty_fallback_with_no_distance_formed(rng, monkeypatch):
+    """An empty order gives an empty (0, N) F without forming a distance,
+    and a lattice plan with no starved point holds that F."""
+    from voxcrf import filtering
+
+    def no_scan(*args):
+        raise AssertionError("distances formed")
+
+    monkeypatch.setattr(filtering, "_ball_pairs", no_scan)
+    kept, f = filtering._fallback_rows(rng.uniform(0, 5, (40, 3)), np.zeros(0, dtype=np.int64))
+    assert kept.shape == (0,) and f.shape == (0, 40) and f.nnz == 0
+
+    ys, xs = np.mgrid[0:32, 0:32] / 3.0  # an image's spatial features at theta 3
+    feats = np.column_stack([xs.ravel(), ys.ravel()])
+    plan = plan_filter(feats, "lattice")
+    assert (plan.starved, plan.past_budget, plan.fallback_nnz) == (0, 0, 0)
+    assert plan._fallback.shape == (0, len(feats))
+
+
 def test_fallback_build_peak_per_kept_entry(monkeypatch):
     """A textured 160x120 frame fills a reduced budget of 2^20 fallback
     entries.  The plan build peaks under 48 bytes per kept entry: the scan

@@ -84,7 +84,7 @@ def test_integrate_empty_cloud_unchanged():
 def test_integrate_first_observation_is_likelihood():
     vmap = VoxelMap(0.01, 2)
     integrate_cloud(vmap, cloud_at([[0.005, 0.005, 0.005]], [[0.7, 0.3]]))
-    assert vmap.distribution((0, 0, 0)) == pytest.approx([0.7, 0.3])
+    assert np.exp(vmap.log_posteriors[0]) == pytest.approx([0.7, 0.3])
     assert vmap.observations.tolist() == [1]
 
 
@@ -93,8 +93,27 @@ def test_integrate_same_distribution_twice():
     pt = [[0.005, 0.005, 0.005]]
     integrate_cloud(vmap, cloud_at(pt, [[0.6, 0.4]]))
     integrate_cloud(vmap, cloud_at(pt, [[0.6, 0.4]]))
-    assert vmap.distribution((0, 0, 0)) == pytest.approx([9 / 13, 4 / 13])
+    assert np.exp(vmap.log_posteriors[0]) == pytest.approx([9 / 13, 4 / 13])
     assert vmap.observations.tolist() == [2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_integrate_rejects_a_non_finite_likelihood_leaving_the_map_unchanged(bad):
+    """A NaN or +inf likelihood once turned its voxel's posterior NaN for
+    good, which extract_map then dropped and evaluation scored as label 0."""
+    vmap = VoxelMap(0.01, 2)
+    integrate_cloud(vmap, cloud_at([[0.005, 0.005, 0.005]], [[0.7, 0.3]]))
+
+    def arrays():
+        views = (vmap.keys, vmap.log_posteriors, vmap.observations, vmap.color_sums)
+        return [a.tobytes() for a in views]
+
+    before = arrays()
+    points = [[0.005, 0.005, 0.005], [0.015, 0.005, 0.005], [0.025, 0.005, 0.005]]
+    with pytest.raises(InputError, match="^point 1 has a non-finite likelihood"):
+        integrate_cloud(vmap, cloud_at(points, [[0.5, 0.5], [bad, 0.5], [0.5, 0.5]]))
+    assert arrays() == before
+    assert (vmap.created, vmap.updated) == (1, 0)
 
 
 def test_integrate_label_count_mismatch():
@@ -122,7 +141,7 @@ def test_order_invariance(seed, count):
         vmap = VoxelMap(0.01, 3)
         for i in order:
             integrate_cloud(vmap, cloud_at(pt, liks[i : i + 1]))
-        return vmap.distribution((0, 0, 0))
+        return np.exp(vmap.log_posteriors[0])
 
     base = fused(range(count))
     perm = fused(r.permutation(count))
@@ -135,7 +154,7 @@ def test_convergence_toward_certainty():
     last = 0.5
     for _ in range(40):
         integrate_cloud(vmap, cloud_at(pt, [[0.7, 0.3]]))
-        current = float(vmap.distribution((0, 0, 0))[0])
+        current = float(np.exp(vmap.log_posteriors[0])[0])
         assert current >= last - 1e-12
         last = current
     assert last > 0.999
@@ -190,7 +209,7 @@ def test_stored_distributions_normalized_after_long_runs(rng):
     pt = [[0.0, 0.0, 0.0]]
     for _ in range(200):
         integrate_cloud(vmap, cloud_at(pt, rng.dirichlet(np.ones(4), size=1)))
-    dist = vmap.distribution((0, 0, 0))
+    dist = np.exp(vmap.log_posteriors[0])
     assert dist.sum() == pytest.approx(1.0, abs=1e-6)
     assert np.all(np.isfinite(vmap.log_posteriors))
 
@@ -205,7 +224,7 @@ def test_packable_range_boundary():
     vmap = VoxelMap(1.0, 2)
     edges = [[lim - 0.5, -lim, -lim], [-lim, lim - 0.5, lim - 0.5]]
     integrate_cloud(vmap, cloud_at(edges, [[0.7, 0.3], [0.4, 0.6]]))
-    assert vmap.indices.tolist() == [[-lim, lim - 1, lim - 1], [lim - 1, -lim, -lim]]
+    assert unpack_keys(vmap.keys).tolist() == [[-lim, lim - 1, lim - 1], [lim - 1, -lim, -lim]]
     for point in outside:
         with pytest.raises(InputError):
             integrate_cloud(vmap, cloud_at([[0.0, 0.0, 0.0], point], [[0.5, 0.5]] * 2))
@@ -279,7 +298,7 @@ def reference_eval_points(frame):
 
 def assert_map_equals_reference(vmap, ref):
     keys = sorted(ref.cells)
-    assert vmap.indices.tolist() == [list(k) for k in keys]
+    assert unpack_keys(vmap.keys).tolist() == [list(k) for k in keys]
     assert vmap.observations.tolist() == [ref.cells[k][1] for k in keys]
     assert np.array_equal(vmap.color_sums, np.array([ref.cells[k][2] for k in keys]))
     ref_dist = np.exp(np.array([ref.cells[k][0] for k in keys]))

@@ -137,7 +137,7 @@ def build_frames(rng, num_labels=3, frames=3):
         depth = rng.integers(500, 3000, size=(24, 32)).astype(np.uint16)
         depth[0, 0] = 0  # one invalid pixel
         truth = rng.integers(0, num_labels, size=(24, 32))
-        pose = Pose.identity() if k == 0 else Pose(np.eye(4) + 0.0)
+        pose = Pose(np.eye(4)) if k == 0 else Pose(np.eye(4) + 0.0)
         out.append((depth, truth, pose))
     return out
 
@@ -198,7 +198,7 @@ def test_evaluate_skips_ignore_and_invalid(rng):
     cloud = make_semantic_cloud(points, valid, q, np.zeros((4, 4, 3)))
     vmap = VoxelMap(0.01, 2)
     integrate_cloud(vmap, cloud)
-    result = evaluate_fused_map(vmap, [EvalFrame(limg(truth, 4, 4), depth, INTR, Pose.identity())])
+    result = evaluate_fused_map(vmap, [EvalFrame(limg(truth, 4, 4), depth, INTR, Pose(np.eye(4)))])
     assert result.hits + result.missing == 8  # 16 - 4 invalid - 4 ignore
 
 

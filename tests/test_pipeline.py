@@ -11,7 +11,7 @@ from voxcrf.crf import CrfParams, map_labeling
 from voxcrf.errors import ConfigError, FormatError, InputError
 from voxcrf.pipeline import cli, runner
 from voxcrf.pipeline.cli import main as cli_main
-from voxcrf.pipeline.formats import load_unary, read_label_image, read_ply
+from voxcrf.pipeline.formats import load_unary, read_label_image, read_ply, write_ppm, write_unary
 from voxcrf.pipeline.labels import MATERIAL_NAMES, label_names, label_palette
 from voxcrf.pipeline.manifest import PipelineConfig, apply_overrides, load_manifest
 from voxcrf.pipeline.runner import run_frame, run_pipeline
@@ -694,9 +694,11 @@ def test_run_pipeline_duplicate_frames_fuse_twice(tmp_path):
 
     # fusing the same evidence twice = one more bayes update per point;
     # spot-check voxels observed exactly once per pass
-    for key in map(tuple, once.vmap.indices[once.vmap.observations == 1]):
-        d1 = once.vmap.distribution(key)
-        d2 = twice.vmap.distribution(key)
+    seen_once = once.vmap.observations == 1
+    rows = twice.vmap.find(once.vmap.keys[seen_once])
+    assert np.all(rows >= 0)
+    d1s = np.exp(once.vmap.log_posteriors[seen_once])
+    for d1, d2 in zip(d1s, np.exp(twice.vmap.log_posteriors[rows])):
         assert np.abs(bayes_update(d1, d1) - d2).max() < 1e-9
 
 
@@ -978,6 +980,23 @@ def test_cli_segment_bad_config_exits_1_with_one_line(scene, tmp_path, capsys, s
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1, err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("labels", [1, 256, 300])
+def test_cli_segment_label_count_outside_2_to_255_exits_1_writing_nothing(tmp_path, capsys, labels):
+    """Label 255 is IGNORE in labels.pgm: a 256-label unary whose argmax is
+    label 255 once wrote a labels.pgm read back as IGNORE everywhere, and a
+    300-label one failed only after writing refined.unry.  One label is
+    rejected too, as fuse rejects it."""
+    probs = np.zeros((16, labels), dtype=np.float32)
+    probs[:, min(labels - 1, 255)] = 1.0
+    write_unary(tmp_path / "u.unry", 4, 4, probs)
+    write_ppm(tmp_path / "rgb.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
+    out = tmp_path / "seg"
+    args = ["--unary", str(tmp_path / "u.unry"), "--rgb", str(tmp_path / "rgb.ppm")]
+    assert cli_main(["segment", "--backend", "exact", *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: labels must be in [2, 255], got {labels}\n"
     assert not out.exists()
 
 
