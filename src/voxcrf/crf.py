@@ -10,10 +10,10 @@ compatibility transform, adding the unary, and a softmax renormalization.
 Message passing runs on a ``FilterPlan`` (exact or lattice backend); all
 other stages are dense (N, L) array operations, done in place: the first
 kernel's message buffer takes the weighted sum (the other kernels add
-theirs into it a block of rows at a time), and the compatibility GEMM, the
-unary and the softmax are formed over it, the GEMM a block of rows at a
-time.  Traced inference runs the same step and copies the weighted sum into
-its trace before the logits overwrite it.
+theirs into it a block of rows at a time), then one pass over its row
+blocks writes each block's logits (compatibility GEMM plus unary), checks
+them once and takes their softmax in place.  Traced inference runs the
+same step and copies the weighted sum into its trace before that pass.
 """
 
 from __future__ import annotations
@@ -34,6 +34,13 @@ IGNORE_LABEL = 255
 PROB_FLOOR = 1e-8  # probabilities clamped here before taking logs
 BRUTE_FORCE_LIMIT = 2**20  # max number of labelings enumerated
 ENERGY_PIXEL_LIMIT = 4096  # crf_energy materializes N x N kernels
+
+
+def check_label_count(labels: int, name: str = "labels") -> None:
+    """``ConfigError`` naming ``name`` unless ``labels`` lies in
+    [2, IGNORE_LABEL]: an 8-bit label image holds ids 0..L-1 and IGNORE."""
+    if not 2 <= labels <= IGNORE_LABEL:
+        raise ConfigError(f"{name} must be in [2, {IGNORE_LABEL}], got {labels}")
 
 
 # ---------------------------------------------------------------------------
@@ -321,25 +328,17 @@ def _step(
         plan.accumulate(q, w, combined)
     if trace is not None:
         trace.combined.append(combined.copy())
-    # Q stays intact for the diagnosis; one finite check covers every stage
-    # (softmax of finite logits is finite)
-    if not _logits_into(combined, u, mu):
-        _raise_non_finite(q, plans, weights, mu, iteration)
-    q_new = _softmax_into(combined, combined)
-    if trace is not None:
-        trace.q_states.append(q_new)
-    return q_new
-
-
-def _logits_into(combined: np.ndarray, u: np.ndarray, mu: np.ndarray) -> bool:
-    """Write the logits u - combined mu^T over ``combined``, a block of rows
-    at a time (bit-equal to the whole product, with no (N, L) temporary);
-    True when every logit is finite."""
-    finite = True
+    # one pass over row blocks: the logits u - C mu^T over ``combined``, one
+    # finite check (softmax of finite logits is finite; Q stays intact for
+    # the diagnosis) and the softmax, row-wise so bit-equal to whole arrays
     for s, e in row_blocks(len(combined)):
         block = np.subtract(u[s:e], combined[s:e] @ mu.T, out=combined[s:e])
-        finite = finite and bool(np.isfinite(block).all())
-    return finite
+        if not np.isfinite(block).all():
+            _raise_non_finite(q, plans, weights, mu, iteration)
+        _softmax_into(block, block)
+    if trace is not None:
+        trace.q_states.append(combined)
+    return combined
 
 
 def reuse_plan(features: np.ndarray, backend: str, plans: Sequence[FilterPlan]) -> FilterPlan:
@@ -381,10 +380,11 @@ def mean_field_infer(
     lattice's blur buffers, three of (m + 1, L) for m vertices (2.4 arrays
     in all at 160x120 and at 640x480).  It peaks while a kernel is
     filtered: the first kernel's message becomes the combined buffer, the
-    second kernel's is added into it a block of rows at a time, and the
-    logits are formed over it the same way.  A traced inference runs the
-    same step, plus the 2T + 1 arrays its trace keeps.  A non-finite value
-    raises ``NumericalError`` naming the stage and iteration.
+    second kernel's is added into it a block of rows at a time, and one
+    pass over those blocks writes their logits, checks each block once and
+    takes its softmax in place.  A traced inference runs the same step,
+    plus the 2T + 1 arrays its trace keeps.  A non-finite value raises
+    ``NumericalError`` naming the stage and iteration.
     """
     _check_dims(u, features)
     mu = params.compatibility_for(u.labels)

@@ -17,6 +17,7 @@ from pathlib import Path
 from ..crf import (
     ENERGY_PIXEL_LIMIT,
     build_features,
+    check_label_count,
     crf_energy,
     map_labeling,
     mean_field_infer,
@@ -98,6 +99,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     if len(args.images) % 2 != 0:
         raise ConfigError("metrics expects predicted/truth image pairs")
+    check_label_count(args.labels)  # before any image is read or --out written
     cm = ConfusionMatrix(args.labels)
     for pred_path, truth_path in zip(args.images[::2], args.images[1::2]):
         pred = read_label_image(pred_path).validate(args.labels)

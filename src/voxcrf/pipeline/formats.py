@@ -143,7 +143,12 @@ def write_label_image(path: str | Path, image: LabelImage) -> None:
 
 def write_unary(path: str | Path, height: int, width: int, probs: np.ndarray) -> None:
     """Write (height * width, L) probabilities as a UNRY file.  A float32
-    array is written from its own buffer; any other is rounded to float32."""
+    array is written from its own buffer; any other is rounded to float32.
+    ``FormatError`` before the file is created when ``probs`` is not
+    (height * width, L >= 1) or a dimension is not positive."""
+    shape = np.shape(probs)
+    if height < 1 or width < 1 or len(shape) != 2 or shape[0] != height * width or shape[1] < 1:
+        raise FormatError(f"probabilities of shape {shape} do not fit {height}x{width} pixels")
     with open(path, "wb") as f:
         f.write(UNARY_MAGIC)
         f.write(struct.pack("<III", height, width, probs.shape[1]))

@@ -1,6 +1,7 @@
 """Plain-text run manifests and the one config schema.
 
-A manifest is a key=value config header followed by one line per frame:
+A manifest is a key=value config header, each key at most once, followed
+by one line per frame:
 
     frame_id rgb depth unary [truth] p00 p01 ... p33
 
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..crf import CrfParams, integer_setting
+from ..crf import CrfParams, check_label_count, integer_setting
 from ..errors import ConfigError, FormatError, InputError
 from ..projection import CameraIntrinsics, Pose
 
@@ -62,8 +63,7 @@ class PipelineConfig:
     def __post_init__(self):
         self.labels = integer_setting("labels", self.labels)
         self.min_observations = integer_setting("min_observations", self.min_observations)
-        if not 2 <= self.labels <= 255:  # 255 is IGNORE in 8-bit truth images
-            raise ConfigError(f"labels must be in [2, 255], got {self.labels}")
+        check_label_count(self.labels)
         self.crf.compatibility_for(self.labels)  # a given μ must be labels x labels
         if self.backend not in ("exact", "lattice"):
             raise ConfigError(f"unknown backend {self.backend!r}")
@@ -165,10 +165,11 @@ def load_manifest(path: str | Path) -> tuple[list[FrameRecord], PipelineConfig]:
     """Parse a manifest; validates poses and referenced-file presence.
 
     Frames keep their listed order; ids may repeat.  Malformed lines, bad
-    header values (``fx=0``, ``labels=1``) and frame ids that are not plain
-    file names (holding a slash or backslash, or ``.`` or ``..``) raise
-    FormatError naming the line number, missing intrinsics FormatError
-    naming the manifest, and missing files InputError naming the path.
+    header values (``fx=0``, ``labels=1``), a header key given a second
+    time and frame ids that are not plain file names (holding a slash or
+    backslash, or ``.`` or ``..``) raise FormatError naming the line number
+    (a repeated key's second one), missing intrinsics FormatError naming
+    the manifest, and missing files InputError naming the path.
     """
     path = Path(path)
     base = path.parent
@@ -182,9 +183,12 @@ def load_manifest(path: str | Path) -> tuple[list[FrameRecord], PipelineConfig]:
         if "=" in line and len(line.split()) == 1:
             key, text = (part.strip() for part in line.split("=", 1))
             try:
-                header[key] = _header_value(key, text)
+                value = _header_value(key, text)
             except ConfigError as e:
                 raise FormatError(f"{where}: {e}") from e
+            if key in header:  # a bad value is named as such first
+                raise FormatError(f"{where}: header key {key!r} is given again")
+            header[key] = value
             continue
         tokens = line.split()
         names = tokens[: len(tokens) - _POSE_FLOATS]

@@ -24,6 +24,7 @@ from ..crf import (
     CrfParams,
     LabelDistributionImage,
     build_features,
+    check_label_count,
     integer_setting,
     mean_field_infer,
     unary_from_probabilities,
@@ -72,8 +73,7 @@ class SyntheticSceneSpec:
         object.__setattr__(self, "boxes", tuple(self.boxes))
         for name in ("width", "height", "frame_count", "label_count", "room_label", "seed"):
             object.__setattr__(self, name, integer_setting(name, getattr(self, name)))
-        if not 2 <= self.label_count <= 255:  # 255 is IGNORE in the truth images
-            raise ConfigError(f"label count must be in [2, 255], got {self.label_count}")
+        check_label_count(self.label_count, "label count")
         room = np.asarray(self.room, dtype=np.float64)
         if room.shape != (3,) or not np.all((room > 0) & (room < np.inf)):
             raise ConfigError(f"room extents must be 3 positive finite reals, got {self.room}")

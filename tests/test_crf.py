@@ -8,6 +8,7 @@ from voxcrf.crf import (
     IGNORE_LABEL,
     PROB_FLOOR,
     CrfParams,
+    FeatureField,
     LabelDistributionImage,
     LabelImage,
     UnaryField,
@@ -489,17 +490,25 @@ def test_traced_and_untraced_inference_are_bit_equal(rng, backend):
 
 
 @pytest.mark.parametrize("n", [1, 5, 2048, 2049, 2050, 2 * 2048 + 777])
-def test_blocked_logits_equal_the_whole_product(rng, n):
-    """The logits u - C mu^T formed over C a block of rows at a time are
-    bit-equal to the whole GEMM, also where a last block would hold one row."""
-    from voxcrf.crf import _logits_into
+def test_one_pass_step_equals_whole_array_logits_and_softmax(rng, n):
+    """A step forms the logits u - C mu^T and their softmax over C one block
+    of rows at a time, bit-equal to the whole GEMM followed by ``softmax``,
+    also where a last block would hold one row.  A NaN in the last block
+    raises naming the unary and leaves the input Q unchanged."""
+    from voxcrf.crf import MeanFieldTrace, _step
 
-    combined, u, mu = rng.normal(size=(n, 23)), rng.normal(size=(n, 23)), rng.normal(size=(23, 23))
-    expected = u - combined @ mu.T
-    assert _logits_into(combined, u, mu)
-    np.testing.assert_array_equal(combined, expected)
-    combined[n - 1, 3] = np.nan
-    assert not _logits_into(combined, u, mu)
+    feats = FeatureField(rng.normal(size=(n, 5)), rng.normal(size=(n, 2)))
+    plans = tuple(plan_filter(f, "lattice") for f in feats.per_kernel())
+    weights, mu = np.array([0.8, 0.5]), rng.normal(size=(23, 23))
+    q, u = softmax(rng.normal(size=(n, 23))), rng.normal(size=(n, 23))
+    trace = MeanFieldTrace(plans, weights, mu, [q], [])
+    q_new = _step(q, u, plans, weights, mu, 0, trace)
+    np.testing.assert_array_equal(q_new, softmax(u - trace.combined[0] @ mu.T))
+    before = q.copy()
+    u[n - 1, 3] = np.nan
+    with pytest.raises(NumericalError, match="adding the unary at iteration 0"):
+        _step(q, u, plans, weights, mu, 0, None)
+    np.testing.assert_array_equal(q, before)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from voxcrf.pipeline.formats import (
     write_pgm16,
     write_ply,
     write_ppm,
+    write_unary,
 )
 
 from _reference import reference_write_ply
@@ -107,6 +108,18 @@ def test_unary_payload_size_mismatch(tmp_path):
     path.write_bytes(b"UNRY" + struct.pack("<III", 2, 2, 2) + b"\x00" * 8)
     with pytest.raises(FormatError):
         load_unary(path)
+
+
+@pytest.mark.parametrize("shape", [(10, 3), (16, 0), (16,), (1, 16, 3)])
+def test_unary_writer_rejects_probabilities_that_do_not_fit_before_creating_the_file(
+    tmp_path, shape
+):
+    # a 10x3 array for 4x4 pixels was once written whole and rejected only
+    # by the reader ("payload is 120 bytes, header implies 192")
+    path = tmp_path / "u.unry"
+    with pytest.raises(FormatError, match=r"do not fit 4x4 pixels"):
+        write_unary(path, 4, 4, np.full(shape, 0.5, dtype=np.float32))
+    assert not path.exists()
 
 
 def test_unary_dimension_overflow(tmp_path):

@@ -152,6 +152,14 @@ def test_manifest_bad_focal_length_quotes_only_its_own_value(tmp_path):
         load_manifest(path)
 
 
+def test_manifest_key_given_twice_names_its_second_line(tmp_path):
+    # the last value once won silently: fx=1000 then fx=576.0 loaded fx 576.0
+    path = tmp_path / "m.txt"
+    path.write_text("fx=1000\nfy=10\ncx=1\ncy=1\n# again\nfx=576.0\n")
+    with pytest.raises(FormatError, match=r"m\.txt:6: header key 'fx' is given again$"):
+        load_manifest(path)
+
+
 def test_manifest_unknown_key(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("fx=10\nfy=10\ncx=1\ncy=1\nwarp_field=3\n")
@@ -899,6 +907,25 @@ def test_cli_segment_and_metrics(tmp_path, scene, capsys):
     )
     assert rc == 0
     assert "pixel_accuracy=1.000000" in (tmp_path / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("labels", [1, 256])
+def test_cli_metrics_label_count_outside_2_to_255_exits_1_writing_nothing(
+    tmp_path, capsys, labels
+):
+    """Both counts once exited 0 on all-zero label images; they fail as the
+    config's ``labels`` does, before any image is read or ``--out`` written."""
+    from voxcrf.pipeline.formats import write_pgm8
+
+    for name in ("p.pgm", "t.pgm"):
+        write_pgm8(tmp_path / name, np.zeros((4, 4), dtype=np.uint8))
+    images = [str(tmp_path / "p.pgm"), str(tmp_path / "t.pgm")]
+    out = tmp_path / "report.txt"
+    assert cli_main(["metrics", *images, "--labels", str(labels), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: labels must be in [2, 255], got {labels}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_segment_rejects_zero_iterations(scene, tmp_path, capsys):
