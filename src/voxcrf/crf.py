@@ -14,6 +14,13 @@ theirs into it a block of rows at a time), then one pass over its row
 blocks writes each block's logits (compatibility GEMM plus unary), checks
 them once and takes their softmax in place.  Traced inference runs the
 same step and copies the weighted sum into its trace before that pass.
+
+Inference runs in the dtype ``filtering.working_dtype`` gives the backend
+and the unary: float32 on the lattice backend for a float32 unary (U, Q,
+the messages, the compatibility GEMM and the softmax), float64 otherwise.
+The parameters stay float64 in ``CrfParams`` and in the trace, so the
+backward sweep, which runs in the trace's dtype, accumulates dw and dmu in
+float64.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericalError, SizeLimitError
-from .filtering import FilterPlan, _kernel_rows, plan_filter
-from .lattice import row_blocks
+from .filtering import FilterPlan, _kernel_rows, plan_filter, working_dtype
+from .lattice import as_values, row_blocks
 
 IGNORE_LABEL = 255
 PROB_FLOOR = 1e-8  # probabilities clamped here before taking logs
@@ -49,11 +56,14 @@ def check_label_count(labels: int, name: str = "labels") -> None:
 
 
 def _grid_data(height: int, width: int, labels: int, data) -> np.ndarray:
-    """``data`` as a contiguous (height * width, labels) float64 array;
-    ``InputError`` on non-positive dimensions or a shape mismatch."""
+    """``data`` as a contiguous (height * width, labels) array, float32 when
+    it is float32 and float64 otherwise (``lattice.as_values``): a unary
+    file read in float32 for the lattice backend stays float32, as
+    ``filtering.working_dtype`` chose; ``InputError`` on non-positive
+    dimensions or a shape mismatch."""
     if height <= 0 or width <= 0 or labels <= 0:
         raise InputError(f"dimensions must be positive, got {height}x{width}x{labels}")
-    data = np.ascontiguousarray(data, dtype=np.float64)
+    data = np.ascontiguousarray(as_values(data))
     if data.shape != (height * width, labels):
         raise InputError(f"data shape {data.shape} != ({height * width}, {labels})")
     return data
@@ -66,7 +76,7 @@ class LabelDistributionImage:
     height: int
     width: int
     labels: int
-    data: np.ndarray  # (height * width, labels) float64
+    data: np.ndarray  # (height * width, labels) float32 or float64 (_grid_data)
 
     def __post_init__(self):
         self.data = _grid_data(self.height, self.width, self.labels, self.data)
@@ -74,7 +84,7 @@ class LabelDistributionImage:
     def validate(self) -> "LabelDistributionImage":
         if self.data.min() < 0:
             raise InputError("negative probability entry")
-        sums = self.data.sum(axis=1)
+        sums = self.data.sum(axis=1, dtype=np.float64)
         if np.abs(sums - 1.0).max() > 1e-6:
             raise InputError(f"per-pixel sums deviate from 1 by {np.abs(sums - 1.0).max():.2e}")
         return self
@@ -82,12 +92,15 @@ class LabelDistributionImage:
 
 @dataclass
 class UnaryField:
-    """Per-pixel log-potentials; exp + normalize recovers probabilities."""
+    """Per-pixel log-potentials; exp + normalize recovers probabilities.
+    ``data`` is float32 when given float32 and float64 otherwise
+    (``_grid_data``); inference on the lattice backend runs in float32 for a
+    float32 unary, every other inference in float64."""
 
     height: int
     width: int
     labels: int
-    data: np.ndarray  # (height * width, labels) float64
+    data: np.ndarray  # (height * width, labels) float32 or float64
 
     def __post_init__(self):
         self.data = _grid_data(self.height, self.width, self.labels, self.data)
@@ -237,7 +250,8 @@ def _softmax_vjp(q: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def unary_from_probabilities(probs: LabelDistributionImage) -> UnaryField:
-    """Log-potentials U = log(clamped probabilities); softmax(U) recovers the input."""
+    """Log-potentials U = log(clamped probabilities), in the probabilities'
+    dtype; softmax(U) recovers the input."""
     probs.validate()
     u = np.maximum(probs.data, PROB_FLOOR)
     np.log(u, out=u)
@@ -374,9 +388,14 @@ def mean_field_infer(
     plan :func:`reuse_plan` finds for its features and ``backend``, or on a
     new one.  A held plan built on other features is never used.
 
+    Inference runs in ``filtering.working_dtype(backend, u.data.dtype)``:
+    float32 on the lattice backend for a float32 unary, with no float64
+    copy of U or Q, and float64 otherwise (an exact inference of a float32
+    unary runs on its float64 copy).  Q has that dtype.
+
     Memory budget: with held plans for both kernels, the allocations of one
-    inference peak at no more than three float64 (N, L) arrays above those
-    at entry on image-like features: Q, the combined messages and one
+    inference peak at no more than three (N, L) arrays of that dtype above
+    those at entry on image-like features: Q, the combined messages and one
     lattice's blur buffers, three of (m + 1, L) for m vertices (2.4 arrays
     in all at 160x120 and at 640x480).  It peaks while a kernel is
     filtered: the first kernel's message becomes the combined buffer, the
@@ -389,13 +408,16 @@ def mean_field_infer(
     _check_dims(u, features)
     mu = params.compatibility_for(u.labels)
     plans = tuple(reuse_plan(f, backend, plans) for f in features.per_kernel())
-    q = softmax(u.data)
+    dtype = working_dtype(backend, u.data.dtype)
+    unary = u.data.astype(dtype, copy=False)
+    q = _softmax_into(unary, np.empty_like(unary))
     _check_finite(q, "initialization", 0)
     trace = None
-    if cache_gradients:
+    if cache_gradients:  # the parameters in float64, as backward accumulates them
         trace = MeanFieldTrace(plans, params.kernel_weights.copy(), mu.copy(), [q], [])
+    weights, mu = params.kernel_weights.astype(dtype, copy=False), mu.astype(dtype, copy=False)
     for t in range(params.iterations):
-        q = _step(q, u.data, plans, params.kernel_weights, mu, t, trace)
+        q = _step(q, unary, plans, weights, mu, t, trace)
     return LabelDistributionImage(u.height, u.width, u.labels, q), trace
 
 
@@ -406,20 +428,21 @@ def mean_field_backward(
 
     The message-passing transpose is each plan's ``apply_transpose``, the
     exact adjoint of ``apply`` with its normalizers held constant; gradients
-    for the shared parameters accumulate across iterations.
+    for the shared parameters accumulate across iterations.  The sweep runs
+    in the inference's dtype (dU has it); dw and dμ accumulate in float64.
     """
     if trace is None:  # what mean_field_infer returns without cache_gradients
         raise InputError("trace was not recorded with cache_gradients=True")
     q_final = trace.q_states[-1]
-    g = np.asarray(dloss_dq, dtype=np.float64)
+    g = np.asarray(dloss_dq, dtype=q_final.dtype)
     if g.shape != q_final.shape:
         raise InputError(f"loss gradient shape {g.shape} != Q shape {q_final.shape}")
 
-    weights, mu = trace.weights, trace.compatibility
+    dw = np.zeros_like(trace.weights)
+    dmu = np.zeros_like(trace.compatibility)
+    weights, mu = (a.astype(g.dtype, copy=False) for a in (trace.weights, trace.compatibility))
     num_iters = len(trace.combined)
     du = np.zeros_like(q_final)
-    dw = np.zeros_like(weights)
-    dmu = np.zeros_like(mu)
 
     for t in range(num_iters - 1, -1, -1):
         ds = _softmax_vjp(trace.q_states[t + 1], g)

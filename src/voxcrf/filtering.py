@@ -45,7 +45,17 @@ no (N, C) array.
 
 Both backends form a message in one routine, ``out += w M v`` (w M^T v
 transposed): ``apply`` and ``apply_transpose`` run it into a zeroed array
-with w = 1, and ``accumulate`` into the caller's.  A single point has no
+with w = 1, and ``accumulate`` into the caller's.
+
+Precision is chosen in one place, ``working_dtype``: a lattice plan forms
+messages in float32 for float32 values, and every other message (the whole
+exact backend, the oracle, and any float64 values) is formed in float64, on
+float64 paths unchanged by the float32 one.  A lattice plan holds D_L / d,
+F and each row block's rows of F in both dtypes, formed once at build
+beside the lattice's own slices (``lattice`` module docstring), so no call
+forms a matrix or casts one.  Mean-field inference and the pipeline's unary
+reader ask ``working_dtype`` too, so a float32 unary file runs the lattice
+mean field in float32 with no float64 copy.  A single point has no
 neighbors, so on either backend it takes the exact form, a 1 x 1 zero
 kernel, with its normalizer defined as 1.
 
@@ -78,7 +88,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InputError
-from .lattice import PermutohedralLattice, csr_from_arrays, csr_rows, row_blocks
+from .lattice import DTYPES, PermutohedralLattice, csr_as, csr_from_arrays, csr_rows, row_blocks
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -98,8 +108,18 @@ _MIRROR_BLOCK = 64  # rows per block of the exact kernel's upper-triangle walk
 _SCAN_DISTANCES = 1 << 20  # most distances one block of the fallback scan forms
 
 
-def _as_matrix(values: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
-    vals = np.asarray(values, dtype=np.float64)
+def working_dtype(backend: str, dtype) -> np.dtype:
+    """The dtype a plan of ``backend`` forms messages in for values of
+    ``dtype``: float32 on the lattice backend for float32 values, float64
+    in every other case.  The one place the precision is chosen; mean-field
+    inference and the pipeline's unary reader ask it (module docstring)."""
+    lattice32 = backend == "lattice" and np.dtype(dtype) == np.float32
+    return np.dtype(np.float32 if lattice32 else np.float64)
+
+
+def _as_matrix(values: np.ndarray, n: int, backend: str) -> tuple[np.ndarray, bool]:
+    vals = np.asarray(values)
+    vals = vals.astype(working_dtype(backend, vals.dtype), copy=False)
     squeeze = vals.ndim == 1
     if squeeze:
         vals = vals[:, None]
@@ -284,6 +304,15 @@ class FilterPlan:
         fallback.data *= np.repeat(scale[starved], np.diff(fallback.indptr))
         scale[starved] = 0.0  # starved rows come from F alone
         self._lattice = lat.scaled(scale)
+        # per dtype: D_L / d, F, and each row block with its starved rows
+        # (block positions) and their rows of F; formed once, not per call
+        self._forms = {}
+        for dtype in DTYPES:
+            f, blocks = csr_as(fallback, dtype), []
+            for s, e in row_blocks(self.n):
+                a, b = np.searchsorted(starved, (s, e))
+                blocks.append((s, e, starved[a:b] - s, csr_rows(f, a, b) if b > a else None))
+            self._forms[dtype] = (self._lattice.diagonal.astype(dtype, copy=False), f, blocks)
 
     # -- the operator -------------------------------------------------------
 
@@ -306,18 +335,18 @@ class FilterPlan:
             msg *= weight
             out += msg
             return
-        lat, starved = self._lattice, self._starved
+        lat, weight = self._lattice, vals.dtype.type(weight)
+        diagonal, fallback, blocks = self._forms[vals.dtype]
         grid = lat.blur(vals, reverse=transpose)
-        for s, e in row_blocks(self.n):
+        for s, e, starved, f_rows in blocks:
             rows = lat.slice_rows(grid, s, e, reverse=transpose)
-            rows -= vals[s:e] * lat.diagonal[s:e, None]
-            a, b = np.searchsorted(starved, (s, e))
-            if b > a and not transpose:
-                rows[starved[a:b] - s] = csr_rows(self._fallback, a, b) @ vals
+            rows -= vals[s:e] * diagonal[s:e, None]
+            if f_rows is not None and not transpose:
+                rows[starved] = f_rows @ vals
             rows *= weight
             out[s:e] += rows
-        if transpose and len(starved):
-            msg = self._fallback.T @ vals[starved]
+        if transpose and len(self._starved):
+            msg = fallback.T @ vals[self._starved]
             msg *= weight
             out += msg
 
@@ -367,8 +396,8 @@ class FilterPlan:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """M v = D^-1 N v: normalized self-excluded Gaussian messages."""
-        vals, squeeze = _as_matrix(values, self.n)
-        out = np.zeros(vals.shape)
+        vals, squeeze = _as_matrix(values, self.n, self.backend)
+        out = np.zeros(vals.shape, vals.dtype)
         self._add_message(vals, out, False, 1.0)
         return out[:, 0] if squeeze else out
 
@@ -377,15 +406,15 @@ class FilterPlan:
         ``out`` of another shape raises ``InputError``.  On the lattice
         backend each block of rows is added as it is formed, so no (N, C)
         message is allocated; bit-equal to the unblocked form."""
-        vals = _as_matrix(values, self.n)[0]
+        vals = _as_matrix(values, self.n, self.backend)[0]
         if np.shape(out) != vals.shape:
             raise InputError(f"out must have the values' shape {vals.shape}, got {np.shape(out)}")
         self._add_message(vals, out, False, weight)
 
     def apply_transpose(self, grads: np.ndarray) -> np.ndarray:
         """M^T g = N^T D^-1 g: the exact adjoint of apply (D held constant)."""
-        vals, squeeze = _as_matrix(grads, self.n)
-        out = np.zeros(vals.shape)
+        vals, squeeze = _as_matrix(grads, self.n, self.backend)
+        out = np.zeros(vals.shape, vals.dtype)
         self._add_message(vals, out, True, 1.0)
         return out[:, 0] if squeeze else out
 

@@ -41,6 +41,17 @@ followed by ``slice_rows`` over all N rows.  Each output row is a sum over
 that row's slice weights alone, so a caller may slice a block of rows at a
 time (``row_blocks``) and get the same rows bit for bit.
 
+Precision: ``blur``, ``slice_rows`` and ``filter`` work in float32 for
+float32 values and in float64 for any other (``as_values``), the grid and
+the output in the values' dtype; which dtype a caller hands in is chosen by
+``filtering.working_dtype``.  A lattice holds S and S' in both dtypes
+(DTYPES; the float32 ones share the float64 index arrays), each with its
+rows over every block of ``row_blocks`` as CSR matrices over views of its
+arrays, formed once when the lattice is built (S' by ``scaled``), so no
+filter call forms a matrix.  Every slice row holds d+1 entries, so the
+first k+1 entries of indptr serve any k-row block; data and indices are
+viewed through a memoryview, as scipy copies arrays that view a larger one.
+
 Vectorized numpy throughout.  Splat and slice share one set of barycentric
 weights, stored once as the (N, m) sparse slice matrix S; the splat is its
 transpose S^T, so a built lattice can filter any number of value channels.
@@ -50,13 +61,14 @@ callers that normalize the filter output per point; S' has its own weights
 and shares S's index arrays.
 
 S and S' are scipy.sparse CSR matrices.  scipy is imported in
-``csr_from_arrays`` alone, the one place a CSR matrix is formed from arrays
-(``csr_rows`` and ``scaled`` build theirs with the type of the matrix they
-are given), so a process loads scipy on its first lattice build, and code
-that never builds one (the exact backend, scene generation, metrics) never
-does.  ``filtering`` imports ``PermutohedralLattice`` at module level: the
-benchmark tracer (``perfbench/tracing.py``) patches
-``filtering.PermutohedralLattice`` by name, so that import must stay there.
+``csr_from_arrays`` alone, the one place a CSR matrix is formed from new
+arrays (``csr_rows``, ``csr_as``, ``scaled`` and the row views build theirs
+with the type of the matrix they are given), so a process loads scipy on
+its first lattice build, and code that never builds one (the exact backend,
+scene generation, metrics) never does.  ``filtering`` imports
+``PermutohedralLattice`` at module level: the benchmark tracer
+(``perfbench/tracing.py``) patches ``filtering.PermutohedralLattice`` by
+name, so that import must stay there.
 """
 
 from __future__ import annotations
@@ -72,6 +84,9 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 _ROW_BLOCK = 2048  # rows per block of a slice, the diagonal and the mean-field GEMM
+# The precisions a lattice filters in: float32 values stay float32, any
+# other values are filtered in float64 (``as_values``).
+DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 # Lattice coordinates are encoded into a single int64 when the per-axis
 # ranges allow it (fast unique + neighbor lookup); otherwise rows are sorted
@@ -112,16 +127,58 @@ def csr_from_arrays(
     return sparse.csr_matrix((data, indices, indptr), shape=shape)
 
 
+def _view(a: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """a[start:stop] over a memoryview of 1-D ``a``.  scipy copies the data
+    and index arrays of a CSR matrix when their base array is over twice
+    their size; this view's base is the memoryview, so it is kept as is."""
+    return np.frombuffer(memoryview(a)[start:stop], a.dtype)
+
+
 def csr_rows(matrix: sparse.csr_matrix, start: int, stop: int) -> sparse.csr_matrix:
     """Rows start..stop-1 of a CSR matrix over views of its data and index
     arrays (scipy's row slicing copies them); the whole matrix for all rows."""
     if start == 0 and stop == matrix.shape[0]:
         return matrix
     a, b = matrix.indptr[start], matrix.indptr[stop]
+    indptr = matrix.indptr[start : stop + 1] - a
     return type(matrix)(
-        (matrix.data[a:b], matrix.indices[a:b], matrix.indptr[start : stop + 1] - a),
+        (_view(matrix.data, a, b), _view(matrix.indices, a, b), indptr),
         shape=(stop - start, matrix.shape[1]),
     )
+
+
+def csr_as(matrix: sparse.csr_matrix, dtype) -> sparse.csr_matrix:
+    """``matrix`` with its entries in ``dtype``, over its own index arrays."""
+    if matrix.dtype == dtype:
+        return matrix
+    return type(matrix)((matrix.data.astype(dtype), matrix.indices, matrix.indptr), matrix.shape)
+
+
+def _slice_views(matrix: sparse.csr_matrix) -> dict:
+    """{dtype: {(start, stop): rows}} of a slice matrix in each of DTYPES,
+    for every block of ``row_blocks`` and for all rows.  Every row of a
+    slice holds d+1 entries, so indptr[:k+1] is the indptr of any k rows:
+    each block is a CSR matrix over views of the matrix's arrays alone."""
+    n, m = matrix.shape
+    width = int(matrix.indptr[1])
+    views = {}
+    for dtype in DTYPES:
+        whole = csr_as(matrix, dtype)
+        views[dtype] = rows = {(0, n): whole}
+        for s, e in row_blocks(n):
+            a, b = s * width, e * width
+            rows[s, e] = type(whole)(
+                (_view(whole.data, a, b), _view(whole.indices, a, b), whole.indptr[: e - s + 1]),
+                (e - s, m),
+            )
+    return views
+
+
+def as_values(values) -> np.ndarray:
+    """``values`` as a float32 array when they are float32, else as float64:
+    the precision a lattice filters them in (module docstring)."""
+    vals = np.asarray(values)
+    return vals if vals.dtype == np.float32 else vals.astype(np.float64, copy=False)
 
 
 def _embed(features: np.ndarray) -> np.ndarray:
@@ -236,6 +293,8 @@ class PermutohedralLattice:
         del bary, vertex_idx
         self._slice.sort_indices()
         self._out_slice = self._slice  # S', the slice of the output rows
+        # S and S' in each of DTYPES with their row blocks, formed once here
+        self._s_views = self._out_views = _slice_views(self._slice)
 
         # Blur neighbor tables: along axis a, n1 = key + 1 - (d+1) e_a,
         # n2 = key - 1 + (d+1) e_a; -1 marks a vertex outside the lattice and
@@ -359,6 +418,7 @@ class PermutohedralLattice:
         per_entry = np.repeat(self._alpha * rows, np.diff(s.indptr))
         out = copy.copy(self)
         out._out_slice = type(s)((s.data * per_entry, s.indices, s.indptr), shape=s.shape)
+        out._out_views = _slice_views(out._out_slice)
         out._alpha = 1.0
         out._diag = rows * self._diag
         return out
@@ -374,7 +434,7 @@ class PermutohedralLattice:
         (the blurs along individual axes are symmetric but do not commute)
         and S slices.  It is ``slice_rows`` of ``blur`` over all N rows.
         """
-        vals = np.asarray(values, dtype=np.float64)
+        vals = as_values(values)
         squeeze = vals.ndim == 1
         grid = self.blur(vals[:, None] if squeeze else vals, reverse)
         out = self.slice_rows(grid, 0, self.n, reverse)
@@ -383,18 +443,18 @@ class PermutohedralLattice:
     def blur(self, values: np.ndarray, reverse: bool = False) -> np.ndarray:
         """The splatted and blurred (m, C) vertex grid of (N, C) ``values``
         that ``slice_rows`` reads, for ``filter`` in the given direction."""
-        vals = np.asarray(values, dtype=np.float64)
+        vals = as_values(values)
         if vals.ndim != 2 or vals.shape[0] != self.n:
             raise InputError(f"expected ({self.n}, C) values, got {vals.shape}")
         if reverse:
-            splat, axes = self._out_slice.T, range(self.dim, -1, -1)
+            splat, axes = self._out_views, range(self.dim, -1, -1)
         else:
-            splat, axes = self._slice.T, range(self.dim + 1)
+            splat, axes = self._s_views, range(self.dim + 1)
         m = self.num_vertices
-        lat = np.empty((m + 1, vals.shape[1]))
+        lat = np.empty((m + 1, vals.shape[1]), vals.dtype)
         lat[m] = 0.0  # the pad row that neighbor index -1 reads
-        lat[:m] = splat @ vals
-        v1, v2 = np.empty((2, m, vals.shape[1]))
+        lat[:m] = splat[vals.dtype][0, self.n].T @ vals
+        v1, v2 = np.empty((2, m, vals.shape[1]), vals.dtype)
         for a in axes:
             np.take(lat, self._n1[a], axis=0, out=v1, mode="wrap")
             np.take(lat, self._n2[a], axis=0, out=v2, mode="wrap")
@@ -406,10 +466,11 @@ class PermutohedralLattice:
     def slice_rows(
         self, grid: np.ndarray, start: int, stop: int, reverse: bool = False
     ) -> np.ndarray:
-        """Rows start..stop-1 of ``filter`` from its ``blur`` grid.  Each
+        """Rows start..stop-1 of ``filter`` from its ``blur`` grid, for a
+        block of ``row_blocks`` or all rows, in the grid's dtype.  Each
         output row is its own sum over that row's slice weights, so a block
         of rows equals the same rows of the whole output bit for bit."""
-        out = csr_rows(self._slice if reverse else self._out_slice, start, stop) @ grid
+        out = (self._s_views if reverse else self._out_views)[grid.dtype][start, stop] @ grid
         if self._alpha != 1.0:
             out *= self._alpha
         return out

@@ -52,18 +52,24 @@ class ConfusionMatrix:
 def accumulate(
     cm: ConfusionMatrix, predicted: LabelImage, truth: LabelImage
 ) -> ConfusionMatrix:
-    """Count (truth, prediction) pairs in place; IGNORE truth pixels skip."""
+    """Count (truth, prediction) pairs in place; IGNORE truth pixels skip.
+    A truth or predicted label outside [0, L) where the truth is labelled
+    (a predicted IGNORE included) raises ``InputError`` naming the first
+    such pixel as (row, col) and its value."""
     if (predicted.height, predicted.width) != (truth.height, truth.width):
         raise InputError("prediction and truth dimensions differ")
     n = cm.labels
-    t = truth.data
-    p = predicted.data
-    keep = t != IGNORE_LABEL
-    t, p = t[keep], p[keep]
-    if np.any((t < 0) | (t >= n)):
-        raise InputError("truth label out of range")
-    if np.any((p < 0) | (p >= n)):
-        raise InputError("predicted label out of range")
+    keep = np.flatnonzero(truth.data != IGNORE_LABEL)
+    t, p = truth.data[keep], predicted.data[keep]
+    for name, values in (("truth", t), ("predicted", p)):
+        bad = (values < 0) | (values >= n)
+        if bad.any():
+            first = int(np.argmax(bad))
+            row, col = divmod(int(keep[first]), truth.width)
+            raise InputError(
+                f"{name} label {values[first]} at pixel (row {row}, col {col}) "
+                f"is outside [0, {n})"
+            )
     flat = np.bincount(t * n + p, minlength=n * n)
     cm.counts += flat.reshape(n, n)
     return cm

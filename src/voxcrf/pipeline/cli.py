@@ -103,7 +103,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     cm = ConfusionMatrix(args.labels)
     for pred_path, truth_path in zip(args.images[::2], args.images[1::2]):
         pred = read_label_image(pred_path).validate(args.labels)
-        accumulate(cm, pred, read_label_image(truth_path))
+        try:
+            accumulate(cm, pred, read_label_image(truth_path))
+        except InputError as e:
+            raise InputError(f"{pred_path} against {truth_path}: {e}") from e
     report = format_report(*compute_metrics(cm))
     if args.out:
         Path(args.out).write_text(report)
@@ -131,7 +134,7 @@ def _cmd_train_crf(args: argparse.Namespace) -> int:
     for record in records:
         if record.truth_path is None:
             raise InputError(f"frame {record.frame_id} has no truth labels")
-        _, rgb, probs, truth = load_frame(record, config.labels)
+        _, rgb, probs, truth = load_frame(record, config.labels, args.backend)
         dataset.append((rgb, probs, truth))
     params = train_crf_params(
         dataset,

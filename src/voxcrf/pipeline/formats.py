@@ -159,9 +159,10 @@ def save_unary(path: str | Path, image: LabelDistributionImage) -> None:
     write_unary(path, image.height, image.width, image.data)
 
 
-def load_unary(path: str | Path) -> LabelDistributionImage:
-    """Read and validate a UNRY file; per-pixel sums within 1e-3 of 1 are
-    renormalized to exactly 1, anything worse is rejected."""
+def load_unary(path: str | Path, dtype=np.float64) -> LabelDistributionImage:
+    """Read and validate a UNRY file as ``dtype`` (float64 or float32);
+    per-pixel sums, formed in float64, within 1e-3 of 1 are renormalized to
+    1, anything worse is rejected."""
     data = Path(path).read_bytes()
     if len(data) < 16 or data[:4] != UNARY_MAGIC:
         raise FormatError(f"{path}: bad magic, not a UNRY file")
@@ -173,10 +174,10 @@ def load_unary(path: str | Path) -> LabelDistributionImage:
         raise FormatError(
             f"{path}: payload is {len(data) - 16} bytes, header implies {count * 4}"
         )
-    values = np.frombuffer(data[16:], dtype="<f4").astype(np.float64).reshape(-1, labels)
+    values = np.frombuffer(data[16:], dtype="<f4").astype(dtype).reshape(-1, labels)
     if not np.all(np.isfinite(values)) or np.any(values < 0):
         raise FormatError(f"{path}: negative or non-finite probability")
-    sums = values.sum(axis=1)
+    sums = values.sum(axis=1, dtype=np.float64)
     worst = np.abs(sums - 1.0).max()
     if worst > UNARY_SUM_TOLERANCE:
         raise FormatError(f"{path}: per-pixel sums deviate from 1 by {worst:.2e}")

@@ -1,7 +1,7 @@
 """Plain-text run manifests and the one config schema.
 
-A manifest is a key=value config header, each key at most once, followed
-by one line per frame:
+A manifest is a key=value config header, with no spaces around ``=`` and
+each key at most once, followed by one line per frame:
 
     frame_id rgb depth unary [truth] p00 p01 ... p33
 
@@ -164,10 +164,11 @@ def _header_value(key: str, text: str):
 def load_manifest(path: str | Path) -> tuple[list[FrameRecord], PipelineConfig]:
     """Parse a manifest; validates poses and referenced-file presence.
 
-    Frames keep their listed order; ids may repeat.  Malformed lines, bad
-    header values (``fx=0``, ``labels=1``), a header key given a second
-    time and frame ids that are not plain file names (holding a slash or
-    backslash, or ``.`` or ``..``) raise FormatError naming the line number
+    Frames keep their listed order; ids may repeat.  Malformed lines, a
+    header pair written with spaces (``fx = 10``), bad header values
+    (``fx=0``, ``labels=1``), a header key given a second time and frame
+    ids that are not plain file names (holding a slash or backslash, or
+    ``.`` or ``..``) raise FormatError naming the line number
     (a repeated key's second one), missing intrinsics FormatError naming
     the manifest, and missing files InputError naming the path.
     """
@@ -180,7 +181,13 @@ def load_manifest(path: str | Path) -> tuple[list[FrameRecord], PipelineConfig]:
         if not line:
             continue
         where = f"{path}:{lineno}"
-        if "=" in line and len(line.split()) == 1:
+        tokens = line.split()
+        # a line with "=" and fewer tokens than a frame line is a header pair
+        if "=" in line and len(tokens) < 4 + _POSE_FLOATS:
+            if len(tokens) > 1:
+                raise FormatError(
+                    f"{where}: header pairs are written key=value with no spaces, got {line!r}"
+                )
             key, text = (part.strip() for part in line.split("=", 1))
             try:
                 value = _header_value(key, text)
@@ -190,7 +197,6 @@ def load_manifest(path: str | Path) -> tuple[list[FrameRecord], PipelineConfig]:
                 raise FormatError(f"{where}: header key {key!r} is given again")
             header[key] = value
             continue
-        tokens = line.split()
         names = tokens[: len(tokens) - _POSE_FLOATS]
         if len(names) not in (4, 5):
             raise FormatError(

@@ -19,7 +19,8 @@ def _check_target(height: int, width: int) -> None:
 
 
 def _bilinear(grid: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Separable bilinear sampling of an (H, W, C) grid, corners aligned."""
+    """Separable bilinear sampling of an (H, W, C) float grid, corners
+    aligned, in the grid's dtype."""
     src_h, src_w = grid.shape[:2]
     yi = np.linspace(0.0, src_h - 1.0, height)
     xi = np.linspace(0.0, src_w - 1.0, width)
@@ -27,8 +28,8 @@ def _bilinear(grid: np.ndarray, height: int, width: int) -> np.ndarray:
     x0 = np.floor(xi).astype(np.int64)
     y1 = np.minimum(y0 + 1, src_h - 1)
     x1 = np.minimum(x0 + 1, src_w - 1)
-    fy = (yi - y0)[:, None, None]
-    fx = (xi - x0)[None, :, None]
+    fy = (yi - y0).astype(grid.dtype)[:, None, None]
+    fx = (xi - x0).astype(grid.dtype)[None, :, None]
     top = grid[y0][:, x0] * (1 - fx) + grid[y0][:, x1] * fx
     bottom = grid[y1][:, x0] * (1 - fx) + grid[y1][:, x1] * fx
     return top * (1 - fy) + bottom * fy
@@ -37,7 +38,8 @@ def _bilinear(grid: np.ndarray, height: int, width: int) -> np.ndarray:
 def resample_probabilities(
     img: LabelDistributionImage, height: int, width: int
 ) -> LabelDistributionImage:
-    """Bilinear resampling of per-pixel distributions, renormalized to sum 1."""
+    """Bilinear resampling of per-pixel distributions, renormalized to sum 1,
+    in their dtype."""
     _check_target(height, width)
     if (img.height, img.width) == (height, width):
         return img

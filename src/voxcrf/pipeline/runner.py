@@ -24,7 +24,7 @@ from ..crf import (
     unary_from_probabilities,
 )
 from ..errors import InputError, VoxcrfError
-from ..filtering import FilterPlan
+from ..filtering import FilterPlan, working_dtype
 from ..fusion import VoxelMap, extract_map, integrate_cloud
 from ..metrics import (
     METRIC_NAMES,
@@ -73,7 +73,7 @@ def _frame_errors(record: FrameRecord):
 
 
 def load_frame(
-    record: FrameRecord, labels: int
+    record: FrameRecord, labels: int, backend: str
 ) -> tuple[np.ndarray, np.ndarray, LabelDistributionImage, LabelImage | None]:
     """(depth, rgb, unary probabilities, truth or None) of one frame, all on
     the depth grid.
@@ -81,11 +81,14 @@ def load_frame(
     Geometry is defined by the depth image: the RGB image and the unary
     resample to it bilinearly, the truth by nearest neighbor.  The unary
     must have ``labels`` labels and the truth ids must lie in [0, labels)
-    or be IGNORE; errors name the frame."""
+    or be IGNORE; errors name the frame.  The unary is read in the dtype
+    ``backend``'s inference runs in for its float32 file
+    (``filtering.working_dtype``): float32 on the lattice, with no float64
+    copy, and float64 on the exact backend."""
     with _frame_errors(record):
         rgb = read_ppm(record.rgb_path)
         depth = read_pgm16(record.depth_path)
-        probs = load_unary(record.unary_path)
+        probs = load_unary(record.unary_path, working_dtype(backend, np.float32))
         if probs.labels != labels:
             raise InputError(f"unary has {probs.labels} labels, config expects {labels}")
         h, w = depth.shape
@@ -103,7 +106,7 @@ def run_frame(
 
     ``spatial_plan`` (from an earlier frame) is used when it was built on
     this frame's spatial features; otherwise a new one is built."""
-    depth, rgb, probs, truth = load_frame(record, config.labels)
+    depth, rgb, probs, truth = load_frame(record, config.labels, config.backend)
     with _frame_errors(record):
         unary = unary_from_probabilities(probs)
         del probs  # nothing reads it after U; free its (N, L) array before inference

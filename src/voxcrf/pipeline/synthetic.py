@@ -4,8 +4,11 @@ A desk-scale room (an axis-aligned box) contains material-labeled boxes; a
 camera orbit renders depth by ray casting (slab intersection tests), labels,
 flat-shaded RGB with bounded per-pixel jitter for bilateral contrast, and
 unaries corrupted by replacing the true label with a random wrong one at a
-given rate.  All randomness derives from the scene seed, so outputs are
-bit-identical for identical specs.  Rays are cast one axis at a time over a
+given rate.  Optionally (``blob_fraction``) spatially correlated errors come
+on top: blobs of smoothed noise whose pixels all move to one wrong label,
+which a CRF cannot remove as it removes the independent flips.  All
+randomness derives from the scene seed, so outputs are bit-identical for
+identical specs.  Rays are cast one axis at a time over a
 (3, N) array, one contiguous row per axis, so no step reduces a short axis.
 
 ``SyntheticSceneSpec`` holds every default of ``voxcrf synth``.  Its camera,
@@ -35,6 +38,7 @@ from .formats import write_pgm8, write_pgm16, write_ppm, write_unary
 from .labels import label_palette
 
 _DEPTH_EPS = 1e-9
+_BLOB_SIGMA = 6.0  # pixels: the smoothing of the noise whose top share forms the blobs
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,7 @@ class SyntheticSceneSpec:
     jitter: float = 10.0
     seed: int = 0
     depth_scale: float = 0.001
+    blob_fraction: float = 0.0  # share of each frame's pixels in correlated-error blobs
 
     def __post_init__(self):
         object.__setattr__(self, "boxes", tuple(self.boxes))
@@ -91,6 +96,8 @@ class SyntheticSceneSpec:
             raise ConfigError(f"jitter must be finite and >= 0, got {self.jitter}")
         if not (0.0 <= self.noise < 1.0):
             raise ConfigError(f"noise must be in [0, 1), got {self.noise}")
+        if not (0.0 <= self.blob_fraction < 1.0):
+            raise ConfigError(f"blob fraction must be in [0, 1), got {self.blob_fraction}")
         if not (1.0 / self.label_count < self.confidence <= 1.0):
             raise ConfigError(
                 f"confidence must be in (1/{self.label_count}, 1], got {self.confidence}"
@@ -246,11 +253,19 @@ def corrupt_unaries(
     noise: float,
     confidence: float,
     rng: np.random.Generator,
+    blob_fraction: float = 0.0,
 ) -> np.ndarray:
     """(N, L) float32 unary probabilities, as a UNRY file stores them: with
     probability ``noise`` the argmax moves to a uniformly random wrong label;
     the chosen label gets ``confidence`` and the rest share the remainder
-    evenly (each value rounded once from float64)."""
+    evenly (each value rounded once from float64).
+
+    With ``blob_fraction`` > 0, ``truth`` is an (H, W) image, and its pixels
+    where white noise blurred by a Gaussian of _BLOB_SIGMA pixels is in its
+    top ``blob_fraction`` move, after the independent flips, to their true
+    label plus one offset drawn for the image: each blob over one material
+    flips together to one wrong label.  At 0 no random number is drawn for
+    it, so the output is as without the option."""
     flat = np.asarray(truth, dtype=np.int64).reshape(-1)
     n = flat.shape[0]
     chosen = flat.copy()
@@ -259,9 +274,24 @@ def corrupt_unaries(
     if n_flip:
         offsets = rng.integers(1, label_count, size=n_flip)
         chosen[flip] = (chosen[flip] + offsets) % label_count
+    if blob_fraction > 0:
+        field = _smoothed_noise(*np.shape(truth), rng).reshape(-1)
+        blob = field > np.quantile(field, 1.0 - blob_fraction)
+        chosen[blob] = (flat[blob] + int(rng.integers(1, label_count))) % label_count
     probs = np.full((n, label_count), (1.0 - confidence) / (label_count - 1), np.float32)
     probs[np.arange(n), chosen] = confidence
     return probs
+
+
+def _smoothed_noise(height: int, width: int, rng: np.random.Generator) -> np.ndarray:
+    """(height, width) white noise blurred along each axis by a Gaussian of
+    _BLOB_SIGMA pixels, as two products with dense 1-D kernels."""
+
+    def kernel(n: int) -> np.ndarray:
+        x = np.arange(n) / _BLOB_SIGMA
+        return np.exp(-0.5 * (x[:, None] - x[None, :]) ** 2)
+
+    return kernel(height) @ rng.standard_normal((height, width)) @ kernel(width)
 
 
 def make_piecewise_labels(
@@ -341,7 +371,7 @@ def generate_synthetic(spec: SyntheticSceneSpec, out_dir: str | Path) -> Path:
         raw, labels = render_frame(spec, pose)
         rgb = shade_labels(labels, palette, spec.jitter, rng)
         probs = corrupt_unaries(
-            labels, spec.label_count, spec.noise, spec.confidence, rng
+            labels, spec.label_count, spec.noise, spec.confidence, rng, spec.blob_fraction
         )
         fid = f"frame{k:04d}"
         write_ppm(out / "rgb" / f"{fid}.ppm", rgb)

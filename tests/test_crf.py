@@ -489,6 +489,102 @@ def test_traced_and_untraced_inference_are_bit_equal(rng, backend):
     np.testing.assert_array_equal(trace.q_states[-1], q.data)
 
 
+def _blob_frame(width=160, height=120):
+    """Frame 0 of the default scene with correlated-error blobs over a
+    quarter of its pixels, shaded and corrupted as ``generate_synthetic``
+    does: (float32 unary probabilities, features, params, truth)."""
+    from voxcrf.pipeline.labels import label_palette
+    from voxcrf.pipeline.synthetic import (
+        corrupt_unaries,
+        default_scene_spec,
+        orbit_poses,
+        render_frame,
+        shade_labels,
+    )
+
+    spec = default_scene_spec(width=width, height=height, blob_fraction=0.25)
+    _, truth = render_frame(spec, orbit_poses(spec)[0])
+    gen = np.random.default_rng(spec.seed)
+    rgb = shade_labels(truth, label_palette(spec.label_count), spec.jitter, gen)
+    probs = corrupt_unaries(
+        truth, spec.label_count, spec.noise, spec.confidence, gen, spec.blob_fraction
+    )
+    params = CrfParams()
+    probs = LabelDistributionImage(height, width, spec.label_count, probs)
+    return probs, build_features(rgb, params), params, truth.reshape(-1)
+
+
+def test_lattice_inference_of_a_float32_unary_runs_in_float32(rng):
+    """On the lattice backend a float32 unary gives float32 U and Q, within
+    1e-5 of the float64 inference of the same probabilities (7e-7 measured)
+    and with the same argmax on at least 99.9% of the pixels, on a frame
+    with correlated-error blobs, which the CRF leaves partly wrong.  The exact
+    backend gives the float64 Q of the unary's float64 copy, bit for bit."""
+    probs32, feats, params, truth = _blob_frame()
+    probs64 = replace(probs32, data=probs32.data.astype(np.float64))
+    u32, u64 = unary_from_probabilities(probs32), unary_from_probabilities(probs64)
+    assert (u32.data.dtype, u64.data.dtype) == (np.float32, np.float64)
+    plans = tuple(plan_filter(f, "lattice") for f in feats.per_kernel())
+    q32, _ = mean_field_infer(u32, feats, params, "lattice", plans=plans)
+    q64, _ = mean_field_infer(u64, feats, params, "lattice", plans=plans)
+    assert q32.data.dtype == np.float32
+    assert np.abs(q32.data - q64.data).max() <= 1e-5
+    hard32, hard64 = q32.data.argmax(axis=1), q64.data.argmax(axis=1)
+    assert np.mean(hard32 == hard64) >= 0.999
+    assert np.mean(hard64 == truth) < 0.99  # the blobs survive the CRF
+
+    small = UnaryField(4, 5, 3, rng.normal(size=(20, 3)).astype(np.float32))
+    small_feats = build_features(rng.uniform(0, 255, (4, 5, 3)), params)
+    q, _ = mean_field_infer(small, small_feats, params, "exact")
+    wide = replace(small, data=small.data.astype(np.float64))
+    np.testing.assert_array_equal(q.data, mean_field_infer(wide, small_feats, params, "exact")[0].data)
+
+
+def test_float32_mean_field_peaks_below_three_float32_arrays(rng):
+    """The budget ``mean_field_infer`` states holds in arrays of the working
+    dtype: a float32 lattice inference with held plans stays within 3
+    float32 (N, L) arrays above its entry, so no float64 twin of U or Q is
+    formed (160x120, L=23, T=5)."""
+    import tracemalloc
+
+    from conftest import random_flat_rgb
+
+    h, w, labels = 120, 160, 23
+    rgb, _ = random_flat_rgb(rng, h, w)
+    params = CrfParams(iterations=5)
+    probs = rng.dirichlet(np.ones(labels), size=h * w).astype(np.float32)
+    u = unary_from_probabilities(LabelDistributionImage(h, w, labels, probs))
+    feats = build_features(rgb, params)
+    plans = tuple(plan_filter(f, "lattice") for f in feats.per_kernel())
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        q, _ = mean_field_infer(u, feats, params, "lattice", plans=plans)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.data.dtype == np.float32
+    arrays = (peak - entry) / (h * w * labels * 4)
+    assert arrays <= 3.0, f"peak of {arrays:.2f} float32 (N, L) arrays"
+
+
+def test_float32_backward_accumulates_dw_and_dmu_in_float64(rng):
+    """A float32 trace runs the reverse sweep in float32 and returns dw and
+    dmu in float64, within 1e-5 of the float64 gradients of the same
+    inference, relative to their largest entry (4e-7 measured)."""
+    u, feats, params = _scene_instance(rng)
+    u32 = replace(u, data=u.data.astype(np.float32))
+    g = rng.normal(size=u.data.shape)
+    grads = {}
+    for unary in (u32, u):
+        _, trace = mean_field_infer(unary, feats, params, "lattice", cache_gradients=True)
+        grads[unary.data.dtype] = mean_field_backward(trace, g)
+    (du32, dw32, dmu32), (du64, dw64, dmu64) = grads[np.dtype(np.float32)], grads[np.dtype(np.float64)]
+    assert (du32.dtype, dw32.dtype, dmu32.dtype) == (np.float32, np.float64, np.float64)
+    assert np.abs(dw32 - dw64).max() <= 1e-5 * np.abs(dw64).max()
+    assert np.abs(dmu32 - dmu64).max() <= 1e-5 * np.abs(dmu64).max()
+
+
 @pytest.mark.parametrize("n", [1, 5, 2048, 2049, 2050, 2 * 2048 + 777])
 def test_one_pass_step_equals_whole_array_logits_and_softmax(rng, n):
     """A step forms the logits u - C mu^T and their softmax over C one block

@@ -881,3 +881,85 @@ def test_accumulate_rejects_an_out_of_another_shape(backend, rng, shape):
         plan.accumulate(rng.normal(size=(50, 4)), 0.5, out)
     assert "(50, 4)" in str(err.value) and str(shape) in str(err.value)
     np.testing.assert_array_equal(out, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# working precision
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("outliers", [0, 9])
+def test_lattice_plan_keeps_float32_values_in_float32(rng, outliers):
+    """A lattice plan forms apply, apply_transpose and accumulate in float32
+    for float32 values, and in float64, bit-equal to one pass over all rows,
+    for float64 values; with starved rows (outliers) and without."""
+    yy, xx = np.mgrid[0:46, 0:48].astype(np.float64)
+    feats = np.vstack([np.column_stack([xx.ravel(), yy.ravel()]) / 3.0,
+                       rng.uniform(30.0, 90.0, (outliers, 2))])
+    plan = plan_filter(feats[rng.permutation(len(feats))], "lattice")
+    assert plan.n > 2048 and (plan.starved > 0) == (outliers > 0)
+    v64 = rng.normal(size=(plan.n, 4))
+    v32 = v64.astype(np.float32)
+    for vals in (v32, v64):
+        apply, transpose = plan.apply(vals), plan.apply_transpose(vals)
+        out = rng.normal(size=vals.shape).astype(vals.dtype)
+        expected = out + np.float32(0.7) * apply if vals.dtype == np.float32 else None
+        plan.accumulate(vals, 0.7, out)
+        assert apply.dtype == transpose.dtype == out.dtype == vals.dtype
+        assert plan.apply(vals[:, 0]).dtype == vals.dtype
+        if vals.dtype == np.float32:
+            np.testing.assert_array_equal(out, expected)
+        else:
+            np.testing.assert_array_equal(apply, _one_pass_rows(plan, vals, False))
+            np.testing.assert_array_equal(transpose, _one_pass_rows(plan, vals, True))
+
+
+def test_exact_plan_forms_float32_values_in_float64(rng):
+    """The exact backend, the oracle, computes in float64 whatever the
+    values' dtype: float32 values give the float64 messages of their float64
+    copy, bit for bit."""
+    plan = plan_filter(rng.uniform(0, 4, (60, 3)), "exact")
+    v32 = rng.normal(size=(60, 5)).astype(np.float32)
+    v64 = v32.astype(np.float64)
+    for op in (plan.apply, plan.apply_transpose):
+        out = op(v32)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, op(v64))
+    out = np.zeros((60, 5))
+    plan.accumulate(v32, 0.5, out)
+    expected = np.zeros((60, 5))
+    plan.accumulate(v64, 0.5, expected)
+    np.testing.assert_array_equal(out, expected)
+
+
+# float32 lattice messages against float64 ones, relative to the largest
+# float64 message: 6e-7 (VGA frame) and 4e-6 (starved rows) measured
+FLOAT32_MESSAGE_TOLERANCE = 1e-5
+
+
+@pytest.mark.parametrize(
+    "size, jitter", [((640, 480), 10.0), ((64, 48), 60.0)], ids=["vga", "starved"]
+)
+def test_float32_lattice_messages_match_float64_messages(rng, size, jitter):
+    """On a VGA frame of the default scene, and on a jitter-60 frame whose
+    bilateral plan takes exact rows for most points, float32 messages are
+    within FLOAT32_MESSAGE_TOLERANCE of float64 ones from the same values,
+    in both directions, on the starved rows as on the others."""
+    from voxcrf.crf import CrfParams, build_features
+    from voxcrf.pipeline.labels import label_palette
+    from voxcrf.pipeline.synthetic import default_scene_spec, orbit_poses, render_frame, shade_labels
+
+    spec = default_scene_spec(width=size[0], height=size[1], jitter=jitter)
+    _, truth = render_frame(spec, orbit_poses(spec)[0])
+    rgb = shade_labels(truth, label_palette(23), jitter, np.random.default_rng(0))
+    for feats in build_features(rgb, CrfParams()).per_kernel():
+        plan = plan_filter(feats, "lattice")
+        if jitter > 10.0 and feats.shape[1] == 5:
+            assert plan.starved > plan.n // 2
+        q32 = rng.dirichlet(np.ones(23), size=plan.n).astype(np.float32)
+        q64 = q32.astype(np.float64)
+        for op in ("apply", "apply_transpose"):
+            m64, m32 = getattr(plan, op)(q64), getattr(plan, op)(q32)
+            assert m32.dtype == np.float32
+            err = np.abs(m32 - m64).max() / np.abs(m64).max()
+            assert err <= FLOAT32_MESSAGE_TOLERANCE, f"{op} on {feats.shape[1]}-D: {err:.2e}"

@@ -60,6 +60,23 @@ def test_accumulate_out_of_range():
         accumulate(cm, limg([0]), limg([3]))
 
 
+@pytest.mark.parametrize(
+    "pred, truth, message",
+    [
+        ([0, 1, 2, 255], [0, 1, 2, 1], "predicted label 255 at pixel (row 1, col 1)"),
+        ([0, 1, 2, 0], [0, 255, 7, 1], "truth label 7 at pixel (row 1, col 0)"),
+        ([0, -1, 2, 0], [0, 1, 2, 1], "predicted label -1 at pixel (row 0, col 1)"),
+    ],
+    ids=["predicted-ignore", "truth-past-the-labels", "predicted-negative"],
+)
+def test_accumulate_names_the_first_bad_pixel_and_its_value(pred, truth, message):
+    cm = ConfusionMatrix(3)
+    with pytest.raises(InputError) as err:
+        accumulate(cm, limg(pred, 2, 2), limg(truth, 2, 2))
+    assert str(err.value) == f"{message} is outside [0, 3)"
+    assert cm.counts.sum() == 0
+
+
 def test_accumulate_dimension_mismatch():
     cm = ConfusionMatrix(2)
     with pytest.raises(InputError):
