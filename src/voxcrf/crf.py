@@ -394,15 +394,18 @@ def mean_field_infer(
     unary runs on its float64 copy).  Q has that dtype.
 
     Memory budget: with held plans for both kernels, the allocations of one
-    inference peak at no more than three (N, L) arrays of that dtype above
-    those at entry on image-like features: Q, the combined messages and one
-    lattice's blur buffers, three of (m + 1, L) for m vertices (2.4 arrays
-    in all at 160x120 and at 640x480).  It peaks while a kernel is
-    filtered: the first kernel's message becomes the combined buffer, the
-    second kernel's is added into it a block of rows at a time, and one
-    pass over those blocks writes their logits, checks each block once and
-    takes its softmax in place.  A traced inference runs the same step,
-    plus the 2T + 1 arrays its trace keeps.  A non-finite value raises
+    inference peak at about 2 + 3(m + 1)/N (N, L) arrays of that dtype
+    above those at entry, plus one row block, for m vertices of the larger
+    lattice: Q, the combined messages and one lattice's blur buffers, three
+    of (m + 1, L).  With a float32 unary on default-scene frames that was
+    2.41 arrays at 160x120 jitter 10 (m/N 0.14), 3.49 at 640x480 jitter 60
+    (m/N 0.50) and 5.37 at 160x120 jitter 60 (m/N 1.12); so the peak stays
+    under three arrays while m/N stays under about 1/3.  It peaks while a
+    kernel is filtered: the first kernel's message becomes the combined
+    buffer, the second kernel's is added into it a block of rows at a time,
+    and one pass over those blocks writes their logits, checks each block
+    once and takes its softmax in place.  A traced inference runs the same
+    step, plus the 2T + 1 arrays its trace keeps.  A non-finite value raises
     ``NumericalError`` naming the stage and iteration.
     """
     _check_dims(u, features)

@@ -38,10 +38,11 @@ other rows and F exact kernel rows stored for the starved points only
 diag(r) L as one scaled lattice (r_i = 1 / d_i, 0 on starved rows; the
 factor is folded into the slice rows, ``reverse=True`` gives the transpose),
 D_L / d as one vector (0 on starved rows) and F with each row divided by
-its d_s.  Both directions splat and blur once and then form the rows a block
-at a time (slice, diagonal term, forward F's rows), bit-equal to one pass,
-and transposed add F^T's term last; so ``accumulate`` adds a message with
-no (N, C) array.
+its d_s.  Both directions splat and blur once, form the lattice rows a block
+at a time (slice, diagonal term), bit-equal to one pass, and add F's term
+last: forward into the starved rows, whose lattice rows are exactly 0, as
+one (|starved|, C) array, and transposed as F^T's (N, C) term.  So a forward
+``accumulate`` adds a message with no (N, C) array.
 
 Both backends form a message in one routine, ``out += w M v`` (w M^T v
 transposed): ``apply`` and ``apply_transpose`` run it into a zeroed array
@@ -50,14 +51,13 @@ with w = 1, and ``accumulate`` into the caller's.
 Precision is chosen in one place, ``working_dtype``: a lattice plan forms
 messages in float32 for float32 values, and every other message (the whole
 exact backend, the oracle, and any float64 values) is formed in float64, on
-float64 paths unchanged by the float32 one.  A lattice plan holds D_L / d,
-F and each row block's rows of F in both dtypes, formed once at build
-beside the lattice's own slices (``lattice`` module docstring), so no call
-forms a matrix or casts one.  Mean-field inference and the pipeline's unary
-reader ask ``working_dtype`` too, so a float32 unary file runs the lattice
-mean field in float32 with no float64 copy.  A single point has no
-neighbors, so on either backend it takes the exact form, a 1 x 1 zero
-kernel, with its normalizer defined as 1.
+float64 paths unchanged by the float32 one.  A lattice plan holds D_L / d
+and F in both dtypes, formed once at build beside the lattice's own slices
+(``lattice`` module docstring), so no call forms a matrix or casts one.
+Mean-field inference and the pipeline's unary reader ask ``working_dtype``
+too, so a float32 unary file runs the lattice mean field in float32 with no
+float64 copy.  A single point has no neighbors, so on either backend it
+takes the exact form, a 1 x 1 zero kernel, with its normalizer defined as 1.
 
 Lattice messages are a ratio of lattice outputs, which cancels the smoothly
 varying splat/blur/slice leakage.  Points with little neighbor mass (below
@@ -88,7 +88,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InputError
-from .lattice import DTYPES, PermutohedralLattice, csr_as, csr_from_arrays, csr_rows, row_blocks
+from .lattice import DTYPES, PermutohedralLattice, csr_as, csr_from_arrays, row_blocks
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -304,15 +304,11 @@ class FilterPlan:
         fallback.data *= np.repeat(scale[starved], np.diff(fallback.indptr))
         scale[starved] = 0.0  # starved rows come from F alone
         self._lattice = lat.scaled(scale)
-        # per dtype: D_L / d, F, and each row block with its starved rows
-        # (block positions) and their rows of F; formed once, not per call
-        self._forms = {}
-        for dtype in DTYPES:
-            f, blocks = csr_as(fallback, dtype), []
-            for s, e in row_blocks(self.n):
-                a, b = np.searchsorted(starved, (s, e))
-                blocks.append((s, e, starved[a:b] - s, csr_rows(f, a, b) if b > a else None))
-            self._forms[dtype] = (self._lattice.diagonal.astype(dtype, copy=False), f, blocks)
+        # per dtype: D_L / d and F, formed once, not per call
+        self._forms = {
+            dtype: (self._lattice.diagonal.astype(dtype, copy=False), csr_as(fallback, dtype))
+            for dtype in DTYPES
+        }
 
     # -- the operator -------------------------------------------------------
 
@@ -324,9 +320,10 @@ class FilterPlan:
         apply_transpose and accumulate run.  The exact form adds N v / d
         (N (v / d) transposed) as one array.  The lattice splats and blurs
         once; then _ROW_BLOCK rows at a time are sliced, less their diagonal
-        term diag(r D_L) v, and forward the starved rows among them come
-        from F; transposed, F^T's term is added last.  Each row is formed as
-        in one unblocked pass, so the result is bit-equal to it."""
+        term diag(r D_L) v, and added; F's term is added last, into the
+        starved rows forward and as F^T's term transposed.  A starved row of
+        the scaled lattice is exactly 0, and each row is formed as in one
+        unblocked pass, so the result is bit-equal to it."""
         if self._lattice is None:
             d = self.normalizers[:, None]
             msg = self._numerator(vals / d if transpose else vals)
@@ -336,19 +333,21 @@ class FilterPlan:
             out += msg
             return
         lat, weight = self._lattice, vals.dtype.type(weight)
-        diagonal, fallback, blocks = self._forms[vals.dtype]
+        diagonal, fallback = self._forms[vals.dtype]
         grid = lat.blur(vals, reverse=transpose)
-        for s, e, starved, f_rows in blocks:
+        for s, e in row_blocks(self.n):
             rows = lat.slice_rows(grid, s, e, reverse=transpose)
             rows -= vals[s:e] * diagonal[s:e, None]
-            if f_rows is not None and not transpose:
-                rows[starved] = f_rows @ vals
             rows *= weight
             out[s:e] += rows
-        if transpose and len(self._starved):
-            msg = fallback.T @ vals[self._starved]
+        if len(self._starved):
+            starved = self._starved
+            msg = fallback.T @ vals[starved] if transpose else fallback @ vals
             msg *= weight
-            out += msg
+            if transpose:
+                out += msg
+            else:
+                out[starved] += msg
 
     def _numerator(self, vals: np.ndarray) -> np.ndarray:
         """N v for the exact backend, in the form the plan holds."""
@@ -404,8 +403,9 @@ class FilterPlan:
     def accumulate(self, values: np.ndarray, weight: float, out: np.ndarray) -> None:
         """``out += weight * apply(values)`` for (N, C) arrays, in place; an
         ``out`` of another shape raises ``InputError``.  On the lattice
-        backend each block of rows is added as it is formed, so no (N, C)
-        message is allocated; bit-equal to the unblocked form."""
+        backend each block of rows is added as it is formed and F's term as
+        one (|starved|, C) array, so no (N, C) message is allocated;
+        bit-equal to the unblocked form."""
         vals = _as_matrix(values, self.n, self.backend)[0]
         if np.shape(out) != vals.shape:
             raise InputError(f"out must have the values' shape {vals.shape}, got {np.shape(out)}")

@@ -62,8 +62,8 @@ and shares S's index arrays.
 
 S and S' are scipy.sparse CSR matrices.  scipy is imported in
 ``csr_from_arrays`` alone, the one place a CSR matrix is formed from new
-arrays (``csr_rows``, ``csr_as``, ``scaled`` and the row views build theirs
-with the type of the matrix they are given), so a process loads scipy on
+arrays (``csr_as``, ``scaled`` and the row views build theirs with the
+type of the matrix they are given), so a process loads scipy on
 its first lattice build, and code that never builds one (the exact backend,
 scene generation, metrics) never does.  ``filtering`` imports
 ``PermutohedralLattice`` at module level: the benchmark tracer
@@ -132,19 +132,6 @@ def _view(a: np.ndarray, start: int, stop: int) -> np.ndarray:
     and index arrays of a CSR matrix when their base array is over twice
     their size; this view's base is the memoryview, so it is kept as is."""
     return np.frombuffer(memoryview(a)[start:stop], a.dtype)
-
-
-def csr_rows(matrix: sparse.csr_matrix, start: int, stop: int) -> sparse.csr_matrix:
-    """Rows start..stop-1 of a CSR matrix over views of its data and index
-    arrays (scipy's row slicing copies them); the whole matrix for all rows."""
-    if start == 0 and stop == matrix.shape[0]:
-        return matrix
-    a, b = matrix.indptr[start], matrix.indptr[stop]
-    indptr = matrix.indptr[start : stop + 1] - a
-    return type(matrix)(
-        (_view(matrix.data, a, b), _view(matrix.indices, a, b), indptr),
-        shape=(stop - start, matrix.shape[1]),
-    )
 
 
 def csr_as(matrix: sparse.csr_matrix, dtype) -> sparse.csr_matrix:

@@ -14,6 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from ..crf import (
     ENERGY_PIXEL_LIMIT,
     build_features,
@@ -25,6 +27,7 @@ from ..crf import (
     unary_from_probabilities,
 )
 from ..errors import ConfigError, InputError, SizeLimitError, VoxcrfError
+from ..filtering import working_dtype
 from ..metrics import ConfusionMatrix, accumulate, compute_metrics, format_report
 from .formats import load_unary, read_label_image, read_ppm, save_unary, write_label_image
 from .manifest import (
@@ -60,7 +63,10 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     flags = {} if args.iterations is None else {"iterations": args.iterations}
     params = replace(config.crf, **flags)
     backend = config.backend if args.backend is None else args.backend
-    unary = unary_from_probabilities(probs)
+    # infer in the dtype ``fuse`` reads the file in for this backend; the
+    # narrowed float64 read has the bytes of load_unary's float32 read
+    narrowed = probs.data.astype(working_dtype(backend, np.float32), copy=False)
+    unary = unary_from_probabilities(replace(probs, data=narrowed))
     features = build_features(rgb, params)
     q, _ = mean_field_infer(unary, features, params, backend)
     labels = map_labeling(q)
@@ -70,7 +76,8 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     save_unary(out / "refined.unry", q)
     write_label_image(out / "labels.pgm", labels)
     print(f"wrote {out / 'refined.unry'} and {out / 'labels.pgm'}")
-    if args.energy_report:
+    if args.energy_report:  # both energies on the float64 unary
+        unary = unary_from_probabilities(probs)
         e_map = crf_energy(labels, unary, features, params)
         e_unary = crf_energy(map_labeling(probs), unary, features, params)
         report = f"energy_map={e_map:.6f}\nenergy_unary_argmax={e_unary:.6f}\n"

@@ -568,6 +568,41 @@ def test_float32_mean_field_peaks_below_three_float32_arrays(rng):
     assert arrays <= 3.0, f"peak of {arrays:.2f} float32 (N, L) arrays"
 
 
+def test_float32_mean_field_peak_follows_the_vertex_count(rng):
+    """The budget ``mean_field_infer`` states on a textured frame, whose
+    bilateral lattice has more vertices than points: a float32 lattice
+    inference with held plans stays within 2 + 3(m + 1)/N float32 (N, L)
+    arrays plus one row block above its entry (160x120 default frame at
+    jitter 60, m/N 1.12, 5.37 arrays measured; L=23, T=5)."""
+    import tracemalloc
+
+    from voxcrf.lattice import _ROW_BLOCK
+    from voxcrf.pipeline.labels import label_palette
+    from voxcrf.pipeline.synthetic import default_scene_spec, orbit_poses, render_frame, shade_labels
+
+    h, w, labels = 120, 160, 23
+    spec = default_scene_spec(width=w, height=h, jitter=60.0)
+    _, truth = render_frame(spec, orbit_poses(spec)[0])
+    rgb = shade_labels(truth, label_palette(labels), 60.0, np.random.default_rng(0))
+    params = CrfParams(iterations=5)
+    probs = rng.dirichlet(np.ones(labels), size=h * w).astype(np.float32)
+    u = unary_from_probabilities(LabelDistributionImage(h, w, labels, probs))
+    feats = build_features(rgb, params)
+    plans = tuple(plan_filter(f, "lattice") for f in feats.per_kernel())
+    n, m = h * w, max(p.vertices for p in plans)
+    assert m > n  # three (m + 1, L) blur buffers outweigh three (N, L) arrays
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        mean_field_infer(u, feats, params, "lattice", plans=plans)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (peak - entry) / (n * labels * 4)
+    budget = 2 + 3 * (m + 1) / n + _ROW_BLOCK / n
+    assert arrays <= budget, f"peak of {arrays:.2f} float32 (N, L) arrays, budget {budget:.2f}"
+
+
 def test_float32_backward_accumulates_dw_and_dmu_in_float64(rng):
     """A float32 trace runs the reverse sweep in float32 and returns dw and
     dmu in float64, within 1e-5 of the float64 gradients of the same

@@ -810,15 +810,18 @@ def test_apply_and_adjoint_match_dense_numerator(kind, rng, monkeypatch):
 
 
 def _one_pass_rows(plan, v, transpose):
-    """M v (or M^T v) of a lattice plan in one pass over all rows: the whole
-    filter, its diagonal term, then the fallback rows F."""
-    lat = plan._lattice
+    """M v (or M^T v) of a lattice plan in one pass over all rows, in v's
+    dtype: the whole filter, its diagonal term, then the fallback rows F,
+    which replace the starved rows forward."""
+    from voxcrf.lattice import csr_as
+
+    lat, fallback = plan._lattice, csr_as(plan._fallback, v.dtype)
     out = lat.filter(v, reverse=transpose)
-    out -= v * lat.diagonal[:, None]
+    out -= v * lat.diagonal.astype(v.dtype, copy=False)[:, None]
     if plan.starved and transpose:
-        out += plan._fallback.T @ v[plan._starved]
+        out += fallback.T @ v[plan._starved]
     elif plan.starved:
-        out[plan._starved] = plan._fallback @ v
+        out[plan._starved] = fallback @ v
     return out
 
 
@@ -843,12 +846,41 @@ def test_blocked_lattice_rows_are_bit_equal_to_one_pass(rng, monkeypatch, block,
     _assert_accumulate_adds_apply(plan, v, rng)
 
 
+def test_starved_lattice_rows_are_zero_before_the_fallback_is_added(rng):
+    """On the 96x72 jitter-60 default frame (6,908 of 6,912 bilateral points
+    starved, over four row blocks) a plan's scaled slice rows and D_L / d
+    are exactly 0 on its starved points in both dtypes.  So adding F's term
+    after the lattice rows equals replacing those rows: apply and accumulate
+    are bit-equal to one pass that replaces them, in float32 and float64."""
+    from voxcrf.crf import CrfParams, build_features
+    from voxcrf.lattice import DTYPES, row_blocks
+    from voxcrf.pipeline.labels import label_palette
+    from voxcrf.pipeline.synthetic import default_scene_spec, orbit_poses, render_frame, shade_labels
+
+    spec = default_scene_spec(jitter=60.0)
+    _, truth = render_frame(spec, orbit_poses(spec)[0])
+    rgb = shade_labels(truth, label_palette(23), 60.0, np.random.default_rng(0))
+    bilateral, spatial = build_features(rgb, CrfParams()).per_kernel()
+    plan = plan_filter(bilateral, "lattice")
+    assert (plan.n, plan.starved, len(list(row_blocks(plan.n)))) == (6912, 6908, 4)
+    for p in (plan, plan_filter(spatial, "lattice")):
+        for dtype in DTYPES:
+            diagonal, _ = p._forms[dtype]
+            slice_rows = p._lattice._out_views[dtype][0, p.n].data.reshape(p.n, -1)
+            assert not slice_rows[p._starved].any() and not diagonal[p._starved].any()
+            v = rng.normal(size=(p.n, 5)).astype(dtype)
+            np.testing.assert_array_equal(p.apply(v), _one_pass_rows(p, v, False))
+            np.testing.assert_array_equal(p.apply_transpose(v), _one_pass_rows(p, v, True))
+            _assert_accumulate_adds_apply(p, v, rng)
+
+
 def _assert_accumulate_adds_apply(plan, v, rng):
-    """``accumulate(v, w, out)`` is ``out + w * apply(v)`` bit for bit."""
-    out = rng.normal(size=v.shape)
+    """``accumulate(v, w, out)`` is ``out + w * apply(v)`` bit for bit, in
+    v's dtype."""
+    out = rng.normal(size=v.shape).astype(v.dtype)
     expected = out.copy()
     msg = plan.apply(v)
-    msg *= 0.7
+    msg *= v.dtype.type(0.7)
     expected += msg
     plan.accumulate(v, 0.7, out)
     np.testing.assert_array_equal(out, expected)

@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -1286,6 +1286,37 @@ def test_cli_segment_energy_report(tmp_path, scene, capsys):
     # the refined labeling should not have higher energy than the raw argmax
     values = dict(line.split("=") for line in text.strip().splitlines())
     assert float(values["energy_map"]) <= float(values["energy_unary_argmax"]) + 1e-9
+
+
+# sha256 of segment --backend exact's output on frame 0 of the 48x36 default
+# scene: the exact backend reads and infers the unary in float64
+_EXACT_SEGMENT_DIGESTS = {
+    "refined.unry": "4f17065f685c67e6de30f57ea7b7ba0d31c8276ba338b9c0877286a4e4c0ebf9",
+    "labels.pgm": "37a8d18cbecef0c7eba6b2d7bad4059ce1e7a43e92914e22f9f5814c0c7f7769",
+}
+
+
+@pytest.mark.parametrize("backend, size", [("lattice", (96, 72)), ("exact", (48, 36))])
+def test_cli_segment_refines_as_the_fuse_path_does(tmp_path, capsys, backend, size):
+    """``segment`` infers in the dtype ``fuse`` does for the file's float32,
+    so on frame 0 of the default scene its refined.unry is byte-equal to
+    ``run_frame``'s Q saved as UNRY, on either backend; the exact output
+    keeps its pinned digests."""
+    from voxcrf.pipeline.formats import save_unary
+
+    spec = default_scene_spec(width=size[0], height=size[1], frame_count=1)
+    records, config = load_manifest(generate_synthetic(spec, tmp_path / "scene"))
+    rec = records[0]
+    out = tmp_path / "seg"
+    args = ["--unary", rec.unary_path, "--rgb", rec.rgb_path, "--out", str(out)]
+    assert cli_main(["segment", "--backend", backend, *args]) == 0
+    q = run_frame(rec, replace(config, backend=backend)).q
+    assert q.data.dtype == (np.float32 if backend == "lattice" else np.float64)
+    save_unary(tmp_path / "fused_q.unry", q)
+    assert (out / "refined.unry").read_bytes() == (tmp_path / "fused_q.unry").read_bytes()
+    if backend == "exact":
+        digests = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in _EXACT_SEGMENT_DIGESTS}
+        assert digests == _EXACT_SEGMENT_DIGESTS
 
 
 def test_cli_segment_energy_report_too_large_fails_before_writing(tmp_path, capsys, monkeypatch):
