@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, NumericalError, SizeLimitError
 from .filtering import FilterPlan, _kernel_rows, plan_filter, working_dtype
-from .lattice import as_values, row_blocks
+from .lattice import row_blocks
 
 IGNORE_LABEL = 255
 PROB_FLOOR = 1e-8  # probabilities clamped here before taking logs
@@ -57,13 +57,13 @@ def check_label_count(labels: int, name: str = "labels") -> None:
 
 def _grid_data(height: int, width: int, labels: int, data) -> np.ndarray:
     """``data`` as a contiguous (height * width, labels) array, float32 when
-    it is float32 and float64 otherwise (``lattice.as_values``): a unary
-    file read in float32 for the lattice backend stays float32, as
-    ``filtering.working_dtype`` chose; ``InputError`` on non-positive
-    dimensions or a shape mismatch."""
+    it is float32 and float64 otherwise: a unary file read in float32 for
+    the lattice backend stays float32, as ``filtering.working_dtype`` chose;
+    ``InputError`` on non-positive dimensions or a shape mismatch."""
     if height <= 0 or width <= 0 or labels <= 0:
         raise InputError(f"dimensions must be positive, got {height}x{width}x{labels}")
-    data = np.ascontiguousarray(as_values(data))
+    data = np.asarray(data)
+    data = np.ascontiguousarray(data, None if data.dtype == np.float32 else np.float64)
     if data.shape != (height * width, labels):
         raise InputError(f"data shape {data.shape} != ({height * width}, {labels})")
     return data
@@ -355,14 +355,21 @@ def _step(
     return combined
 
 
-def reuse_plan(features: np.ndarray, backend: str, plans: Sequence[FilterPlan]) -> FilterPlan:
-    """The first of ``plans`` with this backend whose ``features`` equal
-    ``features`` (a plan is the operator of exactly the features it was built
-    on), else a new plan from :func:`plan_filter`."""
+def reuse_plan(
+    features: np.ndarray, backend: str, plans: Sequence[FilterPlan], dtype=np.float64
+) -> FilterPlan:
+    """The first of ``plans`` built on ``features`` for this backend and the
+    working dtype of ``dtype`` (a plan is the operator of exactly those),
+    else a new plan from :func:`plan_filter`."""
     for plan in plans:
-        if plan.backend == backend and np.array_equal(plan.features, features):
+        if _serves(plan, features, backend, dtype):
             return plan
-    return plan_filter(features, backend)
+    return plan_filter(features, backend, dtype)
+
+
+def _serves(plan: FilterPlan, features: np.ndarray, backend: str, dtype) -> bool:
+    same = (plan.backend, plan.dtype) == (backend, working_dtype(backend, dtype))
+    return same and np.array_equal(plan.features, features)
 
 
 def _check_dims(u: UnaryField, features: FeatureField) -> None:
@@ -385,13 +392,13 @@ def mean_field_infer(
     With ``cache_gradients`` the returned trace retains every intermediate
     needed by :func:`mean_field_backward`.  ``plans`` is a pool of held
     plans in any order: each kernel (bilateral, spatial) runs on the held
-    plan :func:`reuse_plan` finds for its features and ``backend``, or on a
-    new one.  A held plan built on other features is never used.
+    plan :func:`reuse_plan` finds for its features, ``backend`` and dtype,
+    or on a new one; a held plan of other features or dtype is never used.
 
     Inference runs in ``filtering.working_dtype(backend, u.data.dtype)``:
     float32 on the lattice backend for a float32 unary, with no float64
     copy of U or Q, and float64 otherwise (an exact inference of a float32
-    unary runs on its float64 copy).  Q has that dtype.
+    unary runs on its float64 copy).  Q and the plans have that dtype.
 
     Memory budget: with held plans for both kernels, the allocations of one
     inference peak at about 2 + 3(m + 1)/N (N, L) arrays of that dtype
@@ -410,8 +417,8 @@ def mean_field_infer(
     """
     _check_dims(u, features)
     mu = params.compatibility_for(u.labels)
-    plans = tuple(reuse_plan(f, backend, plans) for f in features.per_kernel())
     dtype = working_dtype(backend, u.data.dtype)
+    plans = tuple(reuse_plan(f, backend, plans, dtype) for f in features.per_kernel())
     unary = u.data.astype(dtype, copy=False)
     q = _softmax_into(unary, np.empty_like(unary))
     _check_finite(q, "initialization", 0)
@@ -608,7 +615,7 @@ def train_crf_params(
     for rgb, probs, truth in dataset:
         u = unary_from_probabilities(probs)
         feats = build_features(rgb, p)
-        spatial = reuse_plan(feats.spatial, backend, plans=spatial_plans)
+        spatial = reuse_plan(feats.spatial, backend, spatial_plans, u.data.dtype)
         if spatial not in spatial_plans:
             spatial_plans.append(spatial)
         prepared.append((u, feats, truth.data))
@@ -621,9 +628,9 @@ def train_crf_params(
     def infer(i: int, p: CrfParams, cache_gradients: bool = False):
         nonlocal bilateral
         u, feats, _ = prepared[i]
-        if bilateral is None or not np.array_equal(bilateral.features, feats.bilateral):
+        if bilateral is None or not _serves(bilateral, feats.bilateral, backend, u.data.dtype):
             bilateral = None  # dropped before the build, not replaced after it
-            bilateral = plan_filter(feats.bilateral, backend)
+            bilateral = plan_filter(feats.bilateral, backend, u.data.dtype)
         plans = (bilateral, *spatial_plans)
         return mean_field_infer(u, feats, p, backend, cache_gradients, plans=plans)
 

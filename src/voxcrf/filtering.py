@@ -48,12 +48,12 @@ Both backends form a message in one routine, ``out += w M v`` (w M^T v
 transposed): ``apply`` and ``apply_transpose`` run it into a zeroed array
 with w = 1, and ``accumulate`` into the caller's.
 
-Precision is chosen in one place, ``working_dtype``: a lattice plan forms
-messages in float32 for float32 values, and every other message (the whole
-exact backend, the oracle, and any float64 values) is formed in float64, on
-float64 paths unchanged by the float32 one.  A lattice plan holds D_L / d
-and F in both dtypes, formed once at build beside the lattice's own slices
-(``lattice`` module docstring), so no call forms a matrix or casts one.
+A plan is built for one dtype, chosen in one place, ``working_dtype``:
+float32 for a lattice plan built for float32, float64 for every other plan
+(the whole exact backend, the oracle).  A lattice plan holds its lattice,
+D_L / d and F in that dtype alone (``lattice`` module docstring), so no call
+casts a matrix.  Values of another working dtype, or not real, raise
+``InputError`` naming both dtypes rather than taking a hidden (N, C) copy.
 Mean-field inference and the pipeline's unary reader ask ``working_dtype``
 too, so a float32 unary file runs the lattice mean field in float32 with no
 float64 copy.  A single point has no neighbors, so on either backend it
@@ -88,7 +88,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InputError
-from .lattice import DTYPES, PermutohedralLattice, csr_as, csr_from_arrays, row_blocks
+from .lattice import PermutohedralLattice, csr_from_arrays, row_blocks
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -115,17 +115,6 @@ def working_dtype(backend: str, dtype) -> np.dtype:
     inference and the pipeline's unary reader ask it (module docstring)."""
     lattice32 = backend == "lattice" and np.dtype(dtype) == np.float32
     return np.dtype(np.float32 if lattice32 else np.float64)
-
-
-def _as_matrix(values: np.ndarray, n: int, backend: str) -> tuple[np.ndarray, bool]:
-    vals = np.asarray(values)
-    vals = vals.astype(working_dtype(backend, vals.dtype), copy=False)
-    squeeze = vals.ndim == 1
-    if squeeze:
-        vals = vals[:, None]
-    if vals.ndim != 2 or vals.shape[0] != n:
-        raise InputError(f"values must be ({n}, C), got {vals.shape}")
-    return vals, squeeze
 
 
 def _kernel_rows(features: np.ndarray, start: int, stop: int, first: int = 0) -> np.ndarray:
@@ -234,13 +223,14 @@ class FilterPlan:
     The plan is the operator M = D^-1 N (module docstring):
     ``apply = M v``, ``apply_transpose = M^T g`` and ``accumulate``
     (``out += w M v``) add through one routine, ``_add_message``.
-    ``normalizers`` holds d.
+    ``normalizers`` holds d; ``dtype``, the one dtype of its messages, is
+    ``working_dtype(backend, dtype)`` of the dtype it is built for.
 
     Immutable after construction; apply/apply_transpose allocate their own
     scratch, so one plan may serve concurrent calls.
     """
 
-    def __init__(self, features: np.ndarray, backend: str = "exact"):
+    def __init__(self, features: np.ndarray, backend: str = "exact", dtype=np.float64):
         feats = np.ascontiguousarray(features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise InputError(f"features must be (N, d), got {feats.shape}")
@@ -251,6 +241,7 @@ class FilterPlan:
         self.features = feats
         self.n, self.dim = feats.shape
         self.backend = backend
+        self.dtype = working_dtype(backend, dtype)
         self._lattice = None
         self._starved = np.zeros(0, dtype=np.int64)
         self._fallback = None
@@ -302,13 +293,9 @@ class FilterPlan:
         self.normalizers = np.maximum(raw, NORMALIZER_FLOOR)
         scale = 1.0 / self.normalizers
         fallback.data *= np.repeat(scale[starved], np.diff(fallback.indptr))
+        fallback.data = fallback.data.astype(self.dtype, copy=False)
         scale[starved] = 0.0  # starved rows come from F alone
-        self._lattice = lat.scaled(scale)
-        # per dtype: D_L / d and F, formed once, not per call
-        self._forms = {
-            dtype: (self._lattice.diagonal.astype(dtype, copy=False), csr_as(fallback, dtype))
-            for dtype in DTYPES
-        }
+        self._lattice = lat.scaled(scale, self.dtype)
 
     # -- the operator -------------------------------------------------------
 
@@ -332,8 +319,8 @@ class FilterPlan:
             msg *= weight
             out += msg
             return
-        lat, weight = self._lattice, vals.dtype.type(weight)
-        diagonal, fallback = self._forms[vals.dtype]
+        lat, weight = self._lattice, self.dtype.type(weight)
+        diagonal, fallback = lat.diagonal, self._fallback
         grid = lat.blur(vals, reverse=transpose)
         for s, e in row_blocks(self.n):
             rows = lat.slice_rows(grid, s, e, reverse=transpose)
@@ -369,6 +356,19 @@ class FilterPlan:
             out[e:] += rows[:, e - s :].T @ vals[s:e]
         return out
 
+    def _as_matrix(self, values: np.ndarray) -> tuple[np.ndarray, bool]:
+        """(N, C) real values in the plan's dtype, and whether they were (N,)."""
+        vals = np.asarray(values)
+        if vals.dtype.kind not in "biuf" or working_dtype(self.backend, vals.dtype) != self.dtype:
+            raise InputError(f"values of dtype {vals.dtype} on a {self.dtype} {self.backend} plan")
+        vals = vals.astype(self.dtype, copy=False)
+        squeeze = vals.ndim == 1
+        if squeeze:
+            vals = vals[:, None]
+        if vals.ndim != 2 or vals.shape[0] != self.n:
+            raise InputError(f"values must be ({self.n}, C), got {vals.shape}")
+        return vals, squeeze
+
     # -- public API -----------------------------------------------------------
 
     @property
@@ -395,7 +395,7 @@ class FilterPlan:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """M v = D^-1 N v: normalized self-excluded Gaussian messages."""
-        vals, squeeze = _as_matrix(values, self.n, self.backend)
+        vals, squeeze = self._as_matrix(values)
         out = np.zeros(vals.shape, vals.dtype)
         self._add_message(vals, out, False, 1.0)
         return out[:, 0] if squeeze else out
@@ -406,20 +406,21 @@ class FilterPlan:
         backend each block of rows is added as it is formed and F's term as
         one (|starved|, C) array, so no (N, C) message is allocated;
         bit-equal to the unblocked form."""
-        vals = _as_matrix(values, self.n, self.backend)[0]
+        vals = self._as_matrix(values)[0]
         if np.shape(out) != vals.shape:
             raise InputError(f"out must have the values' shape {vals.shape}, got {np.shape(out)}")
         self._add_message(vals, out, False, weight)
 
     def apply_transpose(self, grads: np.ndarray) -> np.ndarray:
         """M^T g = N^T D^-1 g: the exact adjoint of apply (D held constant)."""
-        vals, squeeze = _as_matrix(grads, self.n, self.backend)
+        vals, squeeze = self._as_matrix(grads)
         out = np.zeros(vals.shape, vals.dtype)
         self._add_message(vals, out, True, 1.0)
         return out[:, 0] if squeeze else out
 
 
-def plan_filter(features: np.ndarray, backend: str = "exact") -> FilterPlan:
-    """Build a reusable filtering plan for θ-scaled feature vectors."""
-    return FilterPlan(features, backend)
+def plan_filter(features: np.ndarray, backend: str = "exact", dtype=np.float64) -> FilterPlan:
+    """Build a reusable filtering plan for θ-scaled feature vectors, for
+    values whose ``working_dtype`` is that of ``dtype`` (module docstring)."""
+    return FilterPlan(features, backend, dtype)
 

@@ -105,14 +105,15 @@ def run_frame(
     transform the semantic cloud into the world frame.
 
     ``spatial_plan`` (from an earlier frame) is used when it was built on
-    this frame's spatial features; otherwise a new one is built."""
+    this frame's spatial features for the unary's dtype (float32 on the
+    lattice); otherwise a new one is built."""
     depth, rgb, probs, truth = load_frame(record, config.labels, config.backend)
     with _frame_errors(record):
         unary = unary_from_probabilities(probs)
         del probs  # nothing reads it after U; free its (N, L) array before inference
         features = build_features(rgb, config.crf)
         held = () if spatial_plan is None else (spatial_plan,)
-        spatial_plan = reuse_plan(features.spatial, config.backend, plans=held)
+        spatial_plan = reuse_plan(features.spatial, config.backend, held, unary.data.dtype)
         q, _ = mean_field_infer(
             unary, features, config.crf, config.backend, plans=(spatial_plan,)
         )

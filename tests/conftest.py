@@ -60,8 +60,8 @@ def plan_builds(monkeypatch):
     return built
 
 
-def build_fresh_plan(features, backend, plans):
+def build_fresh_plan(features, backend, plans, dtype=np.float64):
     """Stand-in for ``reuse_plan`` that ignores the held plans."""
     import voxcrf.crf as crf
 
-    return crf.plan_filter(features, backend)
+    return crf.plan_filter(features, backend, dtype)

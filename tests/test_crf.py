@@ -19,6 +19,7 @@ from voxcrf.crf import (
     mean_field_backward,
     mean_field_infer,
     potts_matrix,
+    reuse_plan,
     softmax,
     train_crf_params,
     unary_from_probabilities,
@@ -303,6 +304,31 @@ def test_plans_built_on_other_features_are_never_used(rng, plan_builds, backend)
     assert plan_builds == [(42, 5), (42, 2)]
 
 
+def test_reuse_plan_matches_backend_dtype_and_features(rng, plan_builds):
+    """``reuse_plan`` returns a held plan only when its backend, working
+    dtype and features all match; otherwise it builds one for them.  An
+    exact plan is float64 for any dtype, so it serves float32 values too."""
+    feats = rng.uniform(0, 4, (30, 3))
+    lattice32 = plan_filter(feats, "lattice", np.float32)
+    exact = plan_filter(feats, "exact", np.float32)
+    del plan_builds[:]
+    assert reuse_plan(feats, "lattice", [exact, lattice32], np.float32) is lattice32
+    assert reuse_plan(feats, "exact", [lattice32, exact], np.float32) is exact
+    assert reuse_plan(feats, "exact", [lattice32, exact]) is exact
+    assert plan_builds == []
+    for features, backend, dtype in (
+        (feats + 1.0, "lattice", np.float32),
+        (feats, "lattice", np.float64),
+        (feats, "exact", np.float64),
+    ):
+        held = [lattice32] if backend == "exact" else [lattice32, exact]
+        plan = reuse_plan(features, backend, held, dtype)
+        assert plan not in held
+        assert (plan.backend, plan.dtype) == (backend, np.dtype(dtype))
+        assert np.array_equal(plan.features, features)
+    assert len(plan_builds) == 3
+
+
 def test_normalization_after_every_step(rng):
     u, feats, params = random_instance(rng, 5, 5, 3)
     q, trace = mean_field_infer(u, feats, params, cache_gradients=True)
@@ -555,7 +581,7 @@ def test_float32_mean_field_peaks_below_three_float32_arrays(rng):
     probs = rng.dirichlet(np.ones(labels), size=h * w).astype(np.float32)
     u = unary_from_probabilities(LabelDistributionImage(h, w, labels, probs))
     feats = build_features(rgb, params)
-    plans = tuple(plan_filter(f, "lattice") for f in feats.per_kernel())
+    plans = tuple(plan_filter(f, "lattice", np.float32) for f in feats.per_kernel())
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
@@ -588,7 +614,7 @@ def test_float32_mean_field_peak_follows_the_vertex_count(rng):
     probs = rng.dirichlet(np.ones(labels), size=h * w).astype(np.float32)
     u = unary_from_probabilities(LabelDistributionImage(h, w, labels, probs))
     feats = build_features(rgb, params)
-    plans = tuple(plan_filter(f, "lattice") for f in feats.per_kernel())
+    plans = tuple(plan_filter(f, "lattice", np.float32) for f in feats.per_kernel())
     n, m = h * w, max(p.vertices for p in plans)
     assert m > n  # three (m + 1, L) blur buffers outweigh three (N, L) arrays
     tracemalloc.start()

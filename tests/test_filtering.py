@@ -813,11 +813,9 @@ def _one_pass_rows(plan, v, transpose):
     """M v (or M^T v) of a lattice plan in one pass over all rows, in v's
     dtype: the whole filter, its diagonal term, then the fallback rows F,
     which replace the starved rows forward."""
-    from voxcrf.lattice import csr_as
-
-    lat, fallback = plan._lattice, csr_as(plan._fallback, v.dtype)
+    lat, fallback = plan._lattice, plan._fallback
     out = lat.filter(v, reverse=transpose)
-    out -= v * lat.diagonal.astype(v.dtype, copy=False)[:, None]
+    out -= v * lat.diagonal[:, None]
     if plan.starved and transpose:
         out += fallback.T @ v[plan._starved]
     elif plan.starved:
@@ -848,12 +846,13 @@ def test_blocked_lattice_rows_are_bit_equal_to_one_pass(rng, monkeypatch, block,
 
 def test_starved_lattice_rows_are_zero_before_the_fallback_is_added(rng):
     """On the 96x72 jitter-60 default frame (6,908 of 6,912 bilateral points
-    starved, over four row blocks) a plan's scaled slice rows and D_L / d
-    are exactly 0 on its starved points in both dtypes.  So adding F's term
-    after the lattice rows equals replacing those rows: apply and accumulate
-    are bit-equal to one pass that replaces them, in float32 and float64."""
+    starved, over four row blocks) the scaled slice rows and D_L / d of a
+    float32 and of a float64 plan are exactly 0 on its starved points.  So
+    adding F's term after the lattice rows equals replacing those rows:
+    apply and accumulate are bit-equal to one pass that replaces them, in
+    float32 and float64."""
     from voxcrf.crf import CrfParams, build_features
-    from voxcrf.lattice import DTYPES, row_blocks
+    from voxcrf.lattice import row_blocks
     from voxcrf.pipeline.labels import label_palette
     from voxcrf.pipeline.synthetic import default_scene_spec, orbit_poses, render_frame, shade_labels
 
@@ -861,12 +860,12 @@ def test_starved_lattice_rows_are_zero_before_the_fallback_is_added(rng):
     _, truth = render_frame(spec, orbit_poses(spec)[0])
     rgb = shade_labels(truth, label_palette(23), 60.0, np.random.default_rng(0))
     bilateral, spatial = build_features(rgb, CrfParams()).per_kernel()
-    plan = plan_filter(bilateral, "lattice")
-    assert (plan.n, plan.starved, len(list(row_blocks(plan.n)))) == (6912, 6908, 4)
-    for p in (plan, plan_filter(spatial, "lattice")):
-        for dtype in DTYPES:
-            diagonal, _ = p._forms[dtype]
-            slice_rows = p._lattice._out_views[dtype][0, p.n].data.reshape(p.n, -1)
+    for dtype in (np.float32, np.float64):
+        plan = plan_filter(bilateral, "lattice", dtype)
+        assert (plan.n, plan.starved, len(list(row_blocks(plan.n)))) == (6912, 6908, 4)
+        for p in (plan, plan_filter(spatial, "lattice", dtype)):
+            diagonal = p._lattice.diagonal
+            slice_rows = p._lattice._out_views[0, p.n].data.reshape(p.n, -1)
             assert not slice_rows[p._starved].any() and not diagonal[p._starved].any()
             v = rng.normal(size=(p.n, 5)).astype(dtype)
             np.testing.assert_array_equal(p.apply(v), _one_pass_rows(p, v, False))
@@ -922,17 +921,19 @@ def test_accumulate_rejects_an_out_of_another_shape(backend, rng, shape):
 
 @pytest.mark.parametrize("outliers", [0, 9])
 def test_lattice_plan_keeps_float32_values_in_float32(rng, outliers):
-    """A lattice plan forms apply, apply_transpose and accumulate in float32
-    for float32 values, and in float64, bit-equal to one pass over all rows,
-    for float64 values; with starved rows (outliers) and without."""
+    """A lattice plan built for float32 forms apply, apply_transpose and
+    accumulate in float32 for float32 values, and one built for float64
+    forms them in float64, bit-equal to one pass over all rows, for float64
+    values; with starved rows (outliers) and without."""
     yy, xx = np.mgrid[0:46, 0:48].astype(np.float64)
     feats = np.vstack([np.column_stack([xx.ravel(), yy.ravel()]) / 3.0,
                        rng.uniform(30.0, 90.0, (outliers, 2))])
-    plan = plan_filter(feats[rng.permutation(len(feats))], "lattice")
-    assert plan.n > 2048 and (plan.starved > 0) == (outliers > 0)
-    v64 = rng.normal(size=(plan.n, 4))
+    feats = feats[rng.permutation(len(feats))]
+    v64 = rng.normal(size=(len(feats), 4))
     v32 = v64.astype(np.float32)
     for vals in (v32, v64):
+        plan = plan_filter(feats, "lattice", vals.dtype)
+        assert plan.n > 2048 and (plan.starved > 0) == (outliers > 0)
         apply, transpose = plan.apply(vals), plan.apply_transpose(vals)
         out = rng.normal(size=vals.shape).astype(vals.dtype)
         expected = out + np.float32(0.7) * apply if vals.dtype == np.float32 else None
@@ -944,6 +945,100 @@ def test_lattice_plan_keeps_float32_values_in_float32(rng, outliers):
         else:
             np.testing.assert_array_equal(apply, _one_pass_rows(plan, vals, False))
             np.testing.assert_array_equal(transpose, _one_pass_rows(plan, vals, True))
+
+
+@pytest.mark.parametrize("plan_dtype, values_dtype", [(np.float32, np.float64), (np.float64, np.float32)])
+def test_lattice_plan_rejects_values_of_the_other_dtype(rng, plan_dtype, values_dtype):
+    """A lattice plan is built for one dtype: values of the other raise
+    ``InputError`` naming both dtypes, rather than being cast, and
+    ``accumulate`` leaves ``out`` untouched."""
+    plan = plan_filter(rng.uniform(0, 4, (50, 3)), "lattice", plan_dtype)
+    assert plan.dtype == plan_dtype
+    v = rng.normal(size=(50, 4)).astype(values_dtype)
+    out = np.ones((50, 4), values_dtype)
+    for call in (plan.apply, plan.apply_transpose, lambda x: plan.accumulate(x, 0.5, out)):
+        with pytest.raises(InputError) as err:
+            call(v)
+        message = str(err.value)
+        assert np.dtype(plan_dtype).name in message and np.dtype(values_dtype).name in message
+    np.testing.assert_array_equal(out, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["complex128", "str", "object"])
+def test_values_that_are_not_real_numbers_raise_naming_their_dtype(backend, rng, kind):
+    """Complex, string and object values raise ``InputError`` naming their
+    dtype on both backends, rather than filtering a real part or failing
+    inside numpy."""
+    plan = plan_filter(rng.uniform(0, 4, (30, 3)), backend)
+    v = rng.normal(size=(30, 2))
+    vals = {"complex128": v + 1j, "str": v.astype(str), "object": v.astype(object)}[kind]
+    out = np.zeros((30, 2))
+    for call in (plan.apply, plan.apply_transpose, lambda x: plan.accumulate(x, 0.5, out)):
+        with pytest.raises(InputError, match=f"dtype {vals.dtype}"):
+            call(vals)
+    np.testing.assert_array_equal(out, 0.0)
+
+
+def _reachable_arrays(obj, seen=None):
+    """Every numpy array reachable from ``obj`` through attributes, dicts,
+    tuples, sparse matrices, array bases and memoryviews."""
+    from scipy import sparse
+
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj] + ([] if obj.base is None else _reachable_arrays(obj.base, seen))
+    if isinstance(obj, memoryview):
+        return _reachable_arrays(obj.obj, seen)
+    if sparse.issparse(obj):
+        parts = (obj.data, obj.indices, obj.indptr)
+    elif isinstance(obj, dict):
+        parts = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        parts = obj
+    elif hasattr(obj, "__dict__"):
+        parts = vars(obj).values()
+    else:
+        return []
+    return [a for part in parts for a in _reachable_arrays(part, seen)]
+
+
+def test_float32_lattice_plan_keeps_no_float64_operator(rng):
+    """A lattice plan built for float32 holds S, S' (with every row block),
+    D_L / d and F in float32 alone: on the 96x72 jitter-60 default frame no
+    float64 array of N(d+1) or nnz(F) entries is reachable from it, and it
+    retains fewer bytes than the float64 plan of the same features."""
+    import tracemalloc
+
+    from voxcrf.crf import CrfParams, build_features
+    from voxcrf.pipeline.labels import label_palette
+    from voxcrf.pipeline.synthetic import default_scene_spec, orbit_poses, render_frame, shade_labels
+
+    spec = default_scene_spec(jitter=60.0)
+    _, truth = render_frame(spec, orbit_poses(spec)[0])
+    rgb = shade_labels(truth, label_palette(23), 60.0, np.random.default_rng(0))
+    bilateral = build_features(rgb, CrfParams()).bilateral
+    plan_filter(bilateral[:40], "lattice")  # loads scipy outside the measurement
+    held = {}
+    for dtype in (np.float32, np.float64):
+        tracemalloc.start()
+        try:
+            plan = plan_filter(bilateral, "lattice", dtype)
+            held[dtype] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        if dtype == np.float32:
+            lat, n, nnz = plan._lattice, plan.n, plan.fallback_nnz
+            slices = [*lat._s_views.values(), *lat._out_views.values()]
+            for part in (lat._slice, *slices, lat.diagonal, plan._fallback):
+                assert part.dtype == np.float32
+            wide = [a.size for a in _reachable_arrays(plan) if a.dtype == np.float64]
+            assert nnz > n * (plan.dim + 1)
+            assert all(size < n * (plan.dim + 1) for size in wide), wide
+        del plan
+    assert held[np.float32] < held[np.float64]
 
 
 def test_exact_plan_forms_float32_values_in_float64(rng):
@@ -985,13 +1080,13 @@ def test_float32_lattice_messages_match_float64_messages(rng, size, jitter):
     _, truth = render_frame(spec, orbit_poses(spec)[0])
     rgb = shade_labels(truth, label_palette(23), jitter, np.random.default_rng(0))
     for feats in build_features(rgb, CrfParams()).per_kernel():
-        plan = plan_filter(feats, "lattice")
+        plan32, plan64 = (plan_filter(feats, "lattice", dtype) for dtype in (np.float32, np.float64))
         if jitter > 10.0 and feats.shape[1] == 5:
-            assert plan.starved > plan.n // 2
-        q32 = rng.dirichlet(np.ones(23), size=plan.n).astype(np.float32)
+            assert plan32.starved > plan32.n // 2
+        q32 = rng.dirichlet(np.ones(23), size=plan32.n).astype(np.float32)
         q64 = q32.astype(np.float64)
         for op in ("apply", "apply_transpose"):
-            m64, m32 = getattr(plan, op)(q64), getattr(plan, op)(q32)
+            m64, m32 = getattr(plan64, op)(q64), getattr(plan32, op)(q32)
             assert m32.dtype == np.float32
             err = np.abs(m32 - m64).max() / np.abs(m64).max()
             assert err <= FLOAT32_MESSAGE_TOLERANCE, f"{op} on {feats.shape[1]}-D: {err:.2e}"

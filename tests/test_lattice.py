@@ -92,10 +92,10 @@ def test_one_slice_matrix_per_lattice(rng):
     lat = PermutohedralLattice(feats)
     matrices = [v for v in vars(lat).values() if sparse.issparse(v)]
     assert matrices and all(a.shape == (lat.n, lat.num_vertices) for a in matrices)
-    assert lat._out_slice is lat._slice
+    assert lat._out_views is lat._s_views
     scaled = lat.scaled(rng.uniform(0.5, 2.0, lat.n))
-    s, out = scaled._slice, scaled._out_slice
-    assert s is lat._slice
+    s, out = scaled._s_views[0, lat.n], scaled._out_views[0, lat.n]
+    assert scaled._slice is lat._slice and np.shares_memory(s.data, lat._slice.data)
     assert np.shares_memory(out.indices, s.indices)
     assert np.shares_memory(out.indptr, s.indptr)
     assert not np.shares_memory(out.data, s.data)

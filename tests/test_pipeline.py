@@ -752,6 +752,23 @@ def test_run_pipeline_builds_spatial_plan_once(tmp_path, plan_builds):
     assert [s for s in plan_builds if s[1] == 2] == [(48 * 36, 2)]
 
 
+@pytest.mark.parametrize("backend, dtype", [("lattice", np.float32), ("exact", np.float64)])
+def test_run_frame_holds_its_spatial_plan_in_the_inference_dtype(tmp_path, plan_builds, backend, dtype):
+    """``run_frame`` returns a spatial plan built for the dtype its inference
+    runs in (float32 on the lattice, float64 on exact), so each later frame
+    of the size reuses it: a 3-frame run builds it once."""
+    manifest = generate_synthetic(small_spec(frame_count=3), tmp_path / "s")
+    records, config = load_manifest(manifest)
+    config = apply_overrides(config, {"backend": backend})
+    plan = None
+    for record in records:
+        frame = run_frame(record, config, plan)
+        assert frame.spatial_plan.dtype == dtype and frame.q.data.dtype == dtype
+        assert plan is None or frame.spatial_plan is plan
+        plan = frame.spatial_plan
+    assert [s for s in plan_builds if s[1] == 2] == [(48 * 36, 2)]
+
+
 def test_run_pipeline_one_spatial_plan_per_depth_size(tmp_path, plan_builds):
     manifest = generate_synthetic(small_spec(frame_count=2), tmp_path / "s")
     other = generate_synthetic(small_spec(frame_count=2, width=32, height=24), tmp_path / "s" / "b")
