@@ -59,10 +59,13 @@ def _grid_data(height: int, width: int, labels: int, data) -> np.ndarray:
     """``data`` as a contiguous (height * width, labels) array, float32 when
     it is float32 and float64 otherwise: a unary file read in float32 for
     the lattice backend stays float32, as ``filtering.working_dtype`` chose;
-    ``InputError`` on non-positive dimensions or a shape mismatch."""
+    ``InputError`` on non-positive dimensions, values that are not real
+    numbers (complex, strings, objects) or a shape mismatch."""
     if height <= 0 or width <= 0 or labels <= 0:
         raise InputError(f"dimensions must be positive, got {height}x{width}x{labels}")
     data = np.asarray(data)
+    if data.dtype.kind not in "biuf":
+        raise InputError(f"data of dtype {data.dtype}, expected real numbers")
     data = np.ascontiguousarray(data, None if data.dtype == np.float32 else np.float64)
     if data.shape != (height * width, labels):
         raise InputError(f"data shape {data.shape} != ({height * width}, {labels})")
@@ -82,7 +85,11 @@ class LabelDistributionImage:
         self.data = _grid_data(self.height, self.width, self.labels, self.data)
 
     def validate(self) -> "LabelDistributionImage":
-        if self.data.min() < 0:
+        # a NaN passes both tests below; min and max carry any NaN or inf
+        low, high = self.data.min(), self.data.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise InputError("non-finite probability entry")
+        if low < 0:
             raise InputError("negative probability entry")
         sums = self.data.sum(axis=1, dtype=np.float64)
         if np.abs(sums - 1.0).max() > 1e-6:

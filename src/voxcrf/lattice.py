@@ -24,17 +24,25 @@ Features whose embedded coordinates pass +-2^48 (``_ELEVATED_LIMIT``) raise
 InputError: nearer 2^53 the float64 residuals elevated - rem0 lose the
 fraction that ranks a point's simplex and gives its barycentric weights.
 
-The build works on (N, d+1) arrays only, and drops each one after its last
-read: a built lattice keeps only the slice, the neighbor tables and the
-diagonal.  The d+1 vertex keys of a point are never materialized: their
-first d coordinates (which identify a vertex, as all coordinates sum to 0)
-are packed into one mixed-radix int64 code per (point, vertex) straight from
-the point's remainder-0 corner and ranks; the distinct codes are decoded
-back into vertex rows, and each (point, vertex) finds its vertex index by a
-search of them.  When the coordinate ranges are too wide to pack, whole rows
-are sorted as structured records instead, giving the same vertex order.  The
-diagonal applies the restricted blur to each point's barycentric vector in
-place, one axis at a time, a block of rows at a time.
+The build makes whole-array passes over (N, d+1) arrays, and drops each one
+after its last read: a built lattice keeps only the slice, the neighbor
+tables and the diagonal.  A point's ranks come from d(d+1)/2 comparisons of
+its residuals, one per pair of coordinates.  Its enclosing simplex is its
+remainder-0 corner and its ranks, so points are hashed once by simplex (one
+np.unique over N codes), and the d+1 vertex keys, their sort and the search
+for each key's vertex index run over the distinct simplices alone: about a
+third of the points of a camera frame, whose neighboring pixels share
+simplices.  A vertex key is its first d coordinates (which identify it, as
+all coordinates sum to 0), packed into one mixed-radix int64 code; a
+simplex's code is its corner's code above its ranks' digits.  When those
+codes would not fit an int64, rows are sorted as structured records
+instead, giving the same vertex order.  Each distinct simplex's vertex
+indices are sorted once and gathered back to its points with its weights,
+so S is formed with each row's entries already in vertex-index order and
+with int32 indices where they fit: scipy neither sorts nor converts them.
+The diagonal applies the
+restricted blur to each point's barycentric vector in place, one axis at a
+time, over flat indices into all N rows.
 
 ``filter`` is ``blur`` (splat, then blur, into an (m, C) vertex grid)
 followed by ``slice_rows`` over all N rows.  Each output row is a sum over
@@ -81,11 +89,11 @@ from .errors import InputError
 if TYPE_CHECKING:
     from scipy import sparse
 
-_ROW_BLOCK = 2048  # rows per block of a slice, the diagonal and the mean-field GEMM
+_ROW_BLOCK = 2048  # rows per block of a slice and of the mean-field GEMM
 
-# Lattice coordinates are encoded into a single int64 when the per-axis
-# ranges allow it (fast unique + neighbor lookup); otherwise rows are sorted
-# and searched as structured records.
+# Simplices and lattice coordinates are encoded into a single int64 when the
+# per-axis ranges allow it (fast unique + neighbor lookup); otherwise rows are
+# sorted and searched as structured records.
 _CODE_LIMIT = 2**62
 # Largest elevated coordinate magnitude the build accepts (module docstring).
 # Lattice messages matched the exact ones as well at 2^52 as near 0 on
@@ -178,9 +186,11 @@ class PermutohedralLattice:
         self.n, self.dim = feats.shape
         d = self.dim
         dp1 = d + 1
+        rank_type = np.min_scalar_type(-2 * dp1)  # ranks stay in [-d, 2d] until the walk
 
         # Each (N, d+1) array is dropped after its last read, so the build
-        # peaks near six of them.
+        # peaks near four of them (five at d = 2, where its N-long index and
+        # value arrays weigh a third of one each).
         elevated = _embed(feats)
         reach = max(elevated.max(), -elevated.min())
         if reach > _ELEVATED_LIMIT:
@@ -190,58 +200,67 @@ class PermutohedralLattice:
                 f"{_ELEVATED_LIMIT:.3g} within which it ranks them; raise the theta scales"
             )
 
-        # Nearest remainder-0 lattice point (coordinates are multiples of d+1).
-        v = elevated / dp1
-        up = np.ceil(v) * dp1
-        down = np.floor(v) * dp1
-        del v
-        rem0 = np.where(up - elevated < elevated - down, up, down)
-        del up, down
-        sums = np.rint(rem0.sum(axis=1) / dp1).astype(np.int64)
+        # Nearest remainder-0 lattice point (coordinates are multiples of
+        # d+1): the one below, raised where the one above is strictly nearer.
+        # Its sums are exact: they add multiples of d+1 below 2^53.
+        rem0 = elevated / dp1
+        np.floor(rem0, out=rem0)
+        rem0 *= dp1
+        up = rem0 + dp1
+        up -= elevated
+        np.multiply(up < elevated - rem0, dp1, out=up)
+        rem0 += up
+        del up
+        sums = np.rint(rem0 @ np.ones(dp1) / dp1).astype(rank_type)
 
-        # Rank = position in descending order of the residual, ties by index.
-        order = np.argsort(-(elevated - rem0), axis=1, kind="stable")
-        rank = np.empty_like(order)
-        np.put_along_axis(rank, order, np.broadcast_to(np.arange(dp1), rank.shape), axis=1)
-        del order
+        # Rank = position in descending order of the residual, ties by
+        # index: one comparison per pair of coordinates, over
+        # coordinate-major rows.
+        residual = np.empty((dp1, self.n))
+        np.subtract(elevated.T, rem0.T, out=residual)
+        rank = np.empty((dp1, self.n), rank_type)
+        rank[:] = np.arange(dp1)[:, None]
+        for i in range(dp1):
+            for j in range(i + 1, dp1):
+                above = residual[i] < residual[j]  # j ranks before i
+                rank[i] += above
+                rank[j] -= above
+        del residual, above
+        rank = np.ascontiguousarray(rank.T)
 
         # Walk points whose rounded coordinates left the sum-0 sublattice.
         rank += sums[:, None]
-        low, high = rank < 0, rank > d
-        rank[low] += dp1
-        rank[high] -= dp1
-        rem0[low] += dp1
-        rem0[high] -= dp1
-        del low, high
+        del sums
+        wrap = np.subtract(rank < 0, rank > d, dtype=rank_type)
+        wrap *= dp1
+        rank += wrap
+        rem0 += wrap
+        del wrap
 
-        # y = (elevated - rem0) / (d+1), formed in elevated's buffer.
+        # y = (elevated - rem0) / (d+1), formed in elevated's buffer; adding
+        # 0.0 turns the -0.0 of an elevated -0.0 on a corner at 0 into 0.0,
+        # so no barycentric weight below comes out as -0.0.
         y = elevated
         y -= rem0
         y /= dp1
-        rem0i = np.rint(rem0[:, :d]).astype(np.int64)
+        y += 0.0
+        rem0i = rem0[:, :d].astype(np.int64)  # exact: rem0 holds integers
         del rem0
-
-        # Barycentric coordinates inside the enclosing simplex.  Each row's
-        # column indices d - rank and d + 1 - rank are permutations, so no
-        # index repeats within one fancy update.
-        bary = np.zeros((self.n, dp1 + 1))
-        point = np.arange(self.n)[:, None]
-        bary[point, d - rank] += y
-        bary[point, dp1 - rank] -= y
-        del y, point
-        bary[:, 0] += 1.0 + bary[:, dp1]
-        bary = bary[:, :dp1]
-
-        # Vertex k of a point's simplex is rem0 + canon[k][rank]; the first d
-        # coordinates identify it (all coordinates sum to 0).
-        canon = np.empty((dp1, dp1), dtype=np.int64)
-        for k in range(dp1):
-            canon[k, : dp1 - k] = k
-            canon[k, dp1 - k :] = k - dp1
-        vertices, vertex_idx = self._hash_vertices(rem0i, rank[:, :d], canon)
+        vertices, simplex, vertex_idx = self._hash_vertices(rem0i, rank)
         del rem0i
         m = vertices.shape[0]
         self.num_vertices = m
+
+        # Barycentric coordinates inside the enclosing simplex: with z[k]
+        # the y of the axis ranked d - k, b[k] = z[k] - z[k-1] for k >= 1
+        # and b[0] = z[0] + (1 - z[d]), formed in y's buffer.
+        z = np.empty_like(y)
+        z[np.arange(self.n)[:, None], d - rank] = y
+        bary = y
+        np.subtract(z[:, 1:], z[:, :-1], out=bary[:, 1:])
+        np.subtract(1.0, z[:, d], out=bary[:, 0])
+        bary[:, 0] += z[:, 0]
+        del y, z
 
         # the slice scale, applied in place after the slice (1.0 once folded
         # into the slice rows by ``scaled``)
@@ -249,14 +268,20 @@ class PermutohedralLattice:
         self._diag = self._diagonal_response(bary, rank)
         del rank
 
-        # Slice S: row i holds point i's d+1 barycentric weights; the splat
-        # is S^T.  Each row's indices are sorted so the slice sums run in
-        # vertex order; S owns its ``data`` (a copy of ``bary``), which the
-        # sort reorders in place.
-        indptr = np.arange(0, self.n * dp1 + 1, dp1)
-        self._slice = csr_from_arrays(bary.flatten(), vertex_idx, indptr, (self.n, m))
-        del bary, vertex_idx
-        self._slice.sort_indices()
+        # Slice S: row i holds point i's d+1 barycentric weights in
+        # vertex-index order, so the slice sums run in that order; the splat
+        # is S^T.  Each distinct simplex's vertex indices are sorted once and
+        # gathered back to its points, so S needs no sort, and its index
+        # arrays are int32 where they fit, as scipy would make them.
+        order = np.argsort(vertex_idx, axis=1)
+        itype = np.int32 if self.n * dp1 < 2**31 else np.int64
+        indices = np.take_along_axis(vertex_idx, order, axis=1).astype(itype)[simplex]
+        del vertex_idx
+        data = np.take_along_axis(bary, order.astype(rank_type)[simplex], axis=1)
+        del bary, order, simplex
+        indptr = np.arange(0, self.n * dp1 + 1, dp1, dtype=itype)
+        self._slice = csr_from_arrays(data.reshape(-1), indices.reshape(-1), indptr, (self.n, m))
+        del data, indices
         # S with its row blocks, formed once here; it is also the output
         # slice S' until ``scaled`` forms one
         self._s_views = self._out_views = _slice_views(self._slice)
@@ -277,46 +302,66 @@ class PermutohedralLattice:
     # -- vertex hashing ---------------------------------------------------
 
     def _hash_vertices(
-        self, rem0: np.ndarray, rank: np.ndarray, canon: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct simplex vertices (m, d) in lexicographic order, and the
-        vertex index of every (point, k) pair in point-major order.
+        self, rem0: np.ndarray, rank: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distinct simplex vertices (m, d) in lexicographic order, the index
+        of each point's simplex among the u distinct ones, and the (u, d+1)
+        vertex indices of each distinct simplex.
 
-        ``rem0`` and ``rank`` hold the first d coordinates and ranks per
-        point, ``canon`` the (d+1, d+1) canonical offsets indexed by (k, rank).
+        ``rem0`` holds the first d coordinates of each point's remainder-0
+        corner and ``rank`` its (N, d+1) ranks.  A simplex is its corner and
+        its first d ranks, so points are hashed by those and only the u
+        distinct simplices form keys: vertex k of one is its corner plus
+        canon[k][rank], and its first d coordinates identify it (all sum to 0).
         """
         n, d = rem0.shape
+        dp1 = d + 1
         # canon[k][r] spans [-r, d - r] over k, which bounds every key.
-        low = rem0 - rank
-        self._kmin = low.min(axis=0)
-        self._ranges = low.max(axis=0) + d - self._kmin + 1
+        low = rem0 - rank[:, :d]
+        self._kmin = np.array([c.min() for c in low.T])
+        self._ranges = np.array([c.max() for c in low.T]) + d - self._kmin + 1
         del low
-        if float(np.prod(self._ranges.astype(np.float64))) < _CODE_LIMIT:
+        spread = dp1**d  # bounds the code of a point's first d ranks
+        packed = float(np.prod(self._ranges.astype(np.float64))) * spread < _CODE_LIMIT
+        if packed:
             # Mixed-radix codes, most significant digit first: code order
-            # is lexicographic row order.
+            # is lexicographic row order.  A simplex's code is its corner's
+            # (the key of vertex 0) above its ranks' digits.
             radix = np.ones(d, dtype=np.int64)
             for i in range(d - 2, -1, -1):
                 radix[i] = radix[i + 1] * self._ranges[i + 1]
             self._radix = radix
-            base = (rem0 - self._kmin) @ radix
-            keys = np.empty((n, d + 1), dtype=np.int64)
-            for k in range(d + 1):
-                keys[:, k] = base + canon[k][rank] @ radix
-            del base
-            keys = keys.reshape(-1)
+            corner = (rem0 - self._kmin) @ radix
+            code = corner * spread + rank[:, :d] @ dp1 ** np.arange(d - 1, -1, -1)
         else:
-            # Extreme coordinate ranges: sort whole rows as structured records.
-            keys = rem0[:, None, :] + canon[:, rank].transpose(1, 0, 2)
-            keys = _records(keys.reshape(-1, d))
-        # The inverse comes from a search of the sorted distinct keys, which
-        # allocates one index per key (``return_inverse`` sorts them all).
+            # Extreme coordinate ranges: whole rows as structured records.
+            corner = rem0
+            code = _records(np.hstack([rem0, rank[:, :d]]))
+        _, simplex = np.unique(code, return_inverse=True)
+        del code
+        first = np.empty(simplex.max() + 1, dtype=np.intp)  # a point of each simplex
+        first[simplex] = np.arange(n)
+
+        canon = np.empty((dp1, dp1), dtype=np.int64)
+        for k in range(dp1):
+            canon[k, : dp1 - k] = k
+            canon[k, dp1 - k :] = k - dp1
+        corner, srank = corner[first], rank[first, :d]
+        keys = np.empty((len(first), dp1, *corner.shape[1:]), dtype=np.int64)
+        for k in range(dp1):
+            offset = canon[k][srank]
+            keys[:, k] = corner + (offset @ radix if packed else offset)
+        del corner, srank
+        keys = keys.reshape(-1) if packed else _records(keys.reshape(-1, d))
+        # The vertex index of each key comes from a search of the sorted
+        # distinct keys.
         unique = np.unique(keys)
-        inverse = np.searchsorted(unique, keys)
-        if keys.dtype.names is None:
+        vertex_idx = np.searchsorted(unique, keys).reshape(-1, dp1)
+        if packed:
             self._codes = unique
-            return self._kmin + (unique[:, None] // radix) % self._ranges, inverse
+            return self._kmin + (unique[:, None] // radix) % self._ranges, simplex, vertex_idx
         self._codes, self._rows = None, unique
-        return unique.view(np.int64).reshape(-1, d), inverse
+        return unique.view(np.int64).reshape(-1, d), simplex, vertex_idx
 
     def _lookup_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vertex index of each (first-d) key row, -1 where it is absent."""
@@ -345,25 +390,24 @@ class PermutohedralLattice:
         per-axis (I + 0.5 swap) updates.  The response is the quadratic form
         alpha * b . (G b) of the barycentric vector b; G b is formed by
         applying the updates to a copy of b in place, one axis at a time
-        (two gathers and two scatters each), a block of rows at a time.
+        (two gathers and two scatters each, over flat indices into all N
+        rows).
         Mass returning through vertices outside the simplex is ignored; that
         contribution is negligible exactly where the diagonal matters
         (sparse regions).
         """
         d = self.dim
-        diag = np.empty(self.n)
-        for s, e in row_blocks(self.n):
-            b = bary[s:e]
-            gb = b.copy()
-            point = np.arange(e - s)
-            for a in range(d + 1):
-                k = d - rank[s:e, a]
-                kn = (k + 1) % (d + 1)
-                vk, vkn = gb[point, k], gb[point, kn]
-                gb[point, k] = vk + 0.5 * vkn
-                gb[point, kn] = vkn + 0.5 * vk
-            diag[s:e] = self._alpha * np.einsum("nk,nk->n", b, gb)
-        return diag
+        gb = bary.copy()
+        flat = gb.reshape(-1)
+        row = np.arange(0, self.n * (d + 1), d + 1)
+        for a in range(d + 1):
+            k = d - rank[:, a]
+            ik = row + k
+            ikn = row + (k + 1) % (d + 1)
+            vk, vkn = flat[ik], flat[ikn]
+            flat[ik] = vk + 0.5 * vkn
+            flat[ikn] = vkn + 0.5 * vk
+        return self._alpha * np.einsum("nk,nk->n", bary, gb)
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -380,12 +424,13 @@ class PermutohedralLattice:
         splats, and every other table are shared (S cast to another dtype).
         """
         s, s_out = self._slice, self._out_views[0, self.n]
-        per_entry = np.repeat(self._alpha * rows, np.diff(s.indptr))
         out = copy.copy(self)
         if np.dtype(dtype) != s.dtype:
             out._slice = type(s)((s.data.astype(dtype), s.indices, s.indptr), shape=s.shape)
             out._s_views = _slice_views(out._slice)
-        data = (s_out.data * per_entry).astype(dtype, copy=False)
+        # every row holds d+1 entries, so each row's factor broadcasts over them
+        data = s_out.data.reshape(self.n, -1) * (self._alpha * rows)[:, None]
+        data = data.reshape(-1).astype(dtype, copy=False)
         out._out_views = _slice_views(type(s)((data, s.indices, s.indptr), shape=s.shape))
         out._alpha = 1.0
         out._diag = (rows * self._diag).astype(dtype, copy=False)

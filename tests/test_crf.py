@@ -62,6 +62,34 @@ def test_distribution_invariants():
     LabelDistributionImage(1, 1, 2, np.array([[0.5, 0.5]])).validate()
 
 
+@pytest.mark.parametrize("kind", [LabelDistributionImage, UnaryField])
+@pytest.mark.parametrize(
+    "data, dtype",
+    [
+        pytest.param(np.full((4, 2), 0.5) + 0.3j, "complex128", id="complex"),
+        pytest.param(np.full((4, 2), "0.5"), "<U3", id="str"),
+        pytest.param(np.full((4, 2), None), "object", id="object"),
+    ],
+)
+def test_grid_data_rejects_values_that_are_not_real_numbers(kind, data, dtype):
+    """A complex array lost its imaginary part, a string one of numerals
+    was parsed and an object one of None became NaN data; each now raises
+    InputError naming its dtype."""
+    with pytest.raises(InputError, match=f"^data of dtype {dtype}, expected real numbers$"):
+        kind(2, 2, 2, data)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_distribution_validation_rejects_non_finite_entries(bad):
+    """NaN passed both the negative-entry and the sum test, as all-NaN data."""
+    with pytest.raises(InputError, match="^non-finite probability entry$"):
+        LabelDistributionImage(2, 2, 2, np.full((4, 2), bad)).validate()
+    data = np.full((4, 2), 0.5, dtype=np.float32)
+    data[3, 1] = bad
+    with pytest.raises(InputError, match="^non-finite probability entry$"):
+        LabelDistributionImage(2, 2, 2, data).validate()
+
+
 def test_params_validation():
     with pytest.raises(ConfigError):
         CrfParams(kernel_weights=np.array([-1.0, 0.0]))
