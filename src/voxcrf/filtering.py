@@ -402,13 +402,17 @@ class FilterPlan:
 
     def accumulate(self, values: np.ndarray, weight: float, out: np.ndarray) -> None:
         """``out += weight * apply(values)`` for (N, C) arrays, in place; an
-        ``out`` of another shape raises ``InputError``.  On the lattice
-        backend each block of rows is added as it is formed and F's term as
-        one (|starved|, C) array, so no (N, C) message is allocated;
-        bit-equal to the unblocked form."""
+        ``out`` of another shape, or of a dtype other than the plan's, raises
+        ``InputError`` and is left as it was.  On the lattice backend each
+        block of rows is added as it is formed and F's term as one
+        (|starved|, C) array, so no (N, C) message is allocated; bit-equal
+        to the unblocked form."""
         vals = self._as_matrix(values)[0]
         if np.shape(out) != vals.shape:
             raise InputError(f"out must have the values' shape {vals.shape}, got {np.shape(out)}")
+        dtype = np.asarray(out).dtype
+        if dtype != self.dtype:
+            raise InputError(f"out of dtype {dtype} on a {self.dtype} {self.backend} plan")
         self._add_message(vals, out, False, weight)
 
     def apply_transpose(self, grads: np.ndarray) -> np.ndarray:

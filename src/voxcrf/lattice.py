@@ -26,21 +26,23 @@ fraction that ranks a point's simplex and gives its barycentric weights.
 
 The build makes whole-array passes over (N, d+1) arrays, and drops each one
 after its last read: a built lattice keeps only the slice, the neighbor
-tables and the diagonal.  A point's ranks come from d(d+1)/2 comparisons of
-its residuals, one per pair of coordinates.  Its enclosing simplex is its
-remainder-0 corner and its ranks, so points are hashed once by simplex (one
-np.unique over N codes), and the d+1 vertex keys, their sort and the search
-for each key's vertex index run over the distinct simplices alone: about a
-third of the points of a camera frame, whose neighboring pixels share
-simplices.  A vertex key is its first d coordinates (which identify it, as
-all coordinates sum to 0), packed into one mixed-radix int64 code; a
-simplex's code is its corner's code above its ranks' digits.  When those
-codes would not fit an int64, rows are sorted as structured records
-instead, giving the same vertex order.  Each distinct simplex's vertex
-indices are sorted once and gathered back to its points with its weights,
-so S is formed with each row's entries already in vertex-index order and
-with int32 indices where they fit: scipy neither sorts nor converts them.
-The diagonal applies the
+tables and the diagonal, and no key table.  A point's ranks come from
+d(d+1)/2 comparisons of its residuals, one per pair of coordinates.  Its
+enclosing simplex is its remainder-0 corner and its ranks, so points are
+hashed once by simplex (one np.unique over N codes), and the d+1 vertex
+keys, their sort and the search for each key's vertex index run over the
+distinct simplices alone: about a third of the points of a camera frame,
+whose neighboring pixels share simplices.  A vertex key is its first d
+coordinates (which identify it, as all coordinates sum to 0), packed into
+one mixed-radix int64 code over a box d+1 wider on each side than the
+vertices, so a blur neighbor (no coordinate more than d away) is its
+vertex's code plus a fixed step per axis; a simplex's code is its corner's
+code above its ranks' digits.  When those codes would not fit an int64,
+rows are structured records instead, giving the same vertex order; one
+sorted-table search finds neighbors in either format.  Each distinct
+simplex's vertex indices are sorted once and gathered back to its points
+with its weights, so S is formed with sorted rows and int32 indices where
+they fit: scipy neither sorts nor converts them.  The diagonal applies the
 restricted blur to each point's barycentric vector in place, one axis at a
 time, over flat indices into all N rows.
 
@@ -87,6 +89,8 @@ import numpy as np
 from .errors import InputError
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from scipy import sparse
 
 _ROW_BLOCK = 2048  # rows per block of a slice and of the mean-field GEMM
@@ -106,6 +110,13 @@ def _records(rows: np.ndarray) -> np.ndarray:
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     fields = [(f"f{i}", np.int64) for i in range(rows.shape[1])]
     return rows.view(np.dtype(fields)).reshape(-1)
+
+
+def _find(table: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Index of each query in the sorted distinct ``table``, -1 where absent."""
+    pos = np.searchsorted(table, query)
+    np.minimum(pos, len(table) - 1, out=pos)
+    return np.where(table[pos] == query, pos, -1)
 
 
 def row_blocks(n: int):
@@ -246,10 +257,8 @@ class PermutohedralLattice:
         y += 0.0
         rem0i = rem0[:, :d].astype(np.int64)  # exact: rem0 holds integers
         del rem0
-        vertices, simplex, vertex_idx = self._hash_vertices(rem0i, rank)
+        simplex, vertex_idx, neighbors = self._hash_vertices(rem0i, rank)
         del rem0i
-        m = vertices.shape[0]
-        self.num_vertices = m
 
         # Barycentric coordinates inside the enclosing simplex: with z[k]
         # the y of the axis ranked d - k, b[k] = z[k] - z[k-1] for k >= 1
@@ -280,58 +289,50 @@ class PermutohedralLattice:
         data = np.take_along_axis(bary, order.astype(rank_type)[simplex], axis=1)
         del bary, order, simplex
         indptr = np.arange(0, self.n * dp1 + 1, dp1, dtype=itype)
-        self._slice = csr_from_arrays(data.reshape(-1), indices.reshape(-1), indptr, (self.n, m))
+        shape = (self.n, self.num_vertices)
+        self._slice = csr_from_arrays(data.reshape(-1), indices.reshape(-1), indptr, shape)
         del data, indices
         # S with its row blocks, formed once here; it is also the output
         # slice S' until ``scaled`` forms one
         self._s_views = self._out_views = _slice_views(self._slice)
-
-        # Blur neighbor tables: along axis a, n1 = key + 1 - (d+1) e_a,
-        # n2 = key - 1 + (d+1) e_a; -1 marks a vertex outside the lattice and
-        # reads the zero pad row of the blur buffer.
-        # Only the first d coordinates are kept, so axis d shifts all of them.
-        self._n1 = np.empty((dp1, m), dtype=np.int64)
-        self._n2 = np.empty((dp1, m), dtype=np.int64)
-        for a in range(dp1):
-            e_a = np.zeros(d, dtype=np.int64)
-            if a < d:
-                e_a[a] = dp1
-            self._n1[a] = self._lookup_rows(vertices + 1 - e_a)
-            self._n2[a] = self._lookup_rows(vertices - 1 + e_a)
+        self._n1, self._n2 = neighbors()
 
     # -- vertex hashing ---------------------------------------------------
 
     def _hash_vertices(
         self, rem0: np.ndarray, rank: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Distinct simplex vertices (m, d) in lexicographic order, the index
-        of each point's simplex among the u distinct ones, and the (u, d+1)
-        vertex indices of each distinct simplex.
+    ) -> tuple[np.ndarray, np.ndarray, Callable[[], tuple[np.ndarray, np.ndarray]]]:
+        """The index of each point's simplex among the u distinct ones, the
+        (u, d+1) vertex indices of each distinct simplex, and a function
+        that forms the blur neighbor tables; sets ``num_vertices`` and
+        ``_packed``, whether keys are int64 codes or structured records.
 
         ``rem0`` holds the first d coordinates of each point's remainder-0
         corner and ``rank`` its (N, d+1) ranks.  A simplex is its corner and
         its first d ranks, so points are hashed by those and only the u
         distinct simplices form keys: vertex k of one is its corner plus
         canon[k][rank], and its first d coordinates identify it (all sum to 0).
+        The sorted distinct keys live on in that function alone, which the
+        build calls once its (N, d+1) arrays are dropped.
         """
         n, d = rem0.shape
         dp1 = d + 1
-        # canon[k][r] spans [-r, d - r] over k, which bounds every key.
+        # canon[k][r] spans [-r, d - r] over k, which bounds every key; d+1 more
+        # on each side holds every blur neighbor (no coordinate d+1 away).
         low = rem0 - rank[:, :d]
-        self._kmin = np.array([c.min() for c in low.T])
-        self._ranges = np.array([c.max() for c in low.T]) + d - self._kmin + 1
+        kmin = np.array([c.min() for c in low.T]) - dp1
+        ranges = np.array([c.max() for c in low.T]) + d + dp1 - kmin + 1
         del low
         spread = dp1**d  # bounds the code of a point's first d ranks
-        packed = float(np.prod(self._ranges.astype(np.float64))) * spread < _CODE_LIMIT
+        self._packed = packed = float(np.prod(ranges.astype(np.float64))) * spread < _CODE_LIMIT
         if packed:
             # Mixed-radix codes, most significant digit first: code order
             # is lexicographic row order.  A simplex's code is its corner's
             # (the key of vertex 0) above its ranks' digits.
             radix = np.ones(d, dtype=np.int64)
             for i in range(d - 2, -1, -1):
-                radix[i] = radix[i + 1] * self._ranges[i + 1]
-            self._radix = radix
-            corner = (rem0 - self._kmin) @ radix
+                radix[i] = radix[i + 1] * ranges[i + 1]
+            corner = (rem0 - kmin) @ radix
             code = corner * spread + rank[:, :d] @ dp1 ** np.arange(d - 1, -1, -1)
         else:
             # Extreme coordinate ranges: whole rows as structured records.
@@ -353,30 +354,27 @@ class PermutohedralLattice:
             keys[:, k] = corner + (offset @ radix if packed else offset)
         del corner, srank
         keys = keys.reshape(-1) if packed else _records(keys.reshape(-1, d))
-        # The vertex index of each key comes from a search of the sorted
-        # distinct keys.
-        unique = np.unique(keys)
-        vertex_idx = np.searchsorted(unique, keys).reshape(-1, dp1)
-        if packed:
-            self._codes = unique
-            return self._kmin + (unique[:, None] // radix) % self._ranges, simplex, vertex_idx
-        self._codes, self._rows = None, unique
-        return unique.view(np.int64).reshape(-1, d), simplex, vertex_idx
+        # each key's vertex index is its place among the sorted distinct keys
+        table = np.unique(keys)
+        vertex_idx = np.searchsorted(table, keys).reshape(-1, dp1)
+        self.num_vertices = len(table)
 
-    def _lookup_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Vertex index of each (first-d) key row, -1 where it is absent."""
-        if self._codes is None:
-            query = _records(rows)
-            pos = np.searchsorted(self._rows, query)
-            pos[pos >= len(self._rows)] = 0
-            return np.where(self._rows[pos] == query, pos, -1)
-        shifted = rows - self._kmin
-        valid = np.all((shifted >= 0) & (shifted < self._ranges), axis=1)
-        codes = np.clip(shifted, 0, self._ranges - 1) @ self._radix
-        pos = np.searchsorted(self._codes, codes)
-        pos[pos >= len(self._codes)] = 0
-        found = valid & (self._codes[pos] == codes)
-        return np.where(found, pos, -1)
+        def neighbors() -> tuple[np.ndarray, np.ndarray]:
+            """(n1, n2): along axis a, the vertex index of key + 1 - (d+1) e_a
+            and key - 1 + (d+1) e_a (axis d, not kept, moves all d by 1), or
+            -1, which reads the zero pad row of the blur buffer."""
+            move = np.ones((dp1, d), dtype=np.int64)
+            move[np.arange(d), np.arange(d)] -= dp1
+            base = table if packed else table.view(np.int64).reshape(-1, d)
+            move = move @ radix if packed else move
+            n1, n2 = np.empty((2, dp1, len(table)), dtype=np.int64)
+            for a in range(dp1):
+                for out, step in ((n1, move[a]), (n2, -move[a])):
+                    query = base + step
+                    out[a] = _find(table, query if packed else query.view(table.dtype)[:, 0])
+            return n1, n2
+
+        return simplex, vertex_idx, neighbors
 
     # -- diagonal ---------------------------------------------------------
 

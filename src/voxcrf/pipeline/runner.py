@@ -133,12 +133,25 @@ def run_pipeline(
 
     Frames with truth are evaluated against the fused map.  The spatial
     filter plan depends only on the frame size and θγ, so it is kept from
-    frame to frame and rebuilt only when the size changes."""
+    frame to frame and rebuilt only when the size changes.  With
+    ``per_frame_ply`` each frame writes ``<frame_id>.ply``, so a repeated
+    frame id or one named ``global_map`` raises ``InputError`` before
+    ``out_dir`` is made or any frame runs."""
     records, config = load_manifest(manifest_path)
     if overrides:
         config = apply_overrides(config, overrides)
     if not records:
         raise InputError(f"{manifest_path}: manifest lists no frames")
+    if per_frame_ply:
+        writers = {"global_map": "the global map"}
+        for record in records:
+            fid = record.frame_id
+            if fid in writers:
+                raise InputError(
+                    f"{manifest_path}: with --per-frame-ply, frame id {fid!r} would write "
+                    f"{fid}.ply, which {writers[fid]} also writes"
+                )
+            writers[fid] = "an earlier frame"
 
     out = Path(out_dir) if out_dir is not None else Path(manifest_path).parent / "out"
     out.mkdir(parents=True, exist_ok=True)

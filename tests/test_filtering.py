@@ -914,6 +914,29 @@ def test_accumulate_rejects_an_out_of_another_shape(backend, rng, shape):
     np.testing.assert_array_equal(out, 1.0)
 
 
+@pytest.mark.parametrize(
+    "backend, plan_dtype, out_dtype",
+    [
+        ("exact", np.float64, np.float32),
+        ("exact", np.float64, np.int64),
+        ("lattice", np.float64, np.float32),
+        ("lattice", np.float32, np.float64),
+        ("lattice", np.float32, np.int32),
+    ],
+)
+def test_accumulate_rejects_an_out_of_another_dtype(rng, backend, plan_dtype, out_dtype):
+    """An out in another dtype than the plan's would take the message
+    rounded to it, or fail inside numpy; it raises InputError naming both
+    dtypes and is left as it was."""
+    plan = plan_filter(rng.uniform(0, 4, (50, 3)), backend, plan_dtype)
+    out = np.ones((50, 4), out_dtype)
+    with pytest.raises(InputError) as err:
+        plan.accumulate(rng.normal(size=(50, 4)).astype(plan_dtype), 0.5, out)
+    message = str(err.value)
+    assert np.dtype(out_dtype).name in message and np.dtype(plan_dtype).name in message
+    np.testing.assert_array_equal(out, 1)
+
+
 # ---------------------------------------------------------------------------
 # working precision
 # ---------------------------------------------------------------------------

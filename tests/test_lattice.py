@@ -64,10 +64,10 @@ def test_lattice_matches_reference_on_image_features(rng):
 def test_forced_row_fallback_matches_packed_codes(monkeypatch, rng, d):
     feats = random_features(rng, 300, d, "clustered")
     packed = PermutohedralLattice(feats)
-    assert packed._codes is not None
+    assert packed._packed
     monkeypatch.setattr(lattice_mod, "_CODE_LIMIT", 0)
     rows = PermutohedralLattice(feats)
-    assert rows._codes is None
+    assert not rows._packed
     assert rows.num_vertices == packed.num_vertices
     assert (rows._slice.T != packed._slice.T).nnz == 0
     assert np.array_equal(rows._n1, packed._n1)
@@ -81,7 +81,7 @@ def test_forced_row_fallback_matches_packed_codes(monkeypatch, rng, d):
 def test_extreme_coordinate_range_takes_row_fallback(rng):
     feats = np.vstack([rng.normal(size=(40, 2)), rng.normal(size=(40, 2)) + [1e13, -3e12]])
     lat = PermutohedralLattice(feats)
-    assert lat._codes is None
+    assert not lat._packed
     assert_same_lattice(lat, ReferenceLattice(feats), rng)
 
 
@@ -90,7 +90,8 @@ def test_both_sides_of_the_packed_code_limit_match_the_reference(rng, d):
     """Moving a second cluster away from a first widens the coordinate
     ranges until a simplex's code no longer fits an int64; bisection finds
     the last offset that packs and the first that takes structured records,
-    and both lattices equal the reference."""
+    and both lattices equal the reference.  The packed box is the vertex
+    keys' box, which the reference spans, widened by d+1 on each side."""
     near, far = rng.normal(size=(60, d)), rng.normal(size=(60, d))
     direction = rng.uniform(0.5, 1.0, d)
 
@@ -98,7 +99,7 @@ def test_both_sides_of_the_packed_code_limit_match_the_reference(rng, d):
         return np.vstack([near, far + offset * direction])
 
     def packs(offset):
-        return PermutohedralLattice(features(offset))._codes is not None
+        return PermutohedralLattice(features(offset))._packed
 
     lo, hi = 0.0, 2.0**40
     assert packs(lo) and not packs(hi)
@@ -106,11 +107,36 @@ def test_both_sides_of_the_packed_code_limit_match_the_reference(rng, d):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if packs(mid) else (lo, mid)
     packed, records = PermutohedralLattice(features(lo)), PermutohedralLattice(features(hi))
-    assert packed._codes is not None and records._codes is None
-    bound = float(np.prod(packed._ranges.astype(np.float64))) * (d + 1) ** d
+    assert packed._packed and not records._packed
+    ref = ReferenceLattice(features(lo))
+    box = ref._ranges[:d] + 2 * (d + 1)
+    bound = float(np.prod(box.astype(np.float64))) * (d + 1) ** d
     assert lattice_mod._CODE_LIMIT / 2 < bound < lattice_mod._CODE_LIMIT
-    assert_same_lattice(packed, ReferenceLattice(features(lo)), rng)
+    assert_same_lattice(packed, ref, rng)
     assert_same_lattice(records, ReferenceLattice(features(hi)), rng)
+
+
+@pytest.mark.parametrize("limit", [None, 0])
+@pytest.mark.parametrize("d, length", [(2, 15), (2, 16), (2, 17), (3, 20), (5, 30)])
+def test_neighbors_at_the_ends_of_the_key_box_match_the_reference(
+    monkeypatch, rng, d, length, limit
+):
+    """Points spread evenly over a box of side ``length`` in the first d
+    lattice coordinates put vertices on both ends of every axis of the key
+    box, near each of its corners, and a blur neighbor of a vertex on an end
+    lies up to d steps past it.  In a box too narrow for that, the
+    neighbor's code carries into the next digit; at d = 2 that code can be
+    another vertex's, near the opposite end, and which box sizes let it
+    depends on the box's side mod 3, so three sides are checked.  The
+    tables must equal the reference's in both key formats."""
+    if limit is not None:  # the structured-records path
+        monkeypatch.setattr(lattice_mod, "_CODE_LIMIT", limit)
+    to_lattice = lattice_mod._embed(np.eye(d))[:, :d]  # features -> first d coordinates
+    coords = rng.uniform(0.0, length, (1500 * d, d))
+    feats = np.linalg.solve(to_lattice.T, coords.T).T
+    lat = PermutohedralLattice(feats)
+    assert lat._packed == (limit is None)
+    assert_same_lattice(lat, ReferenceLattice(feats), rng)
 
 
 def tie_heavy_features(rng, n, d):

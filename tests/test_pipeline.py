@@ -1276,6 +1276,27 @@ def test_run_pipeline_per_frame_ply(tmp_path):
     assert points.shape[0] > 0
 
 
+@pytest.mark.parametrize(
+    "old, new", [("frame0001", "frame0000"), ("frame0000", "global_map")], ids=["repeat", "global"]
+)
+def test_per_frame_ply_rejects_a_frame_id_whose_file_another_output_writes(
+    tmp_path, monkeypatch, old, new
+):
+    """A repeated frame id, or one named global_map, would have a frame's
+    PLY overwritten by another frame's or by the global map; with
+    --per-frame-ply that fails before --out is made or any frame runs."""
+    manifest = generate_synthetic(small_spec(frame_count=2), tmp_path / "s")
+    manifest.write_text(manifest.read_text().replace(f"{old} ", f"{new} ", 1))
+    with monkeypatch.context() as m:
+        m.setattr(runner, "run_frame", lambda *a: pytest.fail("a frame ran"))
+        with pytest.raises(InputError, match=f"frame id '{new}' would write {new}.ply"):
+            run_pipeline(manifest, out_dir=tmp_path / "out", per_frame_ply=True)
+    assert not (tmp_path / "out").exists()
+    if new != "global_map":  # without --per-frame-ply a frame id may repeat
+        result = run_pipeline(manifest, out_dir=tmp_path / "out")
+        assert result.frame_count == 2
+
+
 def test_run_pipeline_exact_backend_bit_identical(tmp_path):
     manifest = generate_synthetic(small_spec(frame_count=2, noise=0.2), tmp_path / "s")
     ov = {"backend": "exact", "iterations": 2}
