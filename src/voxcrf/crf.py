@@ -184,9 +184,10 @@ class CrfParams:
             if c.ndim != 2 or c.shape[0] != c.shape[1] or not np.all(np.isfinite(c)):
                 raise ConfigError("compatibility must be a finite square matrix")
         for name in ("theta_alpha", "theta_beta", "theta_gamma"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or v <= 0:
-                raise ConfigError(f"{name} must be positive, got {v}")
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0 < v < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {v!r:.80}")
+            setattr(self, name, float(v))
         self.iterations = integer_setting("iterations", self.iterations)
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
@@ -219,7 +220,14 @@ class LabelImage:
     def __post_init__(self):
         if self.height <= 0 or self.width <= 0:
             raise InputError(f"dimensions must be positive, got {self.height}x{self.width}")
-        self.data = np.ascontiguousarray(self.data, dtype=np.int64).reshape(-1)
+        data = np.asarray(self.data).reshape(-1)
+        if data.dtype.kind not in "biuf":
+            raise InputError(f"label data of dtype {data.dtype}, expected real numbers")
+        whole = data.dtype.kind != "f" or np.isfinite(data) & (data == np.rint(data))
+        if not np.all(whole):  # a cast to int64 would truncate 1.5 to 1
+            i = int(np.argmin(whole))
+            raise InputError(f"label {data[i]} at pixel {i} is not a whole number")
+        self.data = np.ascontiguousarray(data, dtype=np.int64)
         if self.data.shape != (self.height * self.width,):
             raise InputError(
                 f"data length {self.data.shape[0]} != {self.height * self.width}"

@@ -38,15 +38,15 @@ other rows and F exact kernel rows stored for the starved points only
 diag(r) L as one scaled lattice (r_i = 1 / d_i, 0 on starved rows; the
 factor is folded into the slice rows, ``reverse=True`` gives the transpose),
 D_L / d as one vector (0 on starved rows) and F with each row divided by
-its d_s.  Both directions splat and blur once, form the lattice rows a block
-at a time (slice, diagonal term), bit-equal to one pass, and add F's term
-last: forward into the starved rows, whose lattice rows are exactly 0, as
-one (|starved|, C) array, and transposed as F^T's (N, C) term.  So a forward
-``accumulate`` adds a message with no (N, C) array.
+its d_s.  Both directions add the lattice rows in one ``add_offdiagonal``
+call, a block at a time, and add F's term last: forward into the starved
+rows, whose lattice rows are exactly 0, as one (|starved|, C) array, and
+transposed as F^T's (N, C) term.  So a forward ``accumulate`` adds a
+message with no (N, C) array.
 
 Both backends form a message in one routine, ``out += w M v`` (w M^T v
 transposed): ``apply`` and ``apply_transpose`` run it into a zeroed array
-with w = 1, and ``accumulate`` into the caller's.
+with w = 1, and ``accumulate`` into the caller's, for (N, C) values.
 
 A plan is built for one dtype, chosen in one place, ``working_dtype``:
 float32 for a lattice plan built for float32, float64 for every other plan
@@ -88,7 +88,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InputError
-from .lattice import PermutohedralLattice, csr_from_arrays, row_blocks
+from .lattice import PermutohedralLattice, csr_from_arrays
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -278,7 +278,7 @@ class FilterPlan:
 
     def _init_lattice(self) -> None:
         lat = PermutohedralLattice(self.features)
-        raw = lat.filter(np.ones(self.n)) - lat.diagonal
+        raw = lat.filter(np.ones((self.n, 1)))[:, 0] - lat.diagonal
 
         threshold = (
             STARVED_THRESHOLD_HIGH_DIM if self.dim >= 3 else STARVED_THRESHOLD_LOW_DIM
@@ -305,12 +305,10 @@ class FilterPlan:
         """``out += weight * M v``, or ``weight * M^T v`` with ``transpose``,
         for (N, C) ``vals`` and ``out``: the one routine apply,
         apply_transpose and accumulate run.  The exact form adds N v / d
-        (N (v / d) transposed) as one array.  The lattice splats and blurs
-        once; then _ROW_BLOCK rows at a time are sliced, less their diagonal
-        term diag(r D_L) v, and added; F's term is added last, into the
-        starved rows forward and as F^T's term transposed.  A starved row of
-        the scaled lattice is exactly 0, and each row is formed as in one
-        unblocked pass, so the result is bit-equal to it."""
+        (N (v / d) transposed) as one array.  The scaled lattice adds its
+        rows, diag(r) (L - D_L) v, then F's term, into the starved rows
+        forward (whose lattice rows are exactly 0) and as F^T's term
+        transposed: bit-equal to one unblocked pass."""
         if self._lattice is None:
             d = self.normalizers[:, None]
             msg = self._numerator(vals / d if transpose else vals)
@@ -319,18 +317,11 @@ class FilterPlan:
             msg *= weight
             out += msg
             return
-        lat, weight = self._lattice, self.dtype.type(weight)
-        diagonal, fallback = lat.diagonal, self._fallback
-        grid = lat.blur(vals, reverse=transpose)
-        for s, e in row_blocks(self.n):
-            rows = lat.slice_rows(grid, s, e, reverse=transpose)
-            rows -= vals[s:e] * diagonal[s:e, None]
-            rows *= weight
-            out[s:e] += rows
+        self._lattice.add_offdiagonal(vals, out, weight, reverse=transpose)
         if len(self._starved):
-            starved = self._starved
+            starved, fallback = self._starved, self._fallback
             msg = fallback.T @ vals[starved] if transpose else fallback @ vals
-            msg *= weight
+            msg *= self.dtype.type(weight)
             if transpose:
                 out += msg
             else:
@@ -356,18 +347,14 @@ class FilterPlan:
             out[e:] += rows[:, e - s :].T @ vals[s:e]
         return out
 
-    def _as_matrix(self, values: np.ndarray) -> tuple[np.ndarray, bool]:
-        """(N, C) real values in the plan's dtype, and whether they were (N,)."""
+    def _as_matrix(self, values: np.ndarray) -> np.ndarray:
+        """(N, C) real values in the plan's dtype."""
         vals = np.asarray(values)
         if vals.dtype.kind not in "biuf" or working_dtype(self.backend, vals.dtype) != self.dtype:
             raise InputError(f"values of dtype {vals.dtype} on a {self.dtype} {self.backend} plan")
-        vals = vals.astype(self.dtype, copy=False)
-        squeeze = vals.ndim == 1
-        if squeeze:
-            vals = vals[:, None]
         if vals.ndim != 2 or vals.shape[0] != self.n:
             raise InputError(f"values must be ({self.n}, C), got {vals.shape}")
-        return vals, squeeze
+        return vals.astype(self.dtype, copy=False)
 
     # -- public API -----------------------------------------------------------
 
@@ -395,32 +382,27 @@ class FilterPlan:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """M v = D^-1 N v: normalized self-excluded Gaussian messages."""
-        vals, squeeze = self._as_matrix(values)
+        vals = self._as_matrix(values)
         out = np.zeros(vals.shape, vals.dtype)
         self._add_message(vals, out, False, 1.0)
-        return out[:, 0] if squeeze else out
+        return out
 
     def accumulate(self, values: np.ndarray, weight: float, out: np.ndarray) -> None:
-        """``out += weight * apply(values)`` for (N, C) arrays, in place; an
-        ``out`` of another shape, or of a dtype other than the plan's, raises
-        ``InputError`` and is left as it was.  On the lattice backend each
-        block of rows is added as it is formed and F's term as one
-        (|starved|, C) array, so no (N, C) message is allocated; bit-equal
-        to the unblocked form."""
-        vals = self._as_matrix(values)[0]
-        if np.shape(out) != vals.shape:
-            raise InputError(f"out must have the values' shape {vals.shape}, got {np.shape(out)}")
-        dtype = np.asarray(out).dtype
-        if dtype != self.dtype:
-            raise InputError(f"out of dtype {dtype} on a {self.dtype} {self.backend} plan")
+        """``out += weight * apply(values)`` in place; an ``out`` of another
+        shape than the values, or of another dtype than the plan, raises
+        ``InputError`` and is left as it was.  A lattice plan forms no (N, C)
+        message."""
+        vals, shape, dtype = self._as_matrix(values), np.shape(out), np.asarray(out).dtype
+        if shape != vals.shape or dtype != self.dtype:
+            raise InputError(f"out must be {self.dtype} {vals.shape}, got {dtype} {shape}")
         self._add_message(vals, out, False, weight)
 
     def apply_transpose(self, grads: np.ndarray) -> np.ndarray:
         """M^T g = N^T D^-1 g: the exact adjoint of apply (D held constant)."""
-        vals, squeeze = self._as_matrix(grads)
+        vals = self._as_matrix(grads)
         out = np.zeros(vals.shape, vals.dtype)
         self._add_message(vals, out, True, 1.0)
-        return out[:, 0] if squeeze else out
+        return out
 
 
 def plan_filter(features: np.ndarray, backend: str = "exact", dtype=np.float64) -> FilterPlan:

@@ -46,10 +46,10 @@ they fit: scipy neither sorts nor converts them.  The diagonal applies the
 restricted blur to each point's barycentric vector in place, one axis at a
 time, over flat indices into all N rows.
 
-``filter`` is ``blur`` (splat, then blur, into an (m, C) vertex grid)
-followed by ``slice_rows`` over all N rows.  Each output row is a sum over
-that row's slice weights alone, so a caller may slice a block of rows at a
-time (``row_blocks``) and get the same rows bit for bit.
+``filter`` is ``blur`` (splat, then blur, into an (m, C) vertex grid) and
+a slice of all N rows; ``add_offdiagonal`` adds w (filter - diagonal) v a
+block of ``row_blocks`` at a time, bit-equal row for row, as each output
+row sums that row's slice weights alone.  Values are (N, C) arrays.
 
 Precision: a lattice filters values of its slice's dtype alone, float64
 as built; ``scaled(rows, dtype)`` forms S', the diagonal and, for float32,
@@ -443,17 +443,33 @@ class PermutohedralLattice:
         the lattice is ``scaled``).  With ``reverse=True`` the result is the
         exact transpose: S'^T splats, the blur axes run in the opposite order
         (the blurs along individual axes are symmetric but do not commute)
-        and S slices.  It is ``slice_rows`` of ``blur`` over all N rows.
-        """
+        and S slices."""
+        grid = self.blur(values, reverse)
+        out = (self._s_views if reverse else self._out_views)[0, self.n] @ grid
+        if self._alpha != 1.0:
+            out *= self._alpha
+        return out
+
+    def add_offdiagonal(self, values: np.ndarray, out: np.ndarray, weight=1.0, reverse=False):
+        """``out += weight (filter(v) - diagonal v)`` for (N, C) ``values``
+        and an ``out`` like them, a block of rows at a time, each row
+        bit-equal to the whole-array form; ``reverse`` as in ``filter``."""
         vals = np.asarray(values)
-        squeeze = vals.ndim == 1
-        grid = self.blur(vals[:, None] if squeeze else vals, reverse)
-        out = self.slice_rows(grid, 0, self.n, reverse)
-        return out[:, 0] if squeeze else out
+        grid = self.blur(vals, reverse)
+        if out.shape != vals.shape or out.dtype != vals.dtype:
+            raise InputError(f"out must be {vals.dtype} {vals.shape}, got {out.dtype} {out.shape}")
+        views, weight = self._s_views if reverse else self._out_views, vals.dtype.type(weight)
+        for s, e in row_blocks(self.n):
+            rows = views[s, e] @ grid
+            if self._alpha != 1.0:
+                rows *= self._alpha
+            rows -= vals[s:e] * self._diag[s:e, None]
+            rows *= weight
+            out[s:e] += rows
 
     def blur(self, values: np.ndarray, reverse: bool = False) -> np.ndarray:
         """The splatted and blurred (m, C) vertex grid of (N, C) ``values``
-        that ``slice_rows`` reads, for ``filter`` in the given direction."""
+        that ``filter`` and ``add_offdiagonal`` slice in that direction."""
         vals = np.asarray(values)
         if vals.ndim != 2 or vals.shape[0] != self.n:
             raise InputError(f"expected ({self.n}, C) values, got {vals.shape}")
@@ -475,15 +491,3 @@ class PermutohedralLattice:
             v1 *= 0.5
             lat[:m] += v1
         return lat[:m]
-
-    def slice_rows(
-        self, grid: np.ndarray, start: int, stop: int, reverse: bool = False
-    ) -> np.ndarray:
-        """Rows start..stop-1 of ``filter`` from its ``blur`` grid, for a
-        block of ``row_blocks`` or all rows, in the grid's dtype.  Each
-        output row is its own sum over that row's slice weights, so a block
-        of rows equals the same rows of the whole output bit for bit."""
-        out = (self._s_views if reverse else self._out_views)[start, stop] @ grid
-        if self._alpha != 1.0:
-            out *= self._alpha
-        return out

@@ -63,7 +63,12 @@ class SemanticPointCloud:
 
     def __post_init__(self):
         self.points = np.ascontiguousarray(self.points, dtype=np.float64).reshape(-1, 3)
-        self.colors = np.ascontiguousarray(self.colors, dtype=np.uint8).reshape(-1, 3)
+        colors = np.asarray(self.colors).reshape(-1)
+        inside = colors.dtype == np.uint8 or (colors >= 0) & (colors <= 255)
+        if not np.all(inside):  # a cast to uint8 would wrap 300 to 44 and -5 to 251
+            i = int(np.argmin(inside))
+            raise InputError(f"color {colors[i]} of point {i // 3} is outside [0, 255]")
+        self.colors = np.ascontiguousarray(colors, dtype=np.uint8).reshape(-1, 3)
         self.label_dists = np.ascontiguousarray(self.label_dists, dtype=np.float64)
         n = self.points.shape[0]
         if self.colors.shape[0] != n or self.label_dists.shape[0] != n:

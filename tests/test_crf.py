@@ -113,6 +113,23 @@ def test_label_image_validation():
         LabelImage(1, 2, np.array([0, 2])).validate(2)
 
 
+
+def test_label_image_rejects_labels_that_are_not_whole_numbers():
+    """Labels are whole numbers: integers and whole-valued floats are kept,
+    a fractional or non-finite float label raises ``InputError`` naming its
+    pixel rather than being truncated, and data that is not real numbers
+    raises naming its dtype."""
+    for data in (np.array([0, 2, 1], np.uint8), [0.0, 2.0, 1.0], np.array([0, 2, 1], np.float32)):
+        img = LabelImage(1, 3, data)
+        assert img.data.dtype == np.int64 and img.data.tolist() == [0, 2, 1]
+    for data, pixel in (([0.9, 1.5, 2.99], 0), ([0.0, 1.0, 2.5], 2), ([1.0, np.nan, 0.0], 1),
+                        ([0.0, 1.0, np.inf], 2)):
+        with pytest.raises(InputError, match=f"at pixel {pixel} is not a whole number"):
+            LabelImage(1, 3, data)
+    for data in (np.array(["0", "1", "2"]), np.array([0, 1, 2], complex)):
+        with pytest.raises(InputError, match=f"dtype {data.dtype}"):
+            LabelImage(1, 3, data)
+
 # ---------------------------------------------------------------------------
 # unary_from_probabilities
 # ---------------------------------------------------------------------------

@@ -136,12 +136,11 @@ def test_exact_grid_plan_matches_dense_kernel(kind, rng):
     if kind == "spacing_5":
         assert d.max() < 2e-5  # four neighbors at exp(-12.5)
     np.testing.assert_allclose(plan.normalizers, d, rtol=1e-13, atol=0)
-    for shape in ((n,), (n, 4)):
+    for shape in ((n, 1), (n, 4)):
         v = rng.normal(size=shape)
-        dd = d if len(shape) == 1 else d[:, None]
         for out, expected in (
-            (plan.apply(v), (kernel @ v) / dd),
-            (plan.apply_transpose(v), kernel @ (v / dd)),
+            (plan.apply(v), (kernel @ v) / d[:, None]),
+            (plan.apply_transpose(v), kernel @ (v / d[:, None])),
         ):
             assert out.shape == shape
             assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -365,7 +364,6 @@ def test_plan_reusable_across_channel_counts(backend, rng):
     plan = plan_filter(feats, backend)
     assert plan.apply(rng.normal(size=(20, 1))).shape == (20, 1)
     assert plan.apply(rng.normal(size=(20, 7))).shape == (20, 7)
-    assert plan.apply(rng.normal(size=20)).shape == (20,)
 
 
 def test_normalizers_strictly_positive(backend, rng):
@@ -471,7 +469,7 @@ def test_fallback_memory_follows_the_budget(monkeypatch):
     rgb = shade_labels(labels, palette, spec.jitter, np.random.default_rng(spec.seed))
     feats = build_features(rgb, CrfParams()).bilateral
     lat = PermutohedralLattice(feats)
-    mass = lat.filter(np.ones(len(feats))) - lat.diagonal
+    mass = lat.filter(np.ones((len(feats), 1)))[:, 0] - lat.diagonal
     under = np.count_nonzero(mass < filtering.STARVED_THRESHOLD_HIGH_DIM)
     del lat, mass
 
@@ -507,7 +505,7 @@ def test_starved_balls_are_counted_only_until_the_budget_is_full(monkeypatch):
     monkeypatch.setattr(filtering, "FALLBACK_NNZ_LIMIT", 64)
     feats = np.random.default_rng(0).uniform(0.0, 400.0, (2000, 3))  # isolated points
     lat = PermutohedralLattice(feats)
-    mass = lat.filter(np.ones(len(feats))) - lat.diagonal
+    mass = lat.filter(np.ones((len(feats), 1)))[:, 0] - lat.diagonal
     assert np.all(mass < filtering.STARVED_THRESHOLD_HIGH_DIM)
 
     plan = plan_filter(feats, "lattice")
@@ -521,7 +519,7 @@ def _starved_mass(feats):
     from voxcrf.lattice import PermutohedralLattice
 
     lat = PermutohedralLattice(feats)
-    return lat.filter(np.ones(len(feats))) - lat.diagonal
+    return lat.filter(np.ones((len(feats), 1)))[:, 0] - lat.diagonal
 
 
 def _frame0_bilateral(**spec_kwargs):
@@ -737,7 +735,7 @@ def _dense_numerator(plan):
         if plan.dim >= 3
         else filtering.STARVED_THRESHOLD_LOW_DIM
     )
-    mass = lat.filter(np.ones(plan.n)) - lat.diagonal
+    mass = lat.filter(np.ones((plan.n, 1)))[:, 0] - lat.diagonal
     near = dist2 <= filtering.FALLBACK_RADIUS**2
     worst_first = np.flatnonzero(mass < threshold)
     worst_first = worst_first[np.argsort(mass[worst_first], kind="stable")]
@@ -794,10 +792,10 @@ def test_apply_and_adjoint_match_dense_numerator(kind, rng, monkeypatch):
         assert plan.starved == 0
     d = np.maximum(m.sum(axis=1), 1e-12)
     assert np.abs(plan.normalizers - d).max() < 1e-12 * max(1.0, d.max())
-    for shape in ((plan.n,), (plan.n, 3)):
+    for shape in ((plan.n, 1), (plan.n, 3)):
         v = rng.normal(size=shape)
         g = rng.normal(size=shape)
-        dd = d if len(shape) == 1 else d[:, None]
+        dd = d[:, None]
         expected = (m @ v) / dd
         expected_t = m.T @ (g / dd)
         v0, g0 = v.copy(), g.copy()
@@ -962,7 +960,7 @@ def test_lattice_plan_keeps_float32_values_in_float32(rng, outliers):
         expected = out + np.float32(0.7) * apply if vals.dtype == np.float32 else None
         plan.accumulate(vals, 0.7, out)
         assert apply.dtype == transpose.dtype == out.dtype == vals.dtype
-        assert plan.apply(vals[:, 0]).dtype == vals.dtype
+        assert plan.apply(vals[:, :1]).dtype == vals.dtype
         if vals.dtype == np.float32:
             np.testing.assert_array_equal(out, expected)
         else:
@@ -999,6 +997,18 @@ def test_values_that_are_not_real_numbers_raise_naming_their_dtype(backend, rng,
     for call in (plan.apply, plan.apply_transpose, lambda x: plan.accumulate(x, 0.5, out)):
         with pytest.raises(InputError, match=f"dtype {vals.dtype}"):
             call(vals)
+    np.testing.assert_array_equal(out, 0.0)
+
+
+def test_one_dimensional_values_raise_naming_the_expected_shape(backend, rng):
+    """apply, apply_transpose and accumulate take (N, C) values alone: (N,)
+    values raise ``InputError`` naming the expected (N, C) shape on both
+    backends, and ``accumulate`` leaves ``out`` as it was."""
+    plan = plan_filter(rng.uniform(0, 4, (30, 3)), backend)
+    out = np.zeros(30)
+    for call in (plan.apply, plan.apply_transpose, lambda x: plan.accumulate(x, 0.5, out)):
+        with pytest.raises(InputError, match=r"values must be \(30, C\), got \(30,\)"):
+            call(rng.normal(size=30))
     np.testing.assert_array_equal(out, 0.0)
 
 

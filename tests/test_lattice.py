@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 import voxcrf.lattice as lattice_mod
+from voxcrf.errors import InputError
 from voxcrf.lattice import PermutohedralLattice
 
 from _reference import ReferenceLattice
@@ -236,3 +237,43 @@ def test_row_blocks_cover_the_rows_without_a_one_row_block(n):
     sizes = [e - s for s, e in blocks]
     assert max(sizes) <= lattice_mod._ROW_BLOCK + 1
     assert min(sizes) >= min(n, 2)
+
+
+@pytest.mark.parametrize("n", [4097, 300], ids=["last_block_absorbs_a_row", "below_one_block"])
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("form", ["raw64", "scaled64", "scaled32"])
+def test_add_offdiagonal_is_bit_equal_to_the_whole_filter(rng, n, reverse, form):
+    """``add_offdiagonal(v, out, w)`` adds ``w (filter(v) - diagonal v)``,
+    formed over all N rows at once, into a non-zero ``out`` bit for bit, in
+    v's dtype: on a raw and a scaled lattice, in both directions, for an N
+    whose last row block absorbs one row and for an N below one block."""
+    lat = PermutohedralLattice(random_features(rng, n, 3, "spread"))
+    if n > lattice_mod._ROW_BLOCK:
+        assert [e - s for s, e in lattice_mod.row_blocks(n)][-1] == lattice_mod._ROW_BLOCK + 1
+    dtype = np.float32 if form == "scaled32" else np.float64
+    if form != "raw64":
+        lat = lat.scaled(rng.uniform(0.5, 2.0, n), dtype)
+    v = rng.normal(size=(n, 4)).astype(dtype)
+    out = rng.normal(size=(n, 4)).astype(dtype)
+    msg = lat.filter(v, reverse=reverse)
+    msg -= v * lat.diagonal[:, None]
+    msg *= dtype(0.7)
+    expected = out + msg
+    lat.add_offdiagonal(v, out, 0.7, reverse=reverse)
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out, expected)
+
+
+def test_lattice_takes_values_of_shape_n_by_c_only(rng):
+    """``filter`` and ``add_offdiagonal`` take (N, C) values alone: (N,)
+    values raise ``InputError`` naming the expected (N, C) shape, and an
+    ``out`` of another shape or dtype than the values raises and is left as
+    it was."""
+    lat = PermutohedralLattice(random_features(rng, 50, 3, "spread"))
+    for call in (lat.filter, lambda v: lat.add_offdiagonal(v, np.zeros(50))):
+        with pytest.raises(InputError, match=r"expected \(50, C\) values, got \(50,\)"):
+            call(np.ones(50))
+    for out in (np.ones((50, 3)), np.ones((51, 2)), np.ones((50, 2), np.float32)):
+        with pytest.raises(InputError, match="out must be float64 \\(50, 2\\)"):
+            lat.add_offdiagonal(rng.normal(size=(50, 2)), out)
+        np.testing.assert_array_equal(out, 1.0)

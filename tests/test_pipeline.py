@@ -310,6 +310,22 @@ def test_apply_overrides_reads_crf_params_dict(scene):
     assert (exact.crf.iterations, exact.min_observations) == (2, 3)
 
 
+def test_crf_params_thetas_survive_the_json_round_trip(scene):
+    """A theta given as a numpy float is stored as a Python float, so the
+    params' dict goes through JSON and back unchanged; a bool theta raises
+    ``ConfigError`` naming the field rather than being written as ``true``."""
+    _, config = load_manifest(scene)
+    params = CrfParams(theta_alpha=np.float32(61.0), theta_beta=np.float32(11.5), theta_gamma=3)
+    text = json.dumps(params.to_dict())
+    read = apply_overrides(config, json.loads(text)).crf
+    assert read.to_dict() == params.to_dict()
+    assert [type(getattr(read, f"theta_{k}")) for k in ("alpha", "beta", "gamma")] == [float] * 3
+    assert (read.theta_alpha, read.theta_beta, read.theta_gamma) == (61.0, 11.5, 3.0)
+    for name in ("theta_alpha", "theta_beta", "theta_gamma"):
+        with pytest.raises(ConfigError, match=f"^{name} must be positive and finite, got True$"):
+            CrfParams(**{name: True})
+
+
 def test_config_cross_field_conflicts(scene, monkeypatch):
     _, config = load_manifest(scene)
     with pytest.raises(ConfigError, match="compatibility"):

@@ -161,6 +161,19 @@ def test_cloud_rejects_non_finite_points(bad):
         SemanticPointCloud(points, np.zeros((3, 3)), np.full((3, 2), 0.5))
 
 
+def test_cloud_rejects_colors_outside_the_byte_range():
+    """Colors that are not uint8 must lie in [0, 255]: an out-of-range or
+    non-finite value raises ``InputError`` naming its point rather than
+    wrapping (300.7 once became 44, -5 became 251)."""
+    dists = np.full((2, 2), 0.5)
+    for colors, point in (([[1, 2, 3], [300.7, -5, 12]], 1), ([[-5, 0, 0], [0, 0, 0]], 0),
+                          ([[0, 0, 0], [0, np.nan, 0]], 1), ([[0, 0, np.inf], [0, 0, 0]], 0)):
+        with pytest.raises(InputError, match=f"of point {point} is outside \\[0, 255\\]"):
+            SemanticPointCloud(np.zeros((2, 3)), np.array(colors, np.float64), dists)
+    cloud = SemanticPointCloud(np.zeros((2, 3)), np.array([[0.0, 255.0, 12.0], [1, 2, 3]]), dists)
+    assert cloud.colors.dtype == np.uint8 and cloud.colors.tolist() == [[0, 255, 12], [1, 2, 3]]
+
+
 def make_cloud(rng, n=20, labels=3):
     return SemanticPointCloud(
         rng.normal(size=(n, 3)),
