@@ -388,13 +388,16 @@ class FilterPlan:
         return out
 
     def accumulate(self, values: np.ndarray, weight: float, out: np.ndarray) -> None:
-        """``out += weight * apply(values)`` in place; an ``out`` of another
-        shape than the values, or of another dtype than the plan, raises
-        ``InputError`` and is left as it was.  A lattice plan forms no (N, C)
-        message."""
-        vals, shape, dtype = self._as_matrix(values), np.shape(out), np.asarray(out).dtype
-        if shape != vals.shape or dtype != self.dtype:
-            raise InputError(f"out must be {self.dtype} {vals.shape}, got {dtype} {shape}")
+        """``out += weight * apply(values)`` in place; an ``out`` that is not
+        a writeable ndarray, or is of another shape than the values or of
+        another dtype than the plan, raises ``InputError`` and is left as it
+        was.  A lattice plan forms no (N, C) message."""
+        vals = self._as_matrix(values)
+        if not isinstance(out, np.ndarray) or not out.flags.writeable:
+            kind = "a read-only one" if isinstance(out, np.ndarray) else type(out).__name__
+            raise InputError(f"out must be a writeable ndarray, got {kind}")
+        if out.shape != vals.shape or out.dtype != self.dtype:
+            raise InputError(f"out must be {self.dtype} {vals.shape}, got {out.dtype} {out.shape}")
         self._add_message(vals, out, False, weight)
 
     def apply_transpose(self, grads: np.ndarray) -> np.ndarray:

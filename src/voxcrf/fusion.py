@@ -16,7 +16,9 @@ A ``VoxelMap`` holds M voxels as parallel arrays sorted by key:
 ``integrate_cloud`` groups a cloud's points by voxel with a stable sort, so
 one voxel's log-likelihoods sum in point order, then merges the groups into
 the map by ``searchsorted``: existing voxels add the group sum, unseen ones
-start from the uniform prior (a constant the normalization absorbs).  Only
+start from the uniform prior (a constant the normalization absorbs).  The
+sums are float64 for a cloud of either dtype: a float32 cloud's rows are
+cast to float64, exactly, as they are gathered in key order.  Only
 the rows it touched are renormalized, so long observation sequences cannot
 underflow.  Likelihoods are floored so one confident wrong observation can
 never zero a label forever; a non-finite likelihood (NaN, +inf) is rejected
@@ -190,7 +192,8 @@ def integrate_cloud(vmap: VoxelMap, cloud: SemanticPointCloud) -> VoxelMap:
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    log_lik = cloud.label_dists[order]
+    # one float64 (N, L) array: a float32 row casts to float64 exactly
+    log_lik = cloud.label_dists[order].astype(np.float64, copy=False)
     np.maximum(log_lik, LIKELIHOOD_FLOOR, out=log_lik)
     np.log(log_lik, out=log_lik)
     log_sums = np.add.reduceat(log_lik, starts, axis=0)

@@ -59,10 +59,7 @@ def _cmd_segment(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"bad value for labels: the unary has {probs.labels} labels, got {config.labels}"
             )
-    # a flag given wins over the config; replace copies the shared defaults
-    flags = {} if args.iterations is None else {"iterations": args.iterations}
-    params = replace(config.crf, **flags)
-    backend = config.backend if args.backend is None else args.backend
+    params, backend = config.crf, config.backend
     # infer in the dtype ``fuse`` reads the file in for this backend; the
     # narrowed float64 read has the bytes of load_unary's float32 read
     narrowed = probs.data.astype(working_dtype(backend, np.float32), copy=False)
@@ -169,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="segment_out")
     p.add_argument("--energy-report", action="store_true")
     p.add_argument("--config", default=None, help="JSON file of CRF and backend settings")
-    p.add_argument("--backend", choices=("exact", "lattice"), default=None)
-    p.add_argument("--iterations", type=int, default=None)
     p.set_defaults(func=_cmd_segment)
 
     p = sub.add_parser("fuse", help="run the full pipeline over a manifest")

@@ -89,14 +89,27 @@ def _read_netpbm(path: str | Path, kind: str) -> np.ndarray:
     return samples.astype(dtype.newbyteorder("="))  # a writable native-order copy
 
 
+def _check_samples(values: np.ndarray, high: int, what: str) -> None:
+    """``FormatError`` naming the first value that is not a whole number in
+    [0, high], NaN and inf included: the cast to an integer sample would
+    wrap 300 to 44, truncate 12.7 to 12 or turn NaN into 0."""
+    inside = (values >= 0) & (values <= high)
+    fits = inside & (values.dtype.kind != "f" or values == np.rint(values))
+    if not np.all(fits):
+        i = int(np.argmin(fits))
+        where = tuple(int(k) for k in np.unravel_index(i, values.shape))
+        where = where[0] if len(where) == 1 else where
+        fault = "is not a whole number" if inside.flat[i] else f"is outside [0, {high}]"
+        raise FormatError(f"{what} {values.flat[i]} at {where} {fault}")
+
+
 def _write_netpbm(path: str | Path, image: np.ndarray, kind: str) -> None:
     magic, maxval, dtype, channels = _NETPBM[kind]
     img = np.asarray(image)
-    if img.ndim != 2 + len(channels) or img.shape[2:] != channels:
-        form = "(H, W, 3)" if channels else "2-D"
-        raise FormatError(f"{kind} image must be {form}, got shape {img.shape}")
-    if img.min() < 0 or img.max() > maxval:
-        raise FormatError(f"{kind} values outside uint{8 * dtype.itemsize} range")
+    if img.ndim != 2 + len(channels) or img.shape[2:] != channels or 0 in img.shape[:2]:
+        form = "(H, W, 3)" if channels else "(H, W)"
+        raise FormatError(f"{kind} image must be {form} with positive dims, got shape {img.shape}")
+    _check_samples(img, maxval, f"{kind} image value")
     with open(path, "wb") as f:
         f.write(magic + f"\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode())
         f.write(img.astype(dtype).tobytes())
@@ -204,10 +217,8 @@ def write_ply(
     n = points.shape[0]
     if not (colors.shape[0] == hard_labels.shape[0] == confidences.shape[0] == n):
         raise FormatError("PLY arrays disagree in length")
-    for name, column in (("colors", colors), ("labels", hard_labels)):
-        # written truncated to an integer, so [0, 256) is the uchar range
-        if n and not (column.min() >= 0 and column.max() < 256):
-            raise FormatError(f"PLY {name} outside the uchar range [0, 255]")
+    _check_samples(colors, 255, "PLY colors value")
+    _check_samples(hard_labels, 255, "PLY labels value")
     with open(path, "w") as f:
         f.write("ply\nformat ascii 1.0\n")
         f.write(f"element vertex {n}\n")

@@ -55,21 +55,35 @@ class Pose:
 
 @dataclass
 class SemanticPointCloud:
-    """3D points with color and a full label distribution per point."""
+    """3D points with color and a full label distribution per point.
+
+    ``label_dists`` keeps float32 rows as float32, as ``crf._grid_data``
+    keeps a float32 Q, and holds any other rows as float64.  Colors that
+    are not uint8 must be whole numbers in [0, 255]; any other value
+    raises ``InputError`` naming its point.
+    """
 
     points: np.ndarray  # (N, 3) float64, meters
     colors: np.ndarray  # (N, 3) uint8
-    label_dists: np.ndarray  # (N, L) float64
+    label_dists: np.ndarray  # (N, L) float32 or float64
 
     def __post_init__(self):
         self.points = np.ascontiguousarray(self.points, dtype=np.float64).reshape(-1, 3)
         colors = np.asarray(self.colors).reshape(-1)
-        inside = colors.dtype == np.uint8 or (colors >= 0) & (colors <= 255)
-        if not np.all(inside):  # a cast to uint8 would wrap 300 to 44 and -5 to 251
-            i = int(np.argmin(inside))
-            raise InputError(f"color {colors[i]} of point {i // 3} is outside [0, 255]")
+        if colors.dtype != np.uint8:
+            # a cast to uint8 would wrap 300 to 44 and -5 to 251, and
+            # truncate 12.7 to 12; NaN fails the range test
+            inside = (colors >= 0) & (colors <= 255)
+            fits = inside & (colors == np.rint(colors))
+            if not np.all(fits):
+                i = int(np.argmin(fits))
+                fault = "is not a whole number" if inside[i] else "is outside [0, 255]"
+                raise InputError(f"color {colors[i]} of point {i // 3} {fault}")
         self.colors = np.ascontiguousarray(colors, dtype=np.uint8).reshape(-1, 3)
-        self.label_dists = np.ascontiguousarray(self.label_dists, dtype=np.float64)
+        dists = np.asarray(self.label_dists)
+        self.label_dists = np.ascontiguousarray(
+            dists, None if dists.dtype == np.float32 else np.float64
+        )
         n = self.points.shape[0]
         if self.colors.shape[0] != n or self.label_dists.shape[0] != n:
             raise InputError(
@@ -87,7 +101,8 @@ class SemanticPointCloud:
         return self.label_dists.shape[1]
 
     def compact(self) -> tuple[np.ndarray, np.ndarray]:
-        """Hard labels (argmax, ties to the smallest id) and their confidence."""
+        """Hard labels (argmax, ties to the smallest id) and their confidence,
+        in the dtype of ``label_dists``."""
         hard = np.argmax(self.label_dists, axis=1)
         conf = self.label_dists[np.arange(len(self)), hard] if len(self) else np.zeros(0)
         return hard, conf
@@ -123,7 +138,8 @@ def make_semantic_cloud(
     rgb: np.ndarray,
 ) -> SemanticPointCloud:
     """One point per valid depth pixel, in row-major pixel order, carrying the
-    pixel's marginal distribution and color."""
+    pixel's marginal distribution, in Q's dtype, and color; colors must fit
+    the cloud's uint8 (``SemanticPointCloud``)."""
     points = np.asarray(points)
     valid = np.asarray(valid, dtype=bool)
     rgb = np.asarray(rgb)
@@ -137,7 +153,7 @@ def make_semantic_cloud(
     mask = valid.reshape(-1)
     return SemanticPointCloud(
         points.reshape(-1, 3)[mask],
-        np.clip(rgb.reshape(-1, 3)[mask], 0, 255).astype(np.uint8),
+        rgb.reshape(-1, 3)[mask],
         q.data[mask],
     )
 

@@ -672,7 +672,9 @@ scene = f"{out}/scene"
 run("synth", "--frames", "2", "--width", "32", "--height", "24", "--out", scene)
 run("train-crf", "--backend", "exact", "--epochs", "1", "--manifest", f"{scene}/manifest.txt",
     "--out", f"{out}/p.json")
-run("segment", "--backend", "exact", "--unary", f"{scene}/unary/frame0000.unry",
+with open(f"{out}/exact.json", "w") as f:
+    f.write('{"backend": "exact"}')
+run("segment", "--config", f"{out}/exact.json", "--unary", f"{scene}/unary/frame0000.unry",
     "--rgb", f"{scene}/rgb/frame0000.ppm", "--out", f"{out}/seg")
 import numpy as np
 from voxcrf.filtering import plan_filter
@@ -910,6 +912,26 @@ def test_accumulate_rejects_an_out_of_another_shape(backend, rng, shape):
         plan.accumulate(rng.normal(size=(50, 4)), 0.5, out)
     assert "(50, 4)" in str(err.value) and str(shape) in str(err.value)
     np.testing.assert_array_equal(out, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["list", "read-only"])
+def test_accumulate_takes_only_a_writeable_ndarray_out(backend, rng, kind):
+    """A nested-list out once passed the shape and dtype checks: the exact
+    plan left it all zeros with no error and the lattice plan failed inside
+    numpy, as a read-only array did on both.  Each raises InputError naming
+    what it got, before any row is written."""
+    plan = plan_filter(rng.uniform(0, 4, (50, 3)), backend)
+    v = rng.normal(size=(50, 4))
+    if kind == "list":
+        out = np.zeros((50, 4)).tolist()
+        message = "got list"
+    else:
+        out = np.zeros((50, 4))
+        out.flags.writeable = False
+        message = "got a read-only one"
+    with pytest.raises(InputError, match=f"^out must be a writeable ndarray, {message}$"):
+        plan.accumulate(v, 0.5, out)
+    np.testing.assert_array_equal(out, 0.0)
 
 
 @pytest.mark.parametrize(

@@ -153,7 +153,9 @@ def test_ply_writer_matches_row_reference_bytes(tmp_path, rng, n):
     points[: n // 3] = np.round(points[: n // 3], 2)
     conf = rng.uniform(0, 1, n)
     labels = rng.integers(0, 256, n)
-    for colors in (rng.integers(0, 256, (n, 3)).astype(np.uint8), rng.uniform(0, 255.9, (n, 3))):
+    # whole-valued float colors write as the same integers; fractional ones
+    # are rejected (test_ply_writer_rejects_colors_outside_uchar)
+    for colors in (rng.integers(0, 256, (n, 3)).astype(np.uint8), np.floor(rng.uniform(0, 256, (n, 3)))):
         write_ply(tmp_path / "a.ply", points, colors, labels, conf)
         reference_write_ply(tmp_path / "b.ply", points, colors, labels, conf)
         assert (tmp_path / "a.ply").read_bytes() == (tmp_path / "b.ply").read_bytes()
@@ -208,21 +210,22 @@ def test_ply_strict_reader_rejects_hand_edits(tmp_path, old, new):
         read_ply(path)
 
 
-@pytest.mark.parametrize("color", [-1, 256, 300, np.nan])
+@pytest.mark.parametrize("color", [-1, 256, 300, np.nan, np.inf, 12.7, 0.5, 254.9])
 def test_ply_writer_rejects_colors_outside_uchar(tmp_path, color):
+    # a fractional color was once written truncated to an integer
     path = tmp_path / "c.ply"
     colors = np.zeros((2, 3))
     colors[1, 2] = color
-    with pytest.raises(FormatError, match="colors"):
+    with pytest.raises(FormatError, match=f"^PLY colors value {float(color)} at \\(1, 2\\) is "):
         write_ply(path, np.zeros((2, 3)), colors, [0, 1], [1.0, 1.0])
     assert not path.exists()
 
 
-@pytest.mark.parametrize("label", [-1, 256])
+@pytest.mark.parametrize("label", [-1, 256, 1.5, np.nan])
 def test_ply_writer_rejects_labels_outside_uchar(tmp_path, label):
-    # the label property is a uchar
+    # the label property is a uchar; a fractional label was once truncated
     path = tmp_path / "c.ply"
-    with pytest.raises(FormatError, match="label"):
+    with pytest.raises(FormatError, match=f"^PLY labels value {label} at 1 is "):
         write_ply(path, np.zeros((2, 3)), np.zeros((2, 3), np.uint8), [0, label], [1.0, 1.0])
     assert not path.exists()
 
@@ -240,6 +243,20 @@ def test_netpbm_writers_pin_header_and_sample_bytes(tmp_path):
     for write, image in [(write_pgm16, [[65536]]), (write_pgm8, [[256]]), (write_ppm, [[[0, 0, -1]]])]:
         with pytest.raises(FormatError, match="outside"):
             write(path, np.array(image))
-    for write, shape in [(write_pgm16, (3,)), (write_pgm8, (2, 2, 1)), (write_ppm, (2, 2))]:
+    # NaN and fractions were once cast to 0 and truncated; the first is named
+    path = tmp_path / "never_written"
+    for write, image, message in [
+        (write_ppm, [[[np.nan, 12.7, 254.9]]], "color image value nan at (0, 0, 0) is outside [0, 255]"),
+        (write_pgm8, [[1.5, 2.99]], "label image value 1.5 at (0, 0) is not a whole number"),
+        (write_pgm8, [[1, np.inf]], "label image value inf at (0, 1) is outside [0, 255]"),
+        (write_pgm16, [[7.0, 0.25]], "depth image value 0.25 at (0, 1) is not a whole number"),
+    ]:
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            write(path, np.array(image))
+        assert not path.exists()
+    # a Netpbm header holds positive dimensions only: an empty image is refused
+    shapes = [(write_pgm16, (3,)), (write_pgm8, (2, 2, 1)), (write_ppm, (2, 2)),
+              (write_pgm8, (0, 4)), (write_ppm, (2, 0, 3))]
+    for write, shape in shapes:
         with pytest.raises(FormatError, match="must be"):
             write(path, np.zeros(shape))

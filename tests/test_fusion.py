@@ -116,6 +116,35 @@ def test_integrate_rejects_a_non_finite_likelihood_leaving_the_map_unchanged(bad
     assert (vmap.created, vmap.updated) == (1, 0)
 
 
+def test_float32_cloud_integrates_bit_equal_to_its_float64_copy(rng, tmp_path):
+    """A cloud of a float32 Q keeps float32 rows; each row casts to float64
+    exactly, so integrating it gives the log posteriors, and the per-frame
+    PLY from ``compact``, bit-equal to its float64 copy's."""
+    from voxcrf.pipeline.formats import write_ply
+
+    n, labels = 400, 5
+    points = rng.uniform(-0.05, 0.05, (n, 3))
+    colors = rng.integers(0, 256, (n, 3), dtype=np.uint8)
+    dists = rng.dirichlet(np.ones(labels), size=n).astype(np.float32)
+    dists[:7] = 0.0  # rows under the likelihood floor
+    dists[:7, 0] = 1.0
+    c32 = SemanticPointCloud(points, colors, dists)
+    c64 = SemanticPointCloud(points, colors, dists.astype(np.float64))
+    assert (c32.label_dists.dtype, c64.label_dists.dtype) == (np.float32, np.float64)
+    maps = []
+    for cloud, name in ((c32, "c32"), (c64, "c64")):
+        vmap = VoxelMap(0.02, labels)
+        for _ in range(2):  # the second pass updates every voxel
+            integrate_cloud(vmap, cloud)
+        maps.append(vmap)
+        write_ply(tmp_path / f"{name}.ply", cloud.points, cloud.colors, *cloud.compact())
+    assert maps[0].log_posteriors.dtype == np.float64
+    assert maps[0].keys.tobytes() == maps[1].keys.tobytes()
+    assert maps[0].log_posteriors.tobytes() == maps[1].log_posteriors.tobytes()
+    assert maps[0].color_sums.tobytes() == maps[1].color_sums.tobytes()
+    assert (tmp_path / "c32.ply").read_bytes() == (tmp_path / "c64.ply").read_bytes()
+
+
 def test_integrate_label_count_mismatch():
     vmap = VoxelMap(0.01, 3)
     with pytest.raises(InputError):

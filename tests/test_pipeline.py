@@ -964,9 +964,11 @@ def test_cli_metrics_label_count_outside_2_to_255_exits_1_writing_nothing(
 def test_cli_segment_rejects_zero_iterations(scene, tmp_path, capsys):
     records, _ = load_manifest(scene)
     rec = records[0]
+    settings = tmp_path / "zero.json"
+    settings.write_text('{"iterations": 0}')
     rc = cli_main(
         ["segment", "--unary", rec.unary_path, "--rgb", rec.rgb_path,
-         "--out", str(tmp_path / "seg0"), "--iterations", "0"]
+         "--out", str(tmp_path / "seg0"), "--config", str(settings)]
     )
     assert rc != 0
     assert "error" in capsys.readouterr().err
@@ -1007,17 +1009,28 @@ def test_cli_segment_config_takes_train_crf_output(scene, tmp_path, monkeypatch)
     assert backend == "lattice"
 
 
-def test_cli_segment_flags_given_beat_the_config(scene, tmp_path, monkeypatch):
-    settings = tmp_path / "settings.json"
-    settings.write_text('{"backend": "exact", "iterations": 2, "kernel_weights": [4, 1]}')
+@pytest.mark.parametrize(
+    "flag, value, setting",
+    [("--backend", "exact", {"backend": "exact"}), ("--iterations", "2", {"iterations": 2})],
+    ids=["backend", "iterations"],
+)
+def test_segment_takes_settings_only_from_config(scene, tmp_path, monkeypatch, flag, value, setting):
+    """As for fuse, backend and iterations are config keys with no flag:
+    the flag ends in argparse's usage error, and --config sets the key
+    away from its default (lattice, 5 iterations)."""
     rec = load_manifest(scene)[0][0]
-    config = ["--config", str(settings)]
+    args = ["--unary", rec.unary_path, "--rgb", rec.rgb_path, "--out", str(tmp_path / "seg")]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["segment", *args, flag, value])
+    assert exc.value.code == 2
+    assert not (tmp_path / "seg").exists()
 
-    params, backend = _recorded_segment(rec, tmp_path, monkeypatch, *config)
-    assert (backend, params.iterations, params.kernel_weights.tolist()) == ("exact", 2, [4, 1])
-    flags = ["--backend", "lattice", "--iterations", "3"]
-    params, backend = _recorded_segment(rec, tmp_path, monkeypatch, *config, *flags)
-    assert (backend, params.iterations, params.kernel_weights.tolist()) == ("lattice", 3, [4, 1])
+    settings = tmp_path / "settings.json"
+    settings.write_text(json.dumps(setting))
+    params, backend = _recorded_segment(rec, tmp_path, monkeypatch, "--config", str(settings))
+    used = {"backend": backend, "iterations": params.iterations}
+    assert {key: used[key] for key in setting} == setting
+
 
 
 @pytest.mark.parametrize(
@@ -1054,8 +1067,10 @@ def test_cli_segment_label_count_outside_2_to_255_exits_1_writing_nothing(tmp_pa
     write_unary(tmp_path / "u.unry", 4, 4, probs)
     write_ppm(tmp_path / "rgb.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
     out = tmp_path / "seg"
+    (tmp_path / "exact.json").write_text('{"backend": "exact"}')
     args = ["--unary", str(tmp_path / "u.unry"), "--rgb", str(tmp_path / "rgb.ppm")]
-    assert cli_main(["segment", "--backend", "exact", *args, "--out", str(out)]) == 1
+    args += ["--config", str(tmp_path / "exact.json")]
+    assert cli_main(["segment", *args, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: labels must be in [2, 255], got {labels}\n"
     assert not out.exists()
 
@@ -1342,7 +1357,7 @@ def test_cli_segment_energy_report(tmp_path, scene, capsys):
     assert float(values["energy_map"]) <= float(values["energy_unary_argmax"]) + 1e-9
 
 
-# sha256 of segment --backend exact's output on frame 0 of the 48x36 default
+# sha256 of segment's exact-backend output on frame 0 of the 48x36 default
 # scene: the exact backend reads and infers the unary in float64
 _EXACT_SEGMENT_DIGESTS = {
     "refined.unry": "4f17065f685c67e6de30f57ea7b7ba0d31c8276ba338b9c0877286a4e4c0ebf9",
@@ -1362,8 +1377,9 @@ def test_cli_segment_refines_as_the_fuse_path_does(tmp_path, capsys, backend, si
     records, config = load_manifest(generate_synthetic(spec, tmp_path / "scene"))
     rec = records[0]
     out = tmp_path / "seg"
+    (tmp_path / "backend.json").write_text(json.dumps({"backend": backend}))
     args = ["--unary", rec.unary_path, "--rgb", rec.rgb_path, "--out", str(out)]
-    assert cli_main(["segment", "--backend", backend, *args]) == 0
+    assert cli_main(["segment", "--config", str(tmp_path / "backend.json"), *args]) == 0
     q = run_frame(rec, replace(config, backend=backend)).q
     assert q.data.dtype == (np.float32 if backend == "lattice" else np.float64)
     save_unary(tmp_path / "fused_q.unry", q)

@@ -172,6 +172,39 @@ def test_cloud_rejects_colors_outside_the_byte_range():
             SemanticPointCloud(np.zeros((2, 3)), np.array(colors, np.float64), dists)
     cloud = SemanticPointCloud(np.zeros((2, 3)), np.array([[0.0, 255.0, 12.0], [1, 2, 3]]), dists)
     assert cloud.colors.dtype == np.uint8 and cloud.colors.tolist() == [[0, 255, 12], [1, 2, 3]]
+    # in range but not whole: a cast would truncate 12.7 to 12 and 0.5 to 0
+    for colors, message in (([[12.7, 0.5, 254.9], [0, 0, 0]], "color 12.7 of point 0"),
+                            ([[1, 2, 3], [4, 5, 6.5]], "color 6.5 of point 1")):
+        with pytest.raises(InputError, match=f"^{message} is not a whole number$"):
+            SemanticPointCloud(np.zeros((2, 3)), np.array(colors), dists)
+    # the first bad value is named, whichever check it fails
+    with pytest.raises(InputError, match="^color 0.5 of point 0 is not a whole number$"):
+        SemanticPointCloud(np.zeros((2, 3)), np.array([[0, 0.5, 0], [300, 0, 0]]), dists)
+
+
+def test_make_semantic_cloud_rejects_colors_outside_the_byte_range(rng):
+    """An RGB value outside [0, 255] raises rather than being clipped to
+    the byte range."""
+    points, valid = back_project(np.ones((2, 2), dtype=np.uint16), INTR)
+    rgb = np.zeros((2, 2, 3))
+    rgb[1, 0, 2] = 300.0
+    with pytest.raises(InputError, match="^color 300.0 of point 2 is outside"):
+        make_semantic_cloud(points, valid, q_image(2, 2, 2, rng), rgb)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cloud_keeps_q_rows_in_q_dtype(rng, dtype):
+    """A float32 Q's rows stay float32 in the cloud (no float64 copy), and
+    float64 ones stay float64; other dtypes are held as float64."""
+    points, valid = back_project(np.ones((2, 3), dtype=np.uint16), INTR)
+    q = LabelDistributionImage(2, 3, 2, rng.dirichlet(np.ones(2), size=6).astype(dtype))
+    cloud = make_semantic_cloud(points, valid, q, np.zeros((2, 3, 3), np.uint8))
+    assert cloud.label_dists.dtype == dtype
+    np.testing.assert_array_equal(cloud.label_dists, q.data)
+    assert transform_cloud(cloud, Pose(np.eye(4))).label_dists.dtype == dtype
+    assert cloud.compact()[1].dtype == dtype
+    ints = SemanticPointCloud(np.zeros((1, 3)), np.zeros((1, 3), np.uint8), [[1, 0]])
+    assert ints.label_dists.dtype == np.float64
 
 
 def make_cloud(rng, n=20, labels=3):
