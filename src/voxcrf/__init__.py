@@ -8,7 +8,6 @@ from .crf import (
     LabelDistributionImage,
     LabelImage,
     UnaryField,
-    brute_force_map,
     build_features,
     crf_energy,
     map_labeling,

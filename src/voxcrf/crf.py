@@ -12,8 +12,16 @@ other stages are dense (N, L) array operations, done in place: the first
 kernel's message buffer takes the weighted sum (the other kernels add
 theirs into it a block of rows at a time), then one pass over its row
 blocks writes each block's logits (compatibility GEMM plus unary), checks
-them once and takes their softmax in place.  Traced inference runs the
-same step and copies the weighted sum into its trace before that pass.
+them once from their min and max and takes their softmax in place.  Traced
+inference runs the same step and copies the weighted sum into its trace
+before that pass.
+
+Row maxima and sums over the label axis (the softmax's, and those of the
+probability checks, the unary reader, resampling and voxel fusion) come
+from ``reduce_labels``: numpy reduces each short row in a loop of its own,
+so it copies each row block label-major into one scratch buffer and
+reduces whole rows of it, summing in numpy's own pairwise order so every
+sum is bit-equal to ``sum(axis=1)``.
 
 Inference runs in the dtype ``filtering.working_dtype`` gives the backend
 and the unary: float32 on the lattice backend for a float32 unary (U, Q,
@@ -33,13 +41,12 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import ConfigError, InputError, NumericalError, SizeLimitError
+from .errors import ConfigError, InputError, NumericalError, SizeLimitError, check_real
 from .filtering import FilterPlan, _kernel_rows, plan_filter, working_dtype
 from .lattice import row_blocks
 
 IGNORE_LABEL = 255
 PROB_FLOOR = 1e-8  # probabilities clamped here before taking logs
-BRUTE_FORCE_LIMIT = 2**20  # max number of labelings enumerated
 ENERGY_PIXEL_LIMIT = 4096  # crf_energy materializes N x N kernels
 
 
@@ -55,6 +62,12 @@ def check_label_count(labels: int, name: str = "labels") -> None:
 # ---------------------------------------------------------------------------
 
 
+def _finite(arr: np.ndarray) -> bool:
+    """Whether every entry is finite, from the min and max, which carry any
+    NaN or inf, with no (N, L) bool."""
+    return bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 def _grid_data(height: int, width: int, labels: int, data) -> np.ndarray:
     """``data`` as a contiguous (height * width, labels) array, float32 when
     it is float32 and float64 otherwise: a unary file read in float32 for
@@ -64,8 +77,7 @@ def _grid_data(height: int, width: int, labels: int, data) -> np.ndarray:
     if height <= 0 or width <= 0 or labels <= 0:
         raise InputError(f"dimensions must be positive, got {height}x{width}x{labels}")
     data = np.asarray(data)
-    if data.dtype.kind not in "biuf":
-        raise InputError(f"data of dtype {data.dtype}, expected real numbers")
+    check_real(data, "data")
     data = np.ascontiguousarray(data, None if data.dtype == np.float32 else np.float64)
     if data.shape != (height * width, labels):
         raise InputError(f"data shape {data.shape} != ({height * width}, {labels})")
@@ -91,7 +103,7 @@ class LabelDistributionImage:
             raise InputError("non-finite probability entry")
         if low < 0:
             raise InputError("negative probability entry")
-        sums = self.data.sum(axis=1, dtype=np.float64)
+        sums = reduce_labels(self.data, np.add, np.float64)
         if np.abs(sums - 1.0).max() > 1e-6:
             raise InputError(f"per-pixel sums deviate from 1 by {np.abs(sums - 1.0).max():.2e}")
         return self
@@ -111,8 +123,7 @@ class UnaryField:
 
     def __post_init__(self):
         self.data = _grid_data(self.height, self.width, self.labels, self.data)
-        # min and max carry any NaN or inf, with no (N, L) bool
-        if not np.isfinite(self.data.min()) or not np.isfinite(self.data.max()):
+        if not _finite(self.data):
             raise InputError("non-finite unary potential")
 
 
@@ -221,8 +232,7 @@ class LabelImage:
         if self.height <= 0 or self.width <= 0:
             raise InputError(f"dimensions must be positive, got {self.height}x{self.width}")
         data = np.asarray(self.data).reshape(-1)
-        if data.dtype.kind not in "biuf":
-            raise InputError(f"label data of dtype {data.dtype}, expected real numbers")
+        check_real(data, "label data")
         whole = data.dtype.kind != "f" or np.isfinite(data) & (data == np.rint(data))
         if not np.all(whole):  # a cast to int64 would truncate 1.5 to 1
             i = int(np.argmin(whole))
@@ -245,6 +255,61 @@ class LabelImage:
 # ---------------------------------------------------------------------------
 
 
+def reduce_labels(a: np.ndarray, ufunc, dtype=None) -> np.ndarray:
+    """Per-row maxima (``ufunc`` ``np.maximum``) or sums (``np.add``, in
+    ``dtype``, ``a``'s by default) over the label axis of an (N, L) array,
+    bit-equal to ``a.max(axis=1)`` and ``a.sum(axis=1, dtype=dtype)``.
+
+    numpy reduces each row in one short inner loop of its own.  Here each
+    block of ``row_blocks`` is copied label-major into one (L, rows) scratch
+    buffer, which stays in cache, and reduced by whole-row operations on
+    it: maxima by halving (a max is exact in any order), sums in numpy's own
+    pairwise order (``_pairwise_sum``), added to the identity 0 as numpy
+    adds them.  ``tests/test_crf.py`` holds numpy's forms as the oracle.
+    """
+    dtype = a.dtype if dtype is None else np.dtype(dtype)
+    out = np.empty(len(a), dtype)
+    blocks = list(row_blocks(len(a)))
+    buf = np.empty((a.shape[1], max((e - s for s, e in blocks), default=0)), dtype)
+    for s, e in blocks:
+        t = buf[:, : e - s]
+        np.copyto(t, a[s:e].T)
+        if ufunc is np.add:
+            _pairwise_sum(t, len(t))
+            np.add(t[0], 0, out=out[s:e])
+            continue
+        k = len(t)
+        while k > 1:
+            half = k // 2
+            ufunc(t[:half], t[k - half : k], out=t[:half])
+            k -= half
+        out[s:e] = t[0]
+    return out
+
+
+def _pairwise_sum(t: np.ndarray, n: int) -> None:
+    """Sum rows ``t[:n]`` into ``t[0]`` in the order of numpy's
+    ``pairwise_sum``: in order below 8 rows; up to 128 rows in 8 lanes of
+    every 8th row, joined ((0+1)+(2+3))+((4+5)+(6+7)), then the rows left
+    over in order; above 128, the two halves (the first a multiple of 8)."""
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        _pairwise_sum(t[half:], n - half)
+        _pairwise_sum(t, half)
+        t[0] += t[half]
+        return
+    lanes = 8 if n >= 8 else 1
+    stop = n - n % lanes
+    for i in range(lanes, stop, lanes):
+        t[:lanes] += t[i : i + lanes]
+    if lanes == 8:
+        t[0:8:2] += t[1:8:2]
+        t[0:8:4] += t[2:8:4]
+        t[0] += t[4]
+    for i in range(stop, n):
+        t[0] += t[i]
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax; ``logits`` is not written."""
     return _softmax_into(logits, np.empty_like(logits, dtype=np.float64))
@@ -252,10 +317,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def _softmax_into(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax of ``logits`` written to ``out``, which may
-    be ``logits`` itself."""
-    np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True)
+    be ``logits`` itself: a block of ``row_blocks`` at a time, its row
+    maxima and sums from ``reduce_labels``, so each row is bit-equal to the
+    whole-array form ``exp(logits - max)`` over its sum."""
+    for s, e in row_blocks(len(logits)):
+        block = out[s:e]
+        np.subtract(logits[s:e], reduce_labels(logits[s:e], np.maximum)[:, None], out=block)
+        np.exp(block, out=block)
+        block /= reduce_labels(block, np.add)[:, None]
     return out
 
 
@@ -317,7 +386,7 @@ class MeanFieldTrace:
 
 
 def _check_finite(arr: np.ndarray, stage: str, iteration: int) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not _finite(arr):
         raise NumericalError(f"non-finite value in {stage} at iteration {iteration}")
 
 
@@ -362,7 +431,7 @@ def _step(
     # the diagnosis) and the softmax, row-wise so bit-equal to whole arrays
     for s, e in row_blocks(len(combined)):
         block = np.subtract(u[s:e], combined[s:e] @ mu.T, out=combined[s:e])
-        if not np.isfinite(block).all():
+        if not _finite(block):
             _raise_non_finite(q, plans, weights, mu, iteration)
         _softmax_into(block, block)
     if trace is not None:
@@ -484,7 +553,7 @@ def mean_field_backward(
 
 
 # ---------------------------------------------------------------------------
-# energy and exhaustive MAP
+# energy
 # ---------------------------------------------------------------------------
 
 
@@ -518,42 +587,6 @@ def crf_energy(
     mu_x = mu[labels[:, None], labels[None, :]]
     pairwise = float(np.triu(mu_x * k_total, k=1).sum())
     return float(unary) + pairwise
-
-
-def brute_force_map(
-    u: UnaryField, features: FeatureField, params: CrfParams
-) -> LabelImage:
-    """Exhaustive minimum-energy labeling; ties break to the lexicographically
-    smallest labeling.  Requires L^N <= 2^20."""
-    n = u.height * u.width
-    num_labels = u.labels
-    if float(num_labels) ** n > BRUTE_FORCE_LIMIT:
-        raise SizeLimitError(
-            f"{num_labels}^{n} labelings exceed the enumeration limit {BRUTE_FORCE_LIMIT}"
-        )
-    _check_dims(u, features)
-    mu = params.compatibility_for(num_labels)
-    k_total = _weighted_kernel(features, params)
-    iu, ju = np.triu_indices(n, k=1)
-    k_flat = k_total[iu, ju]
-
-    best_energy = np.inf
-    best = None
-    chunk = 1 << 14
-    total = num_labels**n
-    # enumerate labelings in lexicographic order; argmin keeps the first optimum
-    powers = num_labels ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        labs = (idx[:, None] // powers[None, :]) % num_labels
-        unary = -u.data[np.arange(n)[None, :], labs].sum(axis=1)
-        pair = (mu[labs[:, iu], labs[:, ju]] * k_flat[None, :]).sum(axis=1)
-        energies = unary + pair
-        j = int(np.argmin(energies))
-        if energies[j] < best_energy:
-            best_energy = float(energies[j])
-            best = labs[j]
-    return LabelImage(u.height, u.width, best)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check that an
+array holds real numbers."""
 
 
 class VoxcrfError(Exception):
@@ -23,3 +24,11 @@ class SizeLimitError(VoxcrfError, ValueError):
 
 class NumericalError(VoxcrfError, ArithmeticError):
     """Non-finite value produced during computation; message names the stage."""
+
+
+def check_real(data, what: str) -> None:
+    """``InputError`` naming ``what`` and its dtype unless ``data`` (an
+    ndarray) holds real numbers: a cast would drop a complex part, parse
+    numerals from strings or turn objects into NaN."""
+    if data.dtype.kind not in "biuf":
+        raise InputError(f"{what} of dtype {data.dtype}, expected real numbers")

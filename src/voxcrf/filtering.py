@@ -52,8 +52,9 @@ A plan is built for one dtype, chosen in one place, ``working_dtype``:
 float32 for a lattice plan built for float32, float64 for every other plan
 (the whole exact backend, the oracle).  A lattice plan holds its lattice,
 D_L / d and F in that dtype alone (``lattice`` module docstring), so no call
-casts a matrix.  Values of another working dtype, or not real, raise
-``InputError`` naming both dtypes rather than taking a hidden (N, C) copy.
+casts a matrix.  Values of another working dtype raise ``InputError``
+naming both dtypes rather than taking a hidden (N, C) copy, and values that
+are not real numbers raise it naming theirs (``errors.check_real``).
 Mean-field inference and the pipeline's unary reader ask ``working_dtype``
 too, so a float32 unary file runs the lattice mean field in float32 with no
 float64 copy.  A single point has no neighbors, so on either backend it
@@ -87,7 +88,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_real
 from .lattice import PermutohedralLattice, csr_from_arrays
 
 if TYPE_CHECKING:
@@ -350,7 +351,8 @@ class FilterPlan:
     def _as_matrix(self, values: np.ndarray) -> np.ndarray:
         """(N, C) real values in the plan's dtype."""
         vals = np.asarray(values)
-        if vals.dtype.kind not in "biuf" or working_dtype(self.backend, vals.dtype) != self.dtype:
+        check_real(vals, "values")
+        if working_dtype(self.backend, vals.dtype) != self.dtype:
             raise InputError(f"values of dtype {vals.dtype} on a {self.dtype} {self.backend} plan")
         if vals.ndim != 2 or vals.shape[0] != self.n:
             raise InputError(f"values must be ({self.n}, C), got {vals.shape}")

@@ -17,14 +17,18 @@ A ``VoxelMap`` holds M voxels as parallel arrays sorted by key:
 one voxel's log-likelihoods sum in point order, then merges the groups into
 the map by ``searchsorted``: existing voxels add the group sum, unseen ones
 start from the uniform prior (a constant the normalization absorbs).  The
-sums are float64 for a cloud of either dtype: a float32 cloud's rows are
-cast to float64, exactly, as they are gathered in key order.  Only
-the rows it touched are renormalized, so long observation sequences cannot
-underflow.  Likelihoods are floored so one confident wrong observation can
-never zero a label forever; a non-finite likelihood (NaN, +inf) is rejected
-before the map is touched, by one check of the per-voxel group sums.
-Readers take the argmax over labels, with ties going to the smallest label
-id.
+sums are float64 for a cloud of either dtype, formed a block of about one
+``row_blocks`` block of key-sorted points at a time, cut where a voxel
+group starts: each block's rows are gathered from the cloud, cast to
+float64 (exactly, for a float32 cloud), floored, logged and summed per
+group, so no float64 (N, L) array is formed, and since ``reduceat`` adds a
+group's rows in order the sums equal one whole-array pass.  Only the rows
+it touched are renormalized, a block at a time, so long observation
+sequences cannot underflow.  Likelihoods are floored so one confident
+wrong observation can never zero a label forever; a non-finite likelihood
+(NaN, +inf) is rejected before the map is touched, by one check of the
+per-voxel group sums.  Readers take the argmax over labels, with ties going
+to the smallest label id.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .crf import reduce_labels
 from .errors import InputError
+from .lattice import row_blocks
 from .projection import SemanticPointCloud
 
 LIKELIHOOD_FLOOR = 1e-8
@@ -73,8 +79,11 @@ def unpack_keys(keys: np.ndarray) -> np.ndarray:
 
 
 def _normalize_rows(log_dist: np.ndarray) -> np.ndarray:
-    log_dist = log_dist - log_dist.max(axis=1, keepdims=True)
-    log_dist -= np.log(np.exp(log_dist).sum(axis=1, keepdims=True))
+    """Normalize log-distribution rows in place: subtract each row's max,
+    then the log of its exp-sum (row maxima and sums from
+    ``crf.reduce_labels``, bit-equal to numpy's)."""
+    log_dist -= reduce_labels(log_dist, np.maximum)[:, None]
+    log_dist -= np.log(reduce_labels(np.exp(log_dist), np.add))[:, None]
     return log_dist
 
 
@@ -164,7 +173,9 @@ class VoxelMap:
         # each key's row after the insertions: its position among the old
         # keys plus the new keys sorted before it
         touched = pos + np.cumsum(new) - new
-        self._log_post[touched] = _normalize_rows(self._log_post[touched])
+        for s, e in row_blocks(touched.size):
+            rows = touched[s:e]
+            self._log_post[rows] = _normalize_rows(self._log_post[rows])
         self._created += int(new.sum())
         self._updated += int(hit.sum())
 
@@ -192,20 +203,26 @@ def integrate_cloud(vmap: VoxelMap, cloud: SemanticPointCloud) -> VoxelMap:
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    # one float64 (N, L) array: a float32 row casts to float64 exactly
-    log_lik = cloud.label_dists[order].astype(np.float64, copy=False)
-    np.maximum(log_lik, LIKELIHOOD_FLOOR, out=log_lik)
-    np.log(log_lik, out=log_lik)
-    log_sums = np.add.reduceat(log_lik, starts, axis=0)
+    edges = np.r_[starts, keys.size]
+    log_sums = np.empty((starts.size, vmap.labels))
+    color_sums = np.empty((starts.size, 3))
+    # blocks of about one row block of sorted points, each cut where a voxel
+    # group starts: a float32 row casts to float64 exactly, and reduceat adds
+    # a group's rows in order, so the sums match one whole-array pass
+    firsts = [s for s, _ in row_blocks(keys.size)]
+    cuts = np.unique(np.r_[np.searchsorted(starts, firsts), starts.size])
+    for g, h in zip(cuts[:-1], cuts[1:]):
+        points = order[edges[g] : edges[h]]
+        at = starts[g:h] - edges[g]
+        log_lik = cloud.label_dists[points].astype(np.float64, copy=False)
+        np.maximum(log_lik, LIKELIHOOD_FLOOR, out=log_lik)
+        np.log(log_lik, out=log_lik)
+        np.add.reduceat(log_lik, at, axis=0, out=log_sums[g:h])
+        np.add.reduceat(cloud.colors[points].astype(np.float64), at, axis=0, out=color_sums[g:h])
     if not np.isfinite(log_sums).all():  # NaN or +inf in some point's row
         bad = np.flatnonzero(~np.isfinite(cloud.label_dists).all(axis=1))[0]
         raise InputError(f"point {bad} has a non-finite likelihood {cloud.label_dists[bad]}")
-    vmap._absorb(
-        keys[starts],
-        log_sums,
-        np.diff(np.r_[starts, keys.size]),
-        np.add.reduceat(cloud.colors[order].astype(np.float64), starts, axis=0),
-    )
+    vmap._absorb(keys[starts], log_sums, np.diff(edges), color_sums)
     return vmap
 
 

@@ -452,19 +452,22 @@ class PermutohedralLattice:
 
     def add_offdiagonal(self, values: np.ndarray, out: np.ndarray, weight=1.0, reverse=False):
         """``out += weight (filter(v) - diagonal v)`` for (N, C) ``values``
-        and an ``out`` like them, a block of rows at a time, each row
-        bit-equal to the whole-array form; ``reverse`` as in ``filter``."""
+        and an ``out`` like them, a block of rows at a time (the diagonal
+        term in one reused block buffer, and no product at weight 1), each
+        row bit-equal to the whole-array form; ``reverse`` as in ``filter``."""
         vals = np.asarray(values)
         grid = self.blur(vals, reverse)
         if out.shape != vals.shape or out.dtype != vals.dtype:
             raise InputError(f"out must be {vals.dtype} {vals.shape}, got {out.dtype} {out.shape}")
         views, weight = self._s_views if reverse else self._out_views, vals.dtype.type(weight)
+        diag = np.empty((min(self.n, _ROW_BLOCK + 1), vals.shape[1]), vals.dtype)
         for s, e in row_blocks(self.n):
             rows = views[s, e] @ grid
             if self._alpha != 1.0:
                 rows *= self._alpha
-            rows -= vals[s:e] * self._diag[s:e, None]
-            rows *= weight
+            rows -= np.multiply(vals[s:e], self._diag[s:e, None], out=diag[: e - s])
+            if weight != 1:
+                rows *= weight
             out[s:e] += rows
 
     def blur(self, values: np.ndarray, reverse: bool = False) -> np.ndarray:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..crf import LabelDistributionImage, LabelImage
+from ..crf import LabelDistributionImage, LabelImage, reduce_labels
 from ..errors import FormatError
 
 UNARY_MAGIC = b"UNRY"
@@ -188,9 +188,10 @@ def load_unary(path: str | Path, dtype=np.float64) -> LabelDistributionImage:
             f"{path}: payload is {len(data) - 16} bytes, header implies {count * 4}"
         )
     values = np.frombuffer(data[16:], dtype="<f4").astype(dtype).reshape(-1, labels)
-    if not np.all(np.isfinite(values)) or np.any(values < 0):
+    low, high = values.min(), values.max()  # they carry any NaN or inf
+    if not (np.isfinite(low) and np.isfinite(high)) or low < 0:
         raise FormatError(f"{path}: negative or non-finite probability")
-    sums = values.sum(axis=1, dtype=np.float64)
+    sums = reduce_labels(values, np.add, np.float64)
     worst = np.abs(sums - 1.0).max()
     if worst > UNARY_SUM_TOLERANCE:
         raise FormatError(f"{path}: per-pixel sums deviate from 1 by {worst:.2e}")

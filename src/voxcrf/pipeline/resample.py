@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..crf import LabelDistributionImage, LabelImage
+from ..crf import LabelDistributionImage, LabelImage, reduce_labels
 from ..errors import InputError
 
 
@@ -45,7 +45,7 @@ def resample_probabilities(
         return img
     grid = img.data.reshape(img.height, img.width, img.labels)
     out = _bilinear(grid, height, width).reshape(-1, img.labels)
-    out /= out.sum(axis=1, keepdims=True)
+    out /= reduce_labels(out, np.add)[:, None]
     return LabelDistributionImage(height, width, img.labels, out)
 
 

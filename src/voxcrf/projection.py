@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crf import LabelDistributionImage
-from .errors import InputError
+from .errors import InputError, check_real
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,9 @@ class SemanticPointCloud:
     """3D points with color and a full label distribution per point.
 
     ``label_dists`` keeps float32 rows as float32, as ``crf._grid_data``
-    keeps a float32 Q, and holds any other rows as float64.  Colors that
-    are not uint8 must be whole numbers in [0, 255]; any other value
+    keeps a float32 Q, and holds any other real rows as float64; complex,
+    string or object rows raise ``InputError`` naming their dtype.  Colors
+    that are not uint8 must be whole numbers in [0, 255]; any other value
     raises ``InputError`` naming its point.
     """
 
@@ -81,6 +82,7 @@ class SemanticPointCloud:
                 raise InputError(f"color {colors[i]} of point {i // 3} {fault}")
         self.colors = np.ascontiguousarray(colors, dtype=np.uint8).reshape(-1, 3)
         dists = np.asarray(self.label_dists)
+        check_real(dists, "label_dists")
         self.label_dists = np.ascontiguousarray(
             dists, None if dists.dtype == np.float32 else np.float64
         )

@@ -2,12 +2,26 @@
 
 Deliberately naive: explicit kernel construction with Python loops and the
 five mean-field stages written out directly, sharing no code with the
-production modules.
+production modules.  The one exception is ``brute_force_map``, the
+exhaustive MAP oracle, kept as it was in ``voxcrf.crf``: it forms its
+pairwise weights with ``crf._weighted_kernel``, as ``crf_energy`` does.
 """
 
 import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
+
+from voxcrf.crf import (
+    CrfParams,
+    FeatureField,
+    LabelImage,
+    UnaryField,
+    _check_dims,
+    _weighted_kernel,
+)
+from voxcrf.errors import SizeLimitError
+
+BRUTE_FORCE_LIMIT = 2**20  # max number of labelings enumerated
 
 
 def reference_kernel(features: np.ndarray) -> np.ndarray:
@@ -370,3 +384,39 @@ def reference_write_ply(path, points, colors, hard_labels, confidences) -> None:
                     confidences[i],
                 )
             )
+
+
+def brute_force_map(
+    u: UnaryField, features: FeatureField, params: CrfParams
+) -> LabelImage:
+    """Exhaustive minimum-energy labeling; ties break to the lexicographically
+    smallest labeling.  Requires L^N <= 2^20."""
+    n = u.height * u.width
+    num_labels = u.labels
+    if float(num_labels) ** n > BRUTE_FORCE_LIMIT:
+        raise SizeLimitError(
+            f"{num_labels}^{n} labelings exceed the enumeration limit {BRUTE_FORCE_LIMIT}"
+        )
+    _check_dims(u, features)
+    mu = params.compatibility_for(num_labels)
+    k_total = _weighted_kernel(features, params)
+    iu, ju = np.triu_indices(n, k=1)
+    k_flat = k_total[iu, ju]
+
+    best_energy = np.inf
+    best = None
+    chunk = 1 << 14
+    total = num_labels**n
+    # enumerate labelings in lexicographic order; argmin keeps the first optimum
+    powers = num_labels ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        labs = (idx[:, None] // powers[None, :]) % num_labels
+        unary = -u.data[np.arange(n)[None, :], labs].sum(axis=1)
+        pair = (mu[labs[:, iu], labs[:, ju]] * k_flat[None, :]).sum(axis=1)
+        energies = unary + pair
+        j = int(np.argmin(energies))
+        if energies[j] < best_energy:
+            best_energy = float(energies[j])
+            best = labs[j]
+    return LabelImage(u.height, u.width, best)

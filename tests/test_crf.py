@@ -12,13 +12,13 @@ from voxcrf.crf import (
     LabelDistributionImage,
     LabelImage,
     UnaryField,
-    brute_force_map,
     build_features,
     crf_energy,
     map_labeling,
     mean_field_backward,
     mean_field_infer,
     potts_matrix,
+    reduce_labels,
     reuse_plan,
     softmax,
     train_crf_params,
@@ -27,7 +27,7 @@ from voxcrf.crf import (
 from voxcrf.errors import ConfigError, InputError, NumericalError, SizeLimitError
 from voxcrf.filtering import plan_filter
 
-from _reference import reference_energy, reference_mean_field
+from _reference import brute_force_map, reference_energy, reference_mean_field
 
 
 def dist_image(probs, height=None, width=None):
@@ -308,6 +308,51 @@ def test_softmax_leaves_input_and_matches_out_of_place_form(rng):
     assert np.array_equal(q, e / e.sum(axis=1, keepdims=True))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_label_reductions_are_bit_equal_to_numpy(rng, dtype):
+    """``reduce_labels`` against numpy's own forms as the oracle: row sums
+    bit-equal to ``a.sum(axis=1)`` and ``a.sum(axis=1, dtype=np.float64)``,
+    row maxima to ``a.max(axis=1)``, below, at and above numpy's 8 lanes and
+    128-label halving, over one, two and three row blocks.  A numpy release
+    that changes its summation order fails here."""
+    for labels in (2, 3, 7, 8, 9, 16, 17, 23, 128, 129, 255):
+        for n in (1, 2047, 2048, 2049, 4097):
+            # magnitudes over six decades, so a changed order rounds differently
+            a = rng.normal(size=(n, labels)) * 10.0 ** rng.uniform(-3, 3, (n, labels))
+            a = a.astype(dtype)
+            for got, want in (
+                (reduce_labels(a, np.add), a.sum(axis=1)),
+                (reduce_labels(a, np.add, np.float64), a.sum(axis=1, dtype=np.float64)),
+                (reduce_labels(a, np.maximum), a.max(axis=1)),
+            ):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (labels, n)
+
+
+def _whole_array_softmax_into(logits, out):
+    """The whole-array softmax the blocked form replaced."""
+    np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_softmax_is_bit_equal_to_the_whole_array_form(rng, dtype):
+    """``softmax`` (float64 out, also from float32 logits) and
+    ``_softmax_into`` (in place and into another array) over three row
+    blocks give the bytes of the whole-array form, and leave the logits."""
+    from voxcrf.crf import _softmax_into
+
+    logits = rng.normal(scale=30.0, size=(4097, 23)).astype(dtype)
+    before = logits.copy()
+    want = _whole_array_softmax_into(logits, np.empty(logits.shape))
+    assert softmax(logits).tobytes() == want.tobytes()
+    want = _whole_array_softmax_into(logits, np.empty_like(logits))
+    assert _softmax_into(logits, np.empty_like(logits)).tobytes() == want.tobytes()
+    assert logits.tobytes() == before.tobytes()
+    assert _softmax_into(logits, logits).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("backend", ["exact", "lattice"])
 def test_prebuilt_plans_match_fresh_plans(rng, backend):
     u, feats, params = random_instance(rng, 6, 7, 3)
@@ -442,6 +487,34 @@ def test_numerical_error_names_compatibility_transform(rng):
         NumericalError, match="compatibility transform at iteration 0"
     ):
         mean_field_infer(u, feats, params, "exact")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_step_names_the_stage_of_non_finite_logits(rng, bad):
+    """A NaN, +inf or -inf in the unary, or a pairwise term that overflows
+    to either infinity, raises ``NumericalError`` naming its stage, also in
+    a block after the first; the block check reads each block's min and
+    max."""
+    from voxcrf.crf import _step
+
+    n = 2048 + 300
+    feats = FeatureField(rng.normal(size=(n, 5)), rng.normal(size=(n, 2)))
+    plans = tuple(plan_filter(f, "lattice") for f in feats.per_kernel())
+    weights, mu = np.array([0.8, 0.5]), rng.normal(size=(3, 3))
+    q, u = softmax(rng.normal(size=(n, 3))), rng.normal(size=(n, 3))
+    u[n - 5, 1] = bad
+    with pytest.raises(NumericalError, match="adding the unary at iteration 0"):
+        _step(q, u, plans, weights, mu, 0, None)
+    if np.isnan(bad):
+        return
+    # finite messages whose weighted sum, taken through mu, passes -+1.8e308,
+    # so the logits u - C mu^T reach the infinity of ``bad``
+    mu = np.full((3, 3), -np.sign(bad))
+    u[n - 5, 1] = 0.0
+    with np.errstate(over="ignore"), pytest.raises(
+        NumericalError, match="compatibility transform at iteration 0"
+    ):
+        _step(q, u, plans, np.array([1e308, 1e308]), mu, 0, None)
 
 
 def test_mean_field_memory_budget(rng):

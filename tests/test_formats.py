@@ -103,6 +103,19 @@ def test_unary_sum_tolerance(tmp_path):
     assert img.data.sum() == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25])
+def test_unary_rejects_non_finite_and_negative_entries(tmp_path, bad, dtype):
+    """A NaN, +inf, -inf or negative entry, here in the last of three
+    pixels, raises ``FormatError`` with one message, in either read dtype;
+    the check reads the values' min and max."""
+    vals = np.array([0.5, 0.5, 0.25, 0.75, 1.25, bad], "<f4")
+    path = tmp_path / "u.unry"
+    path.write_bytes(b"UNRY" + struct.pack("<III", 1, 3, 2) + vals.tobytes())
+    with pytest.raises(FormatError, match="negative or non-finite probability$"):
+        load_unary(path, dtype)
+
+
 def test_unary_payload_size_mismatch(tmp_path):
     path = tmp_path / "u.unry"
     path.write_bytes(b"UNRY" + struct.pack("<III", 2, 2, 2) + b"\x00" * 8)

@@ -145,6 +145,69 @@ def test_float32_cloud_integrates_bit_equal_to_its_float64_copy(rng, tmp_path):
     assert (tmp_path / "c32.ply").read_bytes() == (tmp_path / "c64.ply").read_bytes()
 
 
+def test_integrate_in_blocks_is_bit_equal_to_one_block(monkeypatch, rng):
+    """integrate_cloud forms log-likelihoods and group sums a block of sorted
+    points at a time, cut where a voxel group starts.  With blocks of 16
+    points, which a 49-point voxel group straddles three times, the map
+    after a fresh integrate and an update is byte-equal to one block."""
+    from voxcrf import lattice
+
+    labels = 5
+    # five small groups (10 points), then 49 points in one voxel (sorted
+    # positions 10..58, across block starts 16, 32 and 48), then 60 points
+    # over 20 voxels
+    small = np.repeat(np.arange(5), [1, 3, 2, 3, 1])
+    x = np.r_[small, np.full(49, 5), 6 + rng.integers(0, 20, 60)]
+    points = np.column_stack([(x + 0.5) * 0.01, np.full(x.size, 0.005), np.full(x.size, 0.005)])
+    order = rng.permutation(x.size)  # the cloud's own order is not key order
+    dists = rng.dirichlet(np.ones(labels), size=x.size).astype(np.float32)
+    dists[:4] = 0.0  # rows under the likelihood floor
+    dists[:4, 1] = 1.0
+    colors = rng.integers(0, 256, (x.size, 3), dtype=np.uint8)
+    cloud = SemanticPointCloud(points[order], colors, dists)
+    seen = SemanticPointCloud(points[order][::3], colors[::3], dists[::3])
+
+    def fused(block):
+        monkeypatch.setattr(lattice, "_ROW_BLOCK", block)
+        vmap = VoxelMap(0.01, labels)
+        for c in (seen, cloud):  # new voxels, then hits and new ones together
+            integrate_cloud(vmap, c)
+        views = (vmap.keys, vmap.log_posteriors, vmap.observations, vmap.color_sums)
+        return [a.tobytes() for a in views], (vmap.created, vmap.updated)
+
+    assert fused(16) == fused(1 << 30)
+
+
+def test_integrate_peaks_under_three_float32_label_arrays(rng):
+    """Integrating a 160x120, L = 23 float32 cloud with about 4 points per
+    voxel (G/N = 0.25 voxel groups per point, as a 640x480 frame at 0.01 m)
+    peaks under 3 float32 (N, L) arrays above the allocation at entry, into
+    a fresh map and into one holding its voxels.  The log-likelihoods are
+    formed a block of points at a time, so what remains are float64 (G, L)
+    arrays of 2G/N = 0.5 such arrays each: the group sums, and the rows the
+    map inserts or adds.  A float64 (N, L) copy of the rows would be 2."""
+    import tracemalloc
+
+    n, labels = 160 * 120, 23
+    points = np.column_stack([rng.uniform(0, 0.7, (n, 2)), np.full(n, 0.5)])
+    colors = rng.integers(0, 256, (n, 3), dtype=np.uint8)
+    dists = rng.dirichlet(np.ones(labels), size=n).astype(np.float32)
+    cloud = SemanticPointCloud(points, colors, dists)
+    integrate_cloud(VoxelMap(0.01, labels), cloud)  # numpy's lazy imports load here
+    vmap = VoxelMap(0.01, labels)
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            integrate_cloud(vmap, cloud)
+            peaks.append((tracemalloc.get_traced_memory()[1] - entry) / cloud.label_dists.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert 0.2 < len(vmap) / n < 0.3
+    assert max(peaks) < 3, peaks
+
+
 def test_integrate_label_count_mismatch():
     vmap = VoxelMap(0.01, 3)
     with pytest.raises(InputError):

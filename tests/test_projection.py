@@ -207,6 +207,22 @@ def test_cloud_keeps_q_rows_in_q_dtype(rng, dtype):
     assert ints.label_dists.dtype == np.float64
 
 
+@pytest.mark.parametrize(
+    "rows, dtype",
+    [
+        pytest.param(np.array([[0.5 + 0.3j, 0.5]]), "complex128", id="complex"),
+        pytest.param(np.array([["0.5", "0.5"]]), "<U3", id="str"),
+        pytest.param(np.array([[0.5, None]], dtype=object), "object", id="object"),
+    ],
+)
+def test_cloud_rejects_label_rows_that_are_not_real_numbers(rows, dtype):
+    """A complex row lost its imaginary part (with only a ComplexWarning)
+    and a string row was parsed into numbers; each now raises InputError
+    naming its dtype, as ``crf`` and ``filtering`` do."""
+    with pytest.raises(InputError, match=f"^label_dists of dtype {dtype}, expected real numbers$"):
+        SemanticPointCloud(np.zeros((1, 3)), np.zeros((1, 3), np.uint8), rows)
+
+
 def make_cloud(rng, n=20, labels=3):
     return SemanticPointCloud(
         rng.normal(size=(n, 3)),
