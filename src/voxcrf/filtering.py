@@ -25,10 +25,25 @@ apply is N v / d and apply_transpose N (g / d), in one of two forms:
   N v = T + A_y (T + V) over an (h, w, C) view with T = A_x V, in
   O(N (h + w)) time and O(h^2 + w^2) memory beside the values, at any N;
 - block walk: other features form N's upper triangle _MIRROR_BLOCK rows at
-  a time, each entry once.  Up to _KERNEL_CACHE_LIMIT points N is kept,
-  each block mirrored into the rows below; above it each N v replays the
-  walk, each block serving its own rows and, transposed, the rows below,
-  and d is the walk applied to ones.
+  a time, each entry once.  Up to _KERNEL_CACHE_LIMIT points N is kept:
+  each block writes its rows k[s:e, s:] in place and mirrors them into
+  k[e:, s:e], the blocks dealt in snake order over one thread per CPU the
+  process may run on (``_POOL``, made on the first such build; inline, in
+  order, on one CPU).  No two blocks write one entry, so N is the same bit
+  for bit for any number of threads, and an error in any block is raised
+  in the caller once every thread has finished.  Above the limit each N v
+  replays the walk inline, each block serving its own rows and, transposed,
+  the rows below, and d is the walk applied to ones.
+
+Kernel rows are formed one feature axis at a time (``_kernel_rows``): each
+axis's differences are squared in place and summed into one of two lanes,
+the even axes and the odd ones, and the lanes are added before the -1/2
+scale and exp, so no (rows, N, d) difference array is formed.  That is the
+order numpy's einsum over the axes was seen to sum in for d <= 7, so the
+rows equal its form (kept in tests/_reference.py) bit for bit; numpy does
+not document the order.  The grid factors and the energy's dense kernels
+take the same form, inline.  Only the kept kernel's walk runs on the pool;
+each message stays one BLAS call.
 
 ``lattice`` is stored pre-scaled as M, with no separate normalization pass
 and no ``g / d`` copy.  It has N = P_ns (L - D_L) + P_s F, with L the
@@ -84,6 +99,8 @@ by name.
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -107,6 +124,13 @@ FALLBACK_NNZ_LIMIT = 1 << 24
 _KERNEL_CACHE_LIMIT = 4096  # exact backend keeps the dense kernel up to this N
 _MIRROR_BLOCK = 64  # rows per block of the exact kernel's upper-triangle walk
 _SCAN_DISTANCES = 1 << 20  # most distances one block of the fallback scan forms
+# the kept kernel's walk runs on one thread per CPU this process may use
+if hasattr(os, "sched_getaffinity"):
+    _WORKERS = len(os.sched_getaffinity(0))
+else:  # platforms without CPU affinity
+    _WORKERS = os.cpu_count() or 1
+_POOL = None  # the walk's ThreadPoolExecutor, made by _pool on first use
+_POOL_LOCK = threading.Lock()
 
 
 def working_dtype(backend: str, dtype) -> np.dtype:
@@ -118,21 +142,103 @@ def working_dtype(backend: str, dtype) -> np.dtype:
     return np.dtype(np.float32 if lattice32 else np.float64)
 
 
-def _kernel_rows(features: np.ndarray, start: int, stop: int, first: int = 0) -> np.ndarray:
+def _kernel_rows(
+    features: np.ndarray,
+    start: int,
+    stop: int,
+    first: int = 0,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Rows start..stop-1 of the self-excluded exact kernel K - I over
-    columns first.. (first <= start), computed by direct differences."""
-    diff = features[start:stop, None, :] - features[None, first:, :]
-    rows = np.exp(-0.5 * np.einsum("rjd,rjd->rj", diff, diff))
-    rows[np.arange(stop - start), np.arange(start - first, stop - first)] = 0.0
+    columns first.. (first <= start), formed in ``out`` when it is given.
+
+    One feature axis at a time, in place: the even axes' squared
+    differences are summed in the rows and the odd axes' in a second lane,
+    the lanes are added, then scaled by -1/2 and exponentiated.  ``scratch``
+    is a flat float64 buffer of at least twice the rows' size (the odd lane
+    and one axis's squares), allocated when not given."""
+    shape = (stop - start, len(features) - first)
+    size, dim = shape[0] * shape[1], features.shape[1]
+    rows = np.empty(shape) if out is None else out
+    extra = min(dim - 1, 2)  # the odd axes' sum, then one axis's squares
+    if scratch is None:
+        scratch = np.empty(extra * size)
+    lanes = [rows] + [scratch[i * size : (i + 1) * size].reshape(shape) for i in range(extra)]
+    for axis in range(dim):
+        lane = lanes[axis % 2]
+        sq = lane if axis < 2 else lanes[2]
+        np.subtract(features[start:stop, axis, None], features[first:, axis], out=sq)
+        sq *= sq
+        if sq is not lane:
+            lane += sq
+    if dim > 1:
+        rows += lanes[1]
+    rows *= -0.5
+    np.exp(rows, out=rows)
+    rows[np.arange(shape[0]), np.arange(start - first, stop - first)] = 0.0
     return rows
 
 
 def _upper_blocks(features: np.ndarray):
-    """(s, e, rows): rows s..e-1 of N over columns s.., _MIRROR_BLOCK at a time."""
+    """(s, e, rows): rows s..e-1 of N over columns s.., _MIRROR_BLOCK at a
+    time, each formed in one buffer that the next block reuses."""
     n = len(features)
+    buffer, scratch = np.empty(_MIRROR_BLOCK * n), np.empty(2 * _MIRROR_BLOCK * n)
     for s in range(0, n, _MIRROR_BLOCK):
         e = min(s + _MIRROR_BLOCK, n)
-        yield s, e, _kernel_rows(features, s, e, s)
+        rows = buffer[: (e - s) * (n - s)].reshape(e - s, n - s)
+        yield s, e, _kernel_rows(features, s, e, s, rows, scratch)
+
+
+def _pool():
+    """The walk's thread pool.  concurrent.futures is imported here, on the
+    first pooled walk, because importing it adds about 10 ms to every start
+    of the program, lattice runs included."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="voxcrf-kernel")
+    return _POOL
+
+
+def _mirror_blocks(features: np.ndarray, k: np.ndarray, starts, scratch: np.ndarray) -> None:
+    """For each block start s, N's rows k[s:e, s:] in place and their mirror
+    k[e:, s:e], every block's lanes in ``scratch``."""
+    n = len(features)
+    for s in starts:
+        e = min(s + _MIRROR_BLOCK, n)
+        rows = _kernel_rows(features, s, e, s, k[s:e, s:], scratch)
+        k[e:, s:e] = rows[:, e - s :].T
+
+
+def _fill_kernel(features: np.ndarray, k: np.ndarray) -> None:
+    """N into the (N, N) ``k``: the walk's blocks dealt in snake order over
+    _WORKERS threads of _POOL, or run inline in order on one.  The rows
+    shrink down the triangle, so snake order evens the threads' shares.
+    An error in any block is raised here, once every thread has finished."""
+    n = len(features)
+    starts = range(0, n, _MIRROR_BLOCK)
+    workers = min(_WORKERS, len(starts))
+    # each thread's lanes, in one buffer the caller allocates and frees:
+    # lanes allocated in the pool's threads stay resident in their heaps
+    scratch = np.empty((workers, 2 * _MIRROR_BLOCK * n))
+    if workers == 1:
+        _mirror_blocks(features, k, starts, scratch[0])
+        return
+    turn = 2 * workers
+    shares = [[*starts[w::turn], *starts[turn - 1 - w :: turn]] for w in range(workers)]
+    pool = _pool()
+    tasks = [
+        pool.submit(_mirror_blocks, features, k, share, lanes)
+        for share, lanes in zip(shares, scratch)
+    ]
+    for task in tasks:
+        task.exception()  # waits: every task ends before any error is raised
+    for task in tasks:
+        task.result()
 
 
 def _ball_pairs(
@@ -266,9 +372,7 @@ class FilterPlan:
             d = (sy + sx + sy * sx).ravel()
         elif self.n <= _KERNEL_CACHE_LIMIT:
             k = self._kernel = np.empty((self.n, self.n))
-            for s, e, rows in _upper_blocks(self.features):
-                k[s:e, s:] = rows
-                k[e:, s:e] = rows[:, e - s :].T
+            _fill_kernel(self.features, k)
             d = k.sum(axis=1)
         else:
             d = self._numerator(np.ones((self.n, 1)))[:, 0]

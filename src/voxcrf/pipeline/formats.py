@@ -23,6 +23,7 @@ from ..errors import FormatError
 UNARY_MAGIC = b"UNRY"
 UNARY_SUM_TOLERANCE = 1e-3
 _MAX_PIXELS = 1 << 28  # dimension-overflow guard for header-declared sizes
+_PLY_BLOCK = 4096  # rows write_ply formats per join
 
 PLY_PROPERTIES = [
     ("float", "x"),
@@ -226,15 +227,18 @@ def write_ply(
         for typ, name in PLY_PROPERTIES:
             f.write(f"property {typ} {name}\n")
         f.write("end_header\n")
-        # one Python list per column, then every row formatted in one join
-        columns = [
-            *points.T.tolist(),
-            *colors.astype(np.int64).T.tolist(),
-            hard_labels.astype(np.int64).tolist(),
-            confidences.tolist(),
-        ]
+        # a block of rows at a time: one Python list per column, then the
+        # block's rows formatted in one join
         row = "%.9g %.9g %.9g %d %d %d %d %.9g\n"
-        f.write("".join([row % values for values in zip(*columns)]))
+        for s in range(0, n, _PLY_BLOCK):
+            block = slice(s, s + _PLY_BLOCK)
+            columns = [
+                *points[block].T.tolist(),
+                *colors[block].astype(np.int64).T.tolist(),
+                hard_labels[block].astype(np.int64).tolist(),
+                confidences[block].tolist(),
+            ]
+            f.write("".join([row % values for values in zip(*columns)]))
 
 
 def read_ply(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

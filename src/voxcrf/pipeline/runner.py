@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ..crf import (
+    FeatureField,
     LabelDistributionImage,
     LabelImage,
     build_features,
@@ -114,6 +115,9 @@ def run_frame(
         features = build_features(rgb, config.crf)
         held = () if spatial_plan is None else (spatial_plan,)
         spatial_plan = reuse_plan(features.spatial, config.backend, held, unary.data.dtype)
+        # infer on the plan's own spatial features, so a held plan's equal
+        # copy stands in for this frame's, which is freed
+        features = FeatureField(features.bilateral, spatial_plan.features)
         q, _ = mean_field_infer(
             unary, features, config.crf, config.backend, plans=(spatial_plan,)
         )

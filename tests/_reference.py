@@ -34,6 +34,18 @@ def reference_kernel(features: np.ndarray) -> np.ndarray:
     return k
 
 
+def reference_kernel_rows(
+    features: np.ndarray, start: int, stop: int, first: int = 0
+) -> np.ndarray:
+    """Rows start..stop-1 of K - I over columns first.., in the einsum form
+    ``filtering._kernel_rows`` had before it formed rows one axis at a
+    time: one (rows, N, d) difference array and one einsum over d."""
+    diff = features[start:stop, None, :] - features[None, first:, :]
+    rows = np.exp(-0.5 * np.einsum("rjd,rjd->rj", diff, diff))
+    rows[np.arange(stop - start), np.arange(start - first, stop - first)] = 0.0
+    return rows
+
+
 def reference_messages(features: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Normalized self-excluded Gaussian messages, literal double sum."""
     k = reference_kernel(features)
@@ -352,7 +364,8 @@ class ReferenceLattice:
 
 
 # ---------------------------------------------------------------------------
-# ASCII PLY: the row-at-a-time writer the column-wise one replaced
+# ASCII PLY: the row-at-a-time writer the column-wise one replaced, and the
+# whole-array column-wise writer the blocked one replaced
 # ---------------------------------------------------------------------------
 
 
@@ -384,6 +397,31 @@ def reference_write_ply(path, points, colors, hard_labels, confidences) -> None:
                     confidences[i],
                 )
             )
+
+
+def whole_array_write_ply(path, points, colors, hard_labels, confidences) -> None:
+    """The PLY body in the form ``write_ply`` had before it wrote a block of
+    rows at a time: every column as one Python list, every row in one join."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    colors = np.asarray(colors).reshape(-1, 3)
+    hard_labels = np.asarray(hard_labels).reshape(-1)
+    confidences = np.asarray(confidences, dtype=np.float64).reshape(-1)
+    with open(path, "w") as f:
+        f.write("ply\nformat ascii 1.0\n")
+        f.write(f"element vertex {points.shape[0]}\n")
+        for typ, name in [("float", "x"), ("float", "y"), ("float", "z"), ("uchar", "red"),
+                          ("uchar", "green"), ("uchar", "blue"), ("uchar", "label"),
+                          ("float", "confidence")]:
+            f.write(f"property {typ} {name}\n")
+        f.write("end_header\n")
+        columns = [
+            *points.T.tolist(),
+            *colors.astype(np.int64).T.tolist(),
+            hard_labels.astype(np.int64).tolist(),
+            confidences.tolist(),
+        ]
+        row = "%.9g %.9g %.9g %d %d %d %d %.9g\n"
+        f.write("".join([row % values for values in zip(*columns)]))
 
 
 def brute_force_map(

@@ -27,7 +27,12 @@ from voxcrf.crf import (
 from voxcrf.errors import ConfigError, InputError, NumericalError, SizeLimitError
 from voxcrf.filtering import plan_filter
 
-from _reference import brute_force_map, reference_energy, reference_mean_field
+from _reference import (
+    brute_force_map,
+    reference_energy,
+    reference_kernel_rows,
+    reference_mean_field,
+)
 
 
 def dist_image(probs, height=None, width=None):
@@ -860,6 +865,41 @@ def test_brute_force_strong_coupling_flips_minority():
         x = np.array([(bits >> k) & 1 for k in range(4)])
         energies[tuple(x)] = crf_energy(LabelImage(2, 2, x), u, feats, params)
     assert min(energies, key=energies.get) == (1, 1, 1, 1)
+
+
+def test_energy_and_brute_force_are_bit_equal_to_the_einsum_rows(rng, monkeypatch):
+    """``crf_energy`` and ``brute_force_map`` read their pairwise weights
+    from the axis-at-a-time kernel rows; on the fixtures above, energies
+    (to the last bit, by ``float.hex``) and labelings are those of the einsum
+    rows the oracles were first built on."""
+    import voxcrf.crf as crf
+
+    u, feats, params = random_instance(rng, 3, 3, 3)
+    x = LabelImage(3, 3, rng.integers(0, 3, size=9))
+    probs = np.array([[0.3, 0.7], [0.2, 0.8], [0.25, 0.75], [0.7, 0.3]])
+    coupled = CrfParams(kernel_weights=np.array([5.0, 5.0]))
+    instances = [
+        (x, u, feats, params),
+        (
+            LabelImage(2, 2, np.array([0, 1, 1, 0])),
+            unary_from_probabilities(dist_image(probs, 2, 2)),
+            build_features(np.full((2, 2, 3), 128.0), coupled),
+            coupled,
+        ),
+    ]
+
+    def outcomes():
+        found = []
+        for labeling, unary, features, p in instances:
+            best = brute_force_map(unary, features, p)
+            found.append(crf_energy(labeling, unary, features, p).hex())
+            found.append(crf_energy(best, unary, features, p).hex())
+            found.append(best.data.tolist())
+        return found
+
+    axis = outcomes()
+    monkeypatch.setattr(crf, "_kernel_rows", reference_kernel_rows)
+    assert outcomes() == axis
 
 
 def test_brute_force_size_guard():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from voxcrf.errors import InputError
 from voxcrf.filtering import plan_filter
 
-from _reference import reference_messages
+from _reference import reference_kernel_rows, reference_messages
 
 
 @pytest.fixture(params=["exact", "lattice"])
@@ -159,6 +159,122 @@ def test_exact_mirrored_kernel_is_bit_equal_to_row_build(n, dim, rng):
     d = np.maximum(rows.sum(axis=1), NORMALIZER_FLOOR)
     np.testing.assert_array_equal(plan.normalizers, d)
     np.testing.assert_array_equal(plan._kernel, rows)
+
+
+def _axis_grid(dim):
+    """About 200 points on a product grid in ``dim`` axes, spacing 1/3."""
+    side = max(2, round(200 ** (1 / dim)))
+    axes = np.meshgrid(*[np.arange(side) / 3.0] * dim, indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, dim)
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_kernel_rows_are_bit_equal_to_the_einsum_form(dim, rng):
+    """Rows formed one axis at a time equal the einsum form bit for bit, for
+    every block shape the program asks for (first < start included) and
+    written into a strided view of a larger array.
+
+    The equality rests on the order numpy's einsum was observed to sum d <= 7
+    squared differences in: two lanes, the even axes and the odd ones, added
+    last.  numpy does not document that order; a build that sums otherwise
+    fails here in the last bits, not in the kernel's accuracy."""
+    from voxcrf.filtering import _kernel_rows
+
+    for feats in (rng.uniform(0, 4, (300, dim)), _axis_grid(dim)):
+        n = len(feats)
+        blocks = ((0, n, 0), (n // 4, n // 2, n // 4), (n // 2, n // 2 + 9, n // 3), (n - 1, n, 0))
+        for start, stop, first in blocks:
+            expected = reference_kernel_rows(feats, start, stop, first)
+            np.testing.assert_array_equal(_kernel_rows(feats, start, stop, first), expected)
+            held = np.full((stop - start + 2, n - first + 3), np.nan)
+            out = held[1:-1, 2:-1]
+            rows = _kernel_rows(feats, start, stop, first, out, np.empty(2 * out.size))
+            assert rows is out
+            np.testing.assert_array_equal(out, expected)
+
+
+def _einsum_walk(feats):
+    """N built as the walk built it before, from the einsum rows."""
+    from voxcrf.filtering import _MIRROR_BLOCK
+
+    n = len(feats)
+    k = np.empty((n, n))
+    for s in range(0, n, _MIRROR_BLOCK):
+        e = min(s + _MIRROR_BLOCK, n)
+        rows = reference_kernel_rows(feats, s, e, s)
+        k[s:e, s:] = rows
+        k[e:, s:e] = rows[:, e - s :].T
+    return k
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_exact_kernel_is_bit_equal_for_any_worker_count(workers, rng, monkeypatch):
+    """The kept kernel's blocks are dealt over the pool's threads; its
+    kernel, normalizers, apply and apply_transpose are the same bit for bit
+    for 1, 2 and 3 threads (3 do not divide the 8 blocks evenly) and equal
+    the einsum walk's."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from voxcrf import filtering
+
+    n = 7 * filtering._MIRROR_BLOCK + 5
+    feats = rng.uniform(0, 4, (n, 5))
+    v = rng.normal(size=(n, 3))
+    monkeypatch.setattr(filtering, "_WORKERS", 1)
+    inline = plan_filter(feats, "exact")
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads hand over as often as they can
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            monkeypatch.setattr(filtering, "_POOL", pool)
+            monkeypatch.setattr(filtering, "_WORKERS", workers)
+            plan = plan_filter(feats, "exact")
+    finally:
+        sys.setswitchinterval(switch)
+    expected = _einsum_walk(feats)
+    np.testing.assert_array_equal(inline._kernel, expected)
+    np.testing.assert_array_equal(plan._kernel, expected)
+    d = np.maximum(expected.sum(axis=1), filtering.NORMALIZER_FLOOR)
+    np.testing.assert_array_equal(plan.normalizers, d)
+    np.testing.assert_array_equal(plan.apply(v), inline.apply(v))
+    np.testing.assert_array_equal(plan.apply_transpose(v), inline.apply_transpose(v))
+
+
+def test_exact_kernel_raises_a_worker_error_once_every_thread_has_ended(rng, monkeypatch):
+    """An error raised in one thread's block reaches the caller as the same
+    exception, and only once no block is still being formed."""
+    import threading
+    import time
+
+    from voxcrf import filtering
+
+    feats = rng.uniform(0, 4, (6 * filtering._MIRROR_BLOCK, 5))
+    kernel_rows = filtering._kernel_rows
+    failure = InputError("non-finite feature block")
+    lock = threading.Lock()
+    running, ended = [0], []
+
+    def rows(features, start, *args):
+        with lock:
+            running[0] += 1
+        try:
+            if start == 0:
+                raise failure
+            time.sleep(0.02)  # the other thread's blocks outlast the failure
+            return kernel_rows(features, start, *args)
+        finally:
+            with lock:
+                running[0] -= 1
+                ended.append(start)
+
+    monkeypatch.setattr(filtering, "_WORKERS", 2)
+    monkeypatch.setattr(filtering, "_kernel_rows", rows)
+    with pytest.raises(InputError) as raised:
+        plan_filter(feats, "exact")
+    assert raised.value is failure
+    assert running[0] == 0
+    assert 0 in ended and len(ended) > 1
 
 
 def test_exact_forms_agree_on_a_grid(rng, monkeypatch):

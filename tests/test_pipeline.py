@@ -869,6 +869,32 @@ def test_run_frame_frees_the_probabilities_before_inference(tmp_path, monkeypatc
     assert len(checked) == len(refs) == 2
 
 
+def test_run_frame_infers_on_the_held_plans_spatial_features(tmp_path, monkeypatch):
+    """From the second frame on, inference reads the held spatial plan's
+    features, and the frame's own equal (N, 2) copy is freed before it."""
+    import weakref
+
+    manifest = generate_synthetic(small_spec(frame_count=3), tmp_path / "s")
+    features_original, infer_original = runner.build_features, runner.mean_field_infer
+    refs, checked = [], []
+
+    def recording_features(*args, **kwargs):
+        features = features_original(*args, **kwargs)
+        refs.append(weakref.ref(features.spatial))
+        return features
+
+    def checked_infer(*args, **kwargs):
+        spatial, (plan,) = args[1].spatial, kwargs["plans"]
+        checked.append((np.shares_memory(spatial, plan.features), refs[-1]() is None))
+        return infer_original(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "build_features", recording_features)
+    monkeypatch.setattr(runner, "mean_field_infer", checked_infer)
+    run_pipeline(manifest, out_dir=tmp_path / "out")
+    # frame 0 builds its plan on its own features, which the plan then holds
+    assert checked == [(True, False), (True, True), (True, True)]
+
+
 @pytest.mark.parametrize("backend", ["exact", "lattice"])
 def test_run_pipeline_reused_plan_bit_equal_to_fresh_plans(tmp_path, monkeypatch, backend):
     import voxcrf.pipeline.runner as runner
