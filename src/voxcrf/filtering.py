@@ -28,12 +28,12 @@ apply is N v / d and apply_transpose N (g / d), in one of two forms:
   a time, each entry once.  Up to _KERNEL_CACHE_LIMIT points N is kept:
   each block writes its rows k[s:e, s:] in place and mirrors them into
   k[e:, s:e], the blocks dealt in snake order over one thread per CPU the
-  process may run on (``_POOL``, made on the first such build; inline, in
-  order, on one CPU).  No two blocks write one entry, so N is the same bit
-  for bit for any number of threads, and an error in any block is raised
-  in the caller once every thread has finished.  Above the limit each N v
-  replays the walk inline, each block serving its own rows and, transposed,
-  the rows below, and d is the walk applied to ones.
+  process may run on, in a pool that each build opens and closes, so no
+  thread outlives the build.  No two blocks write one entry, so N is the
+  same bit for bit for any number of threads, and an error in any block is
+  raised in the caller once every thread has ended.  Above the limit each
+  N v replays the walk on one thread, each block serving its own rows and,
+  transposed, the rows below, and d is the walk applied to ones.
 
 Kernel rows are formed one feature axis at a time (``_kernel_rows``): each
 axis's differences are squared in place and summed into one of two lanes,
@@ -42,7 +42,7 @@ scale and exp, so no (rows, N, d) difference array is formed.  That is the
 order numpy's einsum over the axes was seen to sum in for d <= 7, so the
 rows equal its form (kept in tests/_reference.py) bit for bit; numpy does
 not document the order.  The grid factors and the energy's dense kernels
-take the same form, inline.  Only the kept kernel's walk runs on the pool;
+take the same form, inline.  Only the kept kernel's build runs on threads;
 each message stays one BLAS call.
 
 ``lattice`` is stored pre-scaled as M, with no separate normalization pass
@@ -100,7 +100,6 @@ by name.
 from __future__ import annotations
 
 import os
-import threading
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -129,8 +128,6 @@ if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
 else:  # platforms without CPU affinity
     _WORKERS = os.cpu_count() or 1
-_POOL = None  # the walk's ThreadPoolExecutor, made by _pool on first use
-_POOL_LOCK = threading.Lock()
 
 
 def working_dtype(backend: str, dtype) -> np.dtype:
@@ -180,30 +177,6 @@ def _kernel_rows(
     return rows
 
 
-def _upper_blocks(features: np.ndarray):
-    """(s, e, rows): rows s..e-1 of N over columns s.., _MIRROR_BLOCK at a
-    time, each formed in one buffer that the next block reuses."""
-    n = len(features)
-    buffer, scratch = np.empty(_MIRROR_BLOCK * n), np.empty(2 * _MIRROR_BLOCK * n)
-    for s in range(0, n, _MIRROR_BLOCK):
-        e = min(s + _MIRROR_BLOCK, n)
-        rows = buffer[: (e - s) * (n - s)].reshape(e - s, n - s)
-        yield s, e, _kernel_rows(features, s, e, s, rows, scratch)
-
-
-def _pool():
-    """The walk's thread pool.  concurrent.futures is imported here, on the
-    first pooled walk, because importing it adds about 10 ms to every start
-    of the program, lattice runs included."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="voxcrf-kernel")
-    return _POOL
-
-
 def _mirror_blocks(features: np.ndarray, k: np.ndarray, starts, scratch: np.ndarray) -> None:
     """For each block start s, N's rows k[s:e, s:] in place and their mirror
     k[e:, s:e], every block's lanes in ``scratch``."""
@@ -216,28 +189,27 @@ def _mirror_blocks(features: np.ndarray, k: np.ndarray, starts, scratch: np.ndar
 
 def _fill_kernel(features: np.ndarray, k: np.ndarray) -> None:
     """N into the (N, N) ``k``: the walk's blocks dealt in snake order over
-    _WORKERS threads of _POOL, or run inline in order on one.  The rows
-    shrink down the triangle, so snake order evens the threads' shares.
-    An error in any block is raised here, once every thread has finished."""
+    a pool of up to _WORKERS threads that lives for this call alone.  The
+    rows shrink down the triangle, so snake order evens the threads' shares.
+    An error in any block is raised here, once every thread has ended.
+    concurrent.futures is imported here because importing it adds about
+    10 ms to every start of the program, lattice runs included."""
+    from concurrent.futures import ThreadPoolExecutor
+
     n = len(features)
     starts = range(0, n, _MIRROR_BLOCK)
     workers = min(_WORKERS, len(starts))
     # each thread's lanes, in one buffer the caller allocates and frees:
     # lanes allocated in the pool's threads stay resident in their heaps
     scratch = np.empty((workers, 2 * _MIRROR_BLOCK * n))
-    if workers == 1:
-        _mirror_blocks(features, k, starts, scratch[0])
-        return
     turn = 2 * workers
     shares = [[*starts[w::turn], *starts[turn - 1 - w :: turn]] for w in range(workers)]
-    pool = _pool()
-    tasks = [
-        pool.submit(_mirror_blocks, features, k, share, lanes)
-        for share, lanes in zip(shares, scratch)
-    ]
-    for task in tasks:
-        task.exception()  # waits: every task ends before any error is raised
-    for task in tasks:
+    with ThreadPoolExecutor(workers, thread_name_prefix="voxcrf-kernel") as pool:
+        tasks = [
+            pool.submit(_mirror_blocks, features, k, share, lanes)
+            for share, lanes in zip(shares, scratch)
+        ]
+    for task in tasks:  # the with exit has waited for every task
         task.result()
 
 
@@ -446,8 +418,15 @@ class FilterPlan:
             # N v = (v^T N)^T, N being symmetric: with C << N, OpenBLAS runs
             # the (C, N) product about 1.5x faster than N v
             return (vals.T @ self._kernel).T
+        # the block walk: each block's rows, formed in one buffer that the
+        # next block reuses, serve its own rows and, transposed, those below
+        n = self.n
         out = np.zeros_like(vals)
-        for s, e, rows in _upper_blocks(self.features):
+        buffer, scratch = np.empty(_MIRROR_BLOCK * n), np.empty(2 * _MIRROR_BLOCK * n)
+        for s in range(0, n, _MIRROR_BLOCK):
+            e = min(s + _MIRROR_BLOCK, n)
+            rows = buffer[: (e - s) * (n - s)].reshape(e - s, n - s)
+            rows = _kernel_rows(self.features, s, e, s, rows, scratch)
             out[s:e] += rows @ vals[s:]
             out[e:] += rows[:, e - s :].T @ vals[s:e]
         return out
@@ -495,15 +474,19 @@ class FilterPlan:
 
     def accumulate(self, values: np.ndarray, weight: float, out: np.ndarray) -> None:
         """``out += weight * apply(values)`` in place; an ``out`` that is not
-        a writeable ndarray, or is of another shape than the values or of
-        another dtype than the plan, raises ``InputError`` and is left as it
-        was.  A lattice plan forms no (N, C) message."""
+        a writeable ndarray, is of another shape than the values or of
+        another dtype than the plan, or shares memory with the values (a
+        lattice plan would form F's term from rows it has already changed)
+        raises ``InputError`` and is left as it was.  A lattice plan forms
+        no (N, C) message."""
         vals = self._as_matrix(values)
         if not isinstance(out, np.ndarray) or not out.flags.writeable:
             kind = "a read-only one" if isinstance(out, np.ndarray) else type(out).__name__
             raise InputError(f"out must be a writeable ndarray, got {kind}")
         if out.shape != vals.shape or out.dtype != self.dtype:
             raise InputError(f"out must be {self.dtype} {vals.shape}, got {out.dtype} {out.shape}")
+        if np.shares_memory(out, vals):
+            raise InputError("out must not share memory with the values")
         self._add_message(vals, out, False, weight)
 
     def apply_transpose(self, grads: np.ndarray) -> np.ndarray:

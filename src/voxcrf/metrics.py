@@ -75,16 +75,22 @@ def accumulate(
     return cm
 
 
+def _class_counts(cm: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per class, as float64: truth pixels t_i, hits n_ii and the union
+    t_i + sum_j n_ji - n_ii."""
+    counts = cm.counts.astype(np.float64)
+    t = counts.sum(axis=1)
+    diag = np.diag(counts)
+    return t, diag, t + counts.sum(axis=0) - diag
+
+
 def compute_metrics(cm: ConfusionMatrix) -> tuple[float, float, float, float]:
     """(pixel_acc, mean_acc, mean_iu, fw_iu); errors on an empty matrix."""
-    counts = cm.counts.astype(np.float64)
-    t = counts.sum(axis=1)  # ground-truth pixels per class
+    t, diag, union = _class_counts(cm)
     total = t.sum()
     if total <= 0:
         raise InputError("empty confusion matrix")
     present = t > 0
-    diag = np.diag(counts)
-    union = t + counts.sum(axis=0) - diag
 
     pixel_acc = float(diag.sum() / total)
     mean_acc = float((diag[present] / t[present]).mean())
@@ -163,10 +169,7 @@ def format_report(*metrics: float, **extra: float) -> str:
 
 def per_class_rows(cm: ConfusionMatrix, names: list[str] | None = None) -> str:
     """Comma-separated per-class rows: name, truth pixels, accuracy, iu."""
-    counts = cm.counts.astype(np.float64)
-    t = counts.sum(axis=1)
-    diag = np.diag(counts)
-    union = t + counts.sum(axis=0) - diag
+    t, diag, union = _class_counts(cm)
     lines = ["class,truth_pixels,accuracy,iu"]
     for i in range(cm.labels):
         name = names[i] if names else f"class{i:02d}"

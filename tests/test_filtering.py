@@ -214,7 +214,6 @@ def test_exact_kernel_is_bit_equal_for_any_worker_count(workers, rng, monkeypatc
     for 1, 2 and 3 threads (3 do not divide the 8 blocks evenly) and equal
     the einsum walk's."""
     import sys
-    from concurrent.futures import ThreadPoolExecutor
 
     from voxcrf import filtering
 
@@ -226,10 +225,8 @@ def test_exact_kernel_is_bit_equal_for_any_worker_count(workers, rng, monkeypatc
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads hand over as often as they can
     try:
-        with ThreadPoolExecutor(workers) as pool:
-            monkeypatch.setattr(filtering, "_POOL", pool)
-            monkeypatch.setattr(filtering, "_WORKERS", workers)
-            plan = plan_filter(feats, "exact")
+        monkeypatch.setattr(filtering, "_WORKERS", workers)
+        plan = plan_filter(feats, "exact")
     finally:
         sys.setswitchinterval(switch)
     expected = _einsum_walk(feats)
@@ -275,6 +272,36 @@ def test_exact_kernel_raises_a_worker_error_once_every_thread_has_ended(rng, mon
     assert raised.value is failure
     assert running[0] == 0
     assert 0 in ended and len(ended) > 1
+
+
+@pytest.mark.parametrize("outcome", ["built", "raised"])
+def test_exact_kernel_leaves_no_thread_behind(rng, monkeypatch, outcome):
+    """The kept kernel's threads live for its build alone: once plan_filter
+    returns or raises, no thread of the walk is alive."""
+    import threading
+
+    from voxcrf import filtering
+
+    def walk_threads():
+        return [t.name for t in threading.enumerate() if t.name.startswith("voxcrf-kernel")]
+
+    feats = rng.uniform(0, 4, (4 * filtering._MIRROR_BLOCK, 5))
+    monkeypatch.setattr(filtering, "_WORKERS", 2)
+    assert walk_threads() == []
+    if outcome == "built":
+        assert plan_filter(feats, "exact")._kernel is not None
+    else:
+        kernel_rows = filtering._kernel_rows
+
+        def rows(features, start, *args):
+            if start == filtering._MIRROR_BLOCK:
+                raise InputError("non-finite feature block")
+            return kernel_rows(features, start, *args)
+
+        monkeypatch.setattr(filtering, "_kernel_rows", rows)
+        with pytest.raises(InputError, match="non-finite feature block"):
+            plan_filter(feats, "exact")
+    assert walk_threads() == []
 
 
 def test_exact_forms_agree_on_a_grid(rng, monkeypatch):
@@ -1048,6 +1075,30 @@ def test_accumulate_takes_only_a_writeable_ndarray_out(backend, rng, kind):
     with pytest.raises(InputError, match=f"^out must be a writeable ndarray, {message}$"):
         plan.accumulate(v, 0.5, out)
     np.testing.assert_array_equal(out, 0.0)
+
+
+def test_accumulate_rejects_an_out_that_shares_memory_with_the_values(backend, rng):
+    """On a lattice plan with starved points, F's forward term was formed
+    from rows the lattice had already changed, so ``accumulate(v, w, v)``
+    returned a wrong result with no error.  An out that overlaps the values
+    raises InputError on either backend and is left as it was; one that
+    shares their buffer but none of their entries adds as a separate out
+    does."""
+    feats = np.vstack([rng.normal(0, 0.5, (300, 5)), rng.normal(3, 2, (30, 5))])
+    dtype = np.float32 if backend == "lattice" else np.float64
+    plan = plan_filter(feats, backend, dtype)
+    assert backend == "exact" or plan.starved > 0
+    held = rng.normal(size=(plan.n + 1, 8)).astype(dtype)
+    for vals, out in ((held[:-1, :4], held[:-1, :4]), (held[1:, :4], held[:-1, :4])):
+        before = held.copy()
+        with pytest.raises(InputError, match="^out must not share memory with the values$"):
+            plan.accumulate(vals, 0.7, out)
+        np.testing.assert_array_equal(held, before)
+    vals, out = held[:-1, ::2], held[:-1, 1::2]
+    expected = out.copy()
+    plan.accumulate(vals, 0.7, expected)
+    plan.accumulate(vals, 0.7, out)
+    np.testing.assert_array_equal(out, expected)
 
 
 @pytest.mark.parametrize(
